@@ -19,11 +19,11 @@ ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
 
 result = run_sa_oo_vqe(integrals, ansatz, inner_optimizer=OptimizerChoice("bfgs"))
 print(f"macro loop: {result.macro_iterations} iterations, converged={result.converged}")
-print("iter   E_SA(after VQE)    E_SA(after OO)    cum evals   |grad kappa|")
+print("iter   E_SA(after VQE)    E_SA(after OO)    cum evals")
 for rec in result.macro_trace:
     print(
         f"{rec.macro_index:3d}   {rec.e_sa_vqe: .10f}   {rec.e_sa_oo: .10f}"
-        f"   {rec.cum_evals:6d}      {rec.kappa_grad_norm:.2e}"
+        f"   {rec.cum_evals:6d}"
     )
 
 steps = result.trace.filter(SCOPE_STEP)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,8 @@ from . import local as local_mod
 from .ansatz import default_ansatz
 from .integrals import load_fcidump
 from .jw import jordan_wigner
-from .orbitals import MacroConfig, OOConfig, run_sa_oo_vqe
-from .savqe import OptimizerChoice, run_sa_vqe
-from .trace import OptimizationTrace
+from .orbitals import MacroConfig, run_sa_oo_vqe
+from .savqe import EnsembleSpec, OptimizerChoice, run_sa_vqe
 
 SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
 
@@ -122,41 +121,63 @@ def parse_seeds(text) -> list:
         raise UsageError(f"could not parse seed list {text!r}")
 
 
-def parse_weights(text):
+def _is_set(config: dict, key) -> bool:
+    return config.get(key) not in (None, "")
+
+
+def parse_weights(text) -> EnsembleSpec:
+    """Ensemble weights from a config value; unset means the EnsembleSpec default."""
     if text is None or str(text).strip() == "":
-        return (0.5, 0.5)
+        return EnsembleSpec()
     try:
-        vals = tuple(float(tok) for tok in str(text).replace(",", " ").split())
-    except ValueError:
-        raise UsageError(f"could not parse weights {text!r}")
-    return vals
+        return EnsembleSpec(tuple(float(tok) for tok in str(text).replace(",", " ").split()))
+    except ValueError as exc:
+        raise UsageError(f"bad weights {text!r}: {exc}")
+
+
+# config key -> (constructor keyword, parser) for settings a config may override
+DE_SETTINGS = {
+    "np": ("np_size", int),
+    "f": ("f", float),
+    "cr": ("cr", float),
+    "strategy": ("strategy", str),
+    "crossover": ("crossover", str),
+    "boundary": ("boundary", str),
+}
+MACRO_SETTINGS = {"macro_tol": ("macro_tol", float), "max_macro_iters": ("max_macro_iters", int)}
+
+# the harness's DE stop rule for the keys a config leaves unset
+DE_TERMINATION_DEFAULTS = {"max_evals": 3000, "abs_tol": 1e-8, "n_tol": 10}
+
+
+def _overrides(config: dict, settings: dict) -> dict:
+    """Constructor keywords for the keys the config sets; defaults apply otherwise."""
+    return {
+        name: parse(config[key])
+        for key, (name, parse) in settings.items()
+        if _is_set(config, key)
+    }
 
 
 def _de_termination(config: dict) -> de_mod.TerminationCriteria:
-    max_evals = int(config.get("max_evals", 3000))
-    eps = float(config.get("abs_tol", 1e-8))
-    n_tol = int(config.get("n_tol", 10))
-    max_generations = config.get("max_generations")
+    def get(key):
+        return config[key] if _is_set(config, key) else DE_TERMINATION_DEFAULTS.get(key)
+
+    max_generations = get("max_generations")
     return de_mod.TerminationCriteria(
-        max_evals=max_evals,
-        max_generations=int(max_generations) if max_generations else None,
-        abs_tol=(eps, n_tol),
+        max_evals=int(get("max_evals")),
+        max_generations=None if max_generations is None else int(max_generations),
+        abs_tol=(float(get("abs_tol")), int(get("n_tol"))),
     )
 
 
 def build_optimizer(method: str, config: dict, seed: int) -> OptimizerChoice:
     if method in LOCAL_METHODS:
-        local = local_mod.LocalOptConfig()
-        return OptimizerChoice(method, local_config=local)
+        return OptimizerChoice(method)
     if method in DE_METHODS:
         strategy, crossover = DE_METHODS[method]
         de_config = de_mod.DEConfig(
-            np_size=int(config["np"]) if config.get("np") else None,
-            f=float(config.get("f", 0.5)),
-            cr=float(config.get("cr", 0.9)),
-            strategy=config.get("strategy", strategy),
-            crossover=config.get("crossover", crossover),
-            boundary=config.get("boundary", "clamp"),
+            **{"strategy": strategy, "crossover": crossover, **_overrides(config, DE_SETTINGS)},
             seed=seed,
             termination=_de_termination(config),
         )
@@ -218,65 +239,32 @@ def cmd_optimize(config: dict, out_dir) -> str:
 # molecule runs
 
 
-@dataclass
-class MoleculeRun:
-    method: str
-    seed: int
-    e_sa: float
-    e_states: tuple
-    evaluations: int
-    trace: OptimizationTrace
-
-
-def run_molecule(integrals, method: str, seed: int, config: dict, mode: str) -> MoleculeRun:
-    """One full run on a molecule: mode "saoo" (macro loop) or "savqe" (fixed
-    orbitals, single VQE stage)."""
+def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
+    """One full run on a molecule: mode "saoo" (macro loop, an SAOOVQEResult) or
+    "savqe" (fixed orbitals, a single VQE stage, an SAVQEResult)."""
     if method not in LOCAL_METHODS and method not in DE_METHODS:
         raise method_error(method)
     if mode not in ("savqe", "saoo"):
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     optimizer = build_optimizer(method, config, seed)
-    weights = parse_weights(config.get("weights"))
+    weights = parse_weights(config.get("weights")).weights
     ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
 
     if mode == "savqe":
-        hamiltonian = jordan_wigner(integrals)
-        result = run_sa_vqe(
-            hamiltonian,
+        return run_sa_vqe(
+            jordan_wigner(integrals),
             ansatz,
             weights=weights,
             optimizer=optimizer,
             n_orb=integrals.n_orb,
             n_elec=integrals.n_elec,
         )
-        return MoleculeRun(
-            method=method,
-            seed=seed,
-            e_sa=result.e_sa,
-            e_states=result.state_energies,
-            evaluations=result.evaluations,
-            trace=result.trace,
-        )
-
-    macro = MacroConfig(
-        macro_tol=float(config.get("macro_tol", 1e-4)),
-        max_macro_iters=int(config.get("max_macro_iters", 20)),
-    )
-    result = run_sa_oo_vqe(
+    return run_sa_oo_vqe(
         integrals,
         ansatz,
         weights=weights,
         inner_optimizer=optimizer,
-        oo_config=OOConfig(),
-        macro_config=macro,
-    )
-    return MoleculeRun(
-        method=method,
-        seed=seed,
-        e_sa=result.e_sa,
-        e_states=result.state_energies,
-        evaluations=result.evaluations,
-        trace=result.trace,
+        macro_config=MacroConfig(**_overrides(config, MACRO_SETTINGS)),
     )
 
 
@@ -289,15 +277,11 @@ class RunSummary:
     e_min: float
     e_max: float
     e_mean: float
-    per_seed: list = field(default_factory=list)  # (seed, e0, e1, e_sa, evals)
 
     @classmethod
     def from_runs(cls, method, runs) -> "RunSummary":
         evals = [r.evaluations for r in runs]
         energies = [r.e_sa for r in runs]
-        per_seed = [
-            (r.seed, r.e_states[0], r.e_states[1], r.e_sa, r.evaluations) for r in runs
-        ]
         return cls(
             method=method,
             evals_min=int(min(evals)),
@@ -306,34 +290,46 @@ class RunSummary:
             e_min=float(min(energies)),
             e_max=float(max(energies)),
             e_mean=float(np.mean(energies)),
-            per_seed=per_seed,
         )
 
 
-def _write_manifest(out_dir, config, methods, seeds, mode):
+def _effective_settings(config, methods, n_params) -> dict:
+    """The settings the runs use, read back from the objects they are built from."""
+    macro = MacroConfig(**_overrides(config, MACRO_SETTINGS))
+    settings = {
+        "macro_tol": macro.macro_tol,
+        "max_macro_iters": macro.max_macro_iters,
+        "weights": " ".join(str(w) for w in parse_weights(config.get("weights")).weights),
+    }
+    de_methods = [m for m in methods if m in DE_METHODS]
+    if de_methods:
+        de_config = build_optimizer(de_methods[0], config, seed=0).de_config
+        stop = de_config.termination
+        settings.update(
+            np=de_config.population_size(n_params),
+            f=de_config.f,
+            cr=de_config.cr,
+            boundary=de_config.boundary,
+            p_best_fraction=de_config.p_best_fraction,
+            max_evals=stop.max_evals,
+            max_generations=stop.max_generations,  # None is written as ""
+            abs_tol=stop.abs_tol[0],
+            n_tol=stop.abs_tol[1],
+        )
+    return settings
+
+
+def _write_manifest(out_dir, config, methods, seeds, mode, n_params):
+    """One key,value row per setting: the config as given, with every setting
+    the runs use replaced by its effective value."""
+    rows = {"mode": mode, "methods": " ".join(methods), "seeds": " ".join(str(s) for s in seeds)}
+    rows.update((key, config[key]) for key in sorted(config) if key not in rows)
+    rows.update(_effective_settings(config, methods, n_params))
     path = os.path.join(out_dir, "manifest.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
-        writer.writerow(["mode", mode])
-        writer.writerow(["methods", " ".join(methods)])
-        writer.writerow(["seeds", " ".join(str(s) for s in seeds)])
-        for key in sorted(config):
-            writer.writerow([key, config[key]])
-        defaults = {
-            "np_default": "max(15, 5*D)",
-            "f_default": 0.5,
-            "cr_default": 0.9,
-            "boundary_default": "clamp",
-            "de_max_evals_default": 3000,
-            "de_abs_tol_default": 1e-8,
-            "de_n_tol_default": 10,
-            "macro_tol_default": 1e-4,
-            "max_macro_iters_default": 20,
-            "weights_default": "0.5 0.5",
-        }
-        for key, value in defaults.items():
-            writer.writerow([key, value])
+        writer.writerows(rows.items())
     return path
 
 
@@ -349,7 +345,8 @@ def cmd_compare(config: dict, out_dir, seeds=None) -> str:
     seeds = parse_seeds(config.get("seeds")) if seeds is None else list(seeds)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_manifest(out_dir, config, methods, seeds, "saoo")
+    n_params = default_ansatz(integrals.n_orb, integrals.n_elec).parameter_count
+    _write_manifest(out_dir, config, methods, seeds, "saoo", n_params)
 
     summaries = []
     failures = []
@@ -365,7 +362,8 @@ def cmd_compare(config: dict, out_dir, seeds=None) -> str:
             run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
             runs.append(run)
             per_seed_rows.append(
-                (method, seed, run.e_states[0], run.e_states[1], run.e_sa, run.evaluations)
+                (method, seed, run.state_energies[0], run.state_energies[1], run.e_sa,
+                 run.evaluations)
             )
         if runs:
             summaries.append(RunSummary.from_runs(method, runs))
@@ -426,7 +424,7 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
                 writer.writerow([label, "", "", "", mode, "failed"])
                 continue
             writer.writerow(
-                [label, repr(run.e_states[0]), repr(run.e_states[1]),
+                [label, repr(run.state_energies[0]), repr(run.state_energies[1]),
                  repr(run.e_sa), mode, "ok"]
             )
     return path
@@ -444,7 +442,7 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
 
     run = run_molecule(integrals, method, seeds[0], config, mode)
     run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seeds[0]}.csv"))
-    sorted_energies = sorted(run.e_states)
+    sorted_energies = sorted(run.state_energies)
     path = os.path.join(out_dir, "result.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -452,7 +450,7 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
             ["method", "seed", "e0", "e1", "e_lo", "e_hi", "e_sa", "evaluations", "mode"]
         )
         writer.writerow(
-            [method, seeds[0], repr(run.e_states[0]), repr(run.e_states[1]),
+            [method, seeds[0], repr(run.state_energies[0]), repr(run.state_energies[1]),
              repr(sorted_energies[0]), repr(sorted_energies[1]),
              repr(run.e_sa), run.evaluations, mode]
         )

@@ -11,6 +11,7 @@ evaluations themselves are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,15 @@ class Population:
         return int(np.argmin(self.fitnesses))
 
 
+# what each tolerance tuple holds, position by position
+_TOLERANCE_LAYOUTS = {
+    "abs_tol": ("eps", "window"),
+    "rel_tol": ("eps", "window", "delta"),
+    "running_mean": ("eps", "window", "window"),
+    "best_worst": ("eps", "window"),
+}
+
+
 @dataclass
 class TerminationCriteria:
     """Stop rules; the first satisfied one (in field order) wins.
@@ -148,18 +158,19 @@ class TerminationCriteria:
             )
         ):
             raise ConfigurationError("at least one termination criterion must be set")
-        for name, tup in (
-            ("abs_tol", self.abs_tol),
-            ("rel_tol", self.rel_tol),
-            ("running_mean", self.running_mean),
-            ("best_worst", self.best_worst),
-        ):
+        for name, layout in _TOLERANCE_LAYOUTS.items():
+            tup = getattr(self, name)
             if tup is None:
                 continue
-            if tup[0] <= 0:
-                raise ConfigurationError(f"{name} tolerance must be positive")
-            if any(int(n) < 1 for n in tup[1:] if not isinstance(n, float)):
-                raise ConfigurationError(f"{name} window lengths must be >= 1")
+            if len(tup) != len(layout):
+                raise ConfigurationError(f"{name} takes {len(layout)} values")
+            for kind, value in zip(layout, tup):
+                if kind == "eps" and not value > 0:
+                    raise ConfigurationError(f"{name} tolerance must be positive")
+                if kind == "window" and not (isinstance(value, numbers.Integral) and value >= 1):
+                    raise ConfigurationError(f"{name} window lengths must be integers >= 1")
+                if kind == "delta" and not value >= 0:
+                    raise ConfigurationError(f"{name} delta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -170,13 +181,15 @@ class GenerationRecord:
     f_worst: float
 
 
-def _consecutive_tail(flags) -> int:
-    count = 0
-    for ok in reversed(flags):
-        if not ok:
-            break
-        count += 1
-    return count
+def _improvement(history, g) -> float:
+    """Absolute change of the best fitness from generation g - 1 to g."""
+    return abs(history[g].f_best - history[g - 1].f_best)
+
+
+def _tail_holds(history, n_tol, flag, first=1) -> bool:
+    """`flag(g)` holds for each of the last n_tol generations, all >= first."""
+    start = len(history) - n_tol
+    return start >= first and all(flag(g) for g in range(start, len(history)))
 
 
 def should_terminate(history, criteria: TerminationCriteria) -> str | None:
@@ -184,6 +197,8 @@ def should_terminate(history, criteria: TerminationCriteria) -> str | None:
 
     `history` is the ordered list of GenerationRecord entries, one per
     completed generation (generation 0 is the evaluated initial population).
+    The improvement-based criteria need n_tol improvements, so n_tol + 1
+    generations; only the generations inside their windows are read.
     """
     if not history:
         return None
@@ -194,40 +209,39 @@ def should_terminate(history, criteria: TerminationCriteria) -> str | None:
     if criteria.max_generations is not None and cur.generation >= criteria.max_generations:
         return "max_generations"
 
-    best = [rec.f_best for rec in history]
-    improvements = [abs(best[i] - best[i - 1]) for i in range(1, len(best))]
-
     if criteria.abs_tol is not None:
         eps, n_tol = criteria.abs_tol
-        flags = [imp < eps for imp in improvements]
-        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+        if _tail_holds(history, n_tol, lambda g: _improvement(history, g) < eps):
             return "abs_tol"
 
     if criteria.rel_tol is not None:
         eps, n_tol, delta = criteria.rel_tol
-        flags = [
-            improvements[i] / (abs(best[i + 1]) + delta) < eps
-            for i in range(len(improvements))
-        ]
-        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+
+        def rel_flag(g):
+            return _improvement(history, g) / (abs(history[g].f_best) + delta) < eps
+
+        if _tail_holds(history, n_tol, rel_flag):
             return "rel_tol"
 
     if criteria.running_mean is not None:
         eps, n_mean, n_tol = criteria.running_mean
-        flags = []
-        for g in range(len(improvements)):
-            if g + 1 < n_mean:
-                flags.append(False)  # window not yet full
-                continue
-            window = improvements[g - n_mean + 1 : g + 1]
-            flags.append(sum(window) / n_mean < eps)
-        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+
+        def mean_flag(g):
+            if g < n_mean:
+                return False  # window not yet full
+            window = [_improvement(history, j) for j in range(g - n_mean + 1, g + 1)]
+            return sum(window) / n_mean < eps
+
+        if _tail_holds(history, n_tol, mean_flag):
             return "running_mean"
 
     if criteria.best_worst is not None:
         eps, n_tol = criteria.best_worst
-        flags = [abs(rec.f_worst - rec.f_best) < eps for rec in history]
-        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+
+        def spread_flag(g):
+            return abs(history[g].f_worst - history[g].f_best) < eps
+
+        if _tail_holds(history, n_tol, spread_flag, first=0):
             return "best_worst"
 
     return None
@@ -266,6 +280,10 @@ class DEConfig:
             raise ConfigurationError(
                 f"unknown boundary mode {self.boundary!r}; valid: {', '.join(BOUNDARY_MODES)}"
             )
+
+    def population_size(self, dim: int) -> int:
+        """Members per generation for a dim-dimensional search."""
+        return self.np_size if self.np_size is not None else max(15, 5 * dim)
 
 
 @dataclass
@@ -467,13 +485,11 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
     `callback(population, cum_evals)` fires after the initial evaluation and
     after every completed generation.
     """
-    dim = bounds.dim
-    np_size = config.np_size if config.np_size is not None else max(15, 5 * dim)
+    np_size = config.population_size(bounds.dim)
     if np_size < 4:
         raise ConfigurationError("population size must be at least 4")
     rng = make_rng(config.seed)
 
-    trace = OptimizationTrace()
     history: list[GenerationRecord] = []
     state = {"evals": 0}
 
@@ -482,13 +498,13 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
         try:
             val = float(objective(np.asarray(x, dtype=float)))
         except Exception as exc:
-            partial = _partial_result(trace, history, pop, state["evals"])
+            partial = _partial_result(history, pop, state["evals"])
             raise ObjectiveError(f"objective raised: {exc}", partial=partial) from exc
         return val if math.isfinite(val) else math.inf
 
     pop = initialize_population(bounds, np_size, "uniform", rng)
     pop.fitnesses = np.array([evaluate(m) for m in pop.members])
-    _record_generation(trace, history, pop, state["evals"])
+    _record_generation(history, pop, state["evals"])
     if callback is not None:
         callback(pop, state["evals"])
 
@@ -507,7 +523,7 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
             trials[i] = handle_bounds(trial, bounds, config.boundary, rng)
         trial_fitnesses = np.array([evaluate(t) for t in trials])
         pop = select(pop, trials, trial_fitnesses)
-        _record_generation(trace, history, pop, state["evals"])
+        _record_generation(history, pop, state["evals"])
         if callback is not None:
             callback(pop, state["evals"])
         stop_reason = should_terminate(history, config.termination)
@@ -518,33 +534,33 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
         best_fitness=float(pop.fitnesses[best]),
         evaluations=state["evals"],
         generations=pop.generation,
-        trace=trace,
+        trace=_history_trace(history),
         stop_reason=stop_reason,
     )
 
 
-def _record_generation(trace, history, pop, cum_evals):
-    f_best = float(np.min(pop.fitnesses))
-    f_worst = float(np.max(pop.fitnesses))
+def _record_generation(history, pop, cum_evals):
     history.append(
         GenerationRecord(
             generation=pop.generation,
             cum_evals=cum_evals,
-            f_best=f_best,
-            f_worst=f_worst,
-        )
-    )
-    trace.append(
-        TraceEvent(
-            cum_evals=cum_evals,
-            scope=SCOPE_STEP,
-            macro_index=trace.last_macro_index(),
-            e_sa=f_best,
+            f_best=float(np.min(pop.fitnesses)),
+            f_worst=float(np.max(pop.fitnesses)),
         )
     )
 
 
-def _partial_result(trace, history, pop, evals):
+def _history_trace(history) -> OptimizationTrace:
+    """One optimizer_step event per generation: the best fitness so far."""
+    return OptimizationTrace(
+        events=[
+            TraceEvent(cum_evals=rec.cum_evals, scope=SCOPE_STEP, macro_index=0, e_sa=rec.f_best)
+            for rec in history
+        ]
+    )
+
+
+def _partial_result(history, pop, evals):
     if history:
         best_f = min(rec.f_best for rec in history)
     else:
@@ -555,6 +571,6 @@ def _partial_result(trace, history, pop, evals):
         best_fitness=best_f,
         evaluations=evals,
         generations=pop.generation,
-        trace=trace,
+        trace=_history_trace(history),
         stop_reason="aborted",
     )

@@ -8,7 +8,7 @@ finite-difference stencil — is charged to the evaluation tally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class LocalResult:
     evaluations: int
     iterations: int
     stop_reason: str
-    trace: list = field(default_factory=list)  # (cum_evals, f) after each step
 
 
 def fd_gradient(objective, x, h: float) -> np.ndarray:
@@ -80,7 +79,6 @@ def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> Lo
 
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
-    trace = [(counter["n"], fx)]
     if callback is not None:
         callback(x, fx, counter["n"])
     stop_reason = "max_iters"
@@ -97,7 +95,6 @@ def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> Lo
             break
         x, fx = x_new, f_new
         iterations += 1
-        trace.append((counter["n"], fx))
         if callback is not None:
             callback(x, fx, counter["n"])
     return LocalResult(
@@ -106,7 +103,6 @@ def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> Lo
         evaluations=counter["n"],
         iterations=iterations,
         stop_reason=stop_reason,
-        trace=trace,
     )
 
 
@@ -132,7 +128,6 @@ def bfgs_minimize(
     fx = f(x)
     grad = fd_gradient(f, x, config.grad_step)
     h_inv = np.eye(dim)
-    trace = [(counter["n"], fx)]
     if callback is not None:
         callback(x, fx, counter["n"])
     stop_reason = "max_iters"
@@ -172,7 +167,6 @@ def bfgs_minimize(
             h_inv = left @ h_inv @ right + rho * np.outer(s, s)
         x, fx, grad = x_new, f_new, grad_new
         iterations += 1
-        trace.append((counter["n"], fx))
         if hessian_log is not None:
             hessian_log.append(h_inv.copy())
         if callback is not None:
@@ -184,5 +178,4 @@ def bfgs_minimize(
         evaluations=counter["n"],
         iterations=iterations,
         stop_reason=stop_reason,
-        trace=trace,
     )

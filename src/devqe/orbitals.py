@@ -105,7 +105,6 @@ class OOResult:
     integrals: MolecularIntegrals
     e_sa: float
     state_energies: tuple
-    grad_norm: float
     line_search_failed: bool
 
 
@@ -120,7 +119,7 @@ def minimize_orbitals(base_integrals: MolecularIntegrals, rdms_per_state,
     n_orb = base_integrals.n_orb
     pairs = default_pairs(n_orb) if oo_config.pair_mask is None else list(oo_config.pair_mask)
 
-    def finish(kappa, e_sa, grad_norm, failed):
+    def finish(kappa, e_sa, failed):
         rotated = rotate_integrals(base_integrals, kappa)
         energies = tuple(rdm_energy(rotated, rdms) for rdms in rdms_per_state)
         return OOResult(
@@ -128,30 +127,24 @@ def minimize_orbitals(base_integrals: MolecularIntegrals, rdms_per_state,
             integrals=rotated,
             e_sa=e_sa,
             state_energies=energies,
-            grad_norm=grad_norm,
             line_search_failed=failed,
         )
 
     zero = KappaMatrix.zero(n_orb, pairs)
     e_zero = sa_oo_energy(zero, base_integrals, rdms_per_state, weights)
     if not pairs:  # nothing to rotate (n_orb == 1 or masked out)
-        return finish(zero, e_zero, 0.0, False)
+        return finish(zero, e_zero, False)
 
     def objective(values):
         kappa = KappaMatrix.from_values(n_orb, values, pairs)
         return sa_oo_energy(kappa, base_integrals, rdms_per_state, weights)
 
     result = local_mod.bfgs_minimize(objective, np.zeros(len(pairs)), oo_config.local)
-    grad_norm = float(
-        np.linalg.norm(
-            local_mod.fd_gradient(objective, result.x, oo_config.local.grad_step)
-        )
-    )
     failed = result.stop_reason == "line_search_failed"
     if result.fun > e_zero + NO_WORSE_SLACK or (failed and result.fun >= e_zero):
-        return finish(zero, e_zero, grad_norm, failed)
+        return finish(zero, e_zero, failed)
     kappa = KappaMatrix.from_values(n_orb, result.x, pairs)
-    return finish(kappa, result.fun, grad_norm, failed)
+    return finish(kappa, result.fun, failed)
 
 
 @dataclass
@@ -166,7 +159,6 @@ class MacroRecord:
     e_sa_vqe: float
     e_sa_oo: float
     cum_evals: int
-    kappa_grad_norm: float
 
 
 @dataclass
@@ -181,10 +173,6 @@ class SAOOVQEResult:
     macro_iterations: int
     converged: bool
     inner_failures: list  # (attempted macro index, message)
-
-    @property
-    def sorted_energies(self) -> tuple:
-        return tuple(sorted(self.state_energies))
 
 
 def _child_seed(base_seed: int, macro_index: int) -> int:
@@ -278,7 +266,6 @@ def run_sa_oo_vqe(
                 e_sa_vqe=e_vqe,
                 e_sa_oo=oo.e_sa,
                 cum_evals=evals,
-                kappa_grad_norm=oo.grad_norm,
             )
         )
         trace.append(

@@ -74,11 +74,6 @@ class SAVQEResult:
     evaluations: int
     stop_reason: str
 
-    @property
-    def sorted_energies(self) -> tuple:
-        """Ascending copy, guarding summaries against root flips."""
-        return tuple(sorted(self.state_energies))
-
 
 def build_initial_states(n_orb: int, n_elec: int):
     """Hartree-Fock determinant plus the normalized singlet HOMO->LUMO single."""
@@ -116,7 +111,9 @@ def sa_energy(theta, hamiltonian: QubitHamiltonian, ansatz: AnsatzSpec,
 
 class _CountedObjective:
     """sa_energy wrapper: exact call counting plus a component cache so trace
-    events can carry per-state energies without extra evaluations."""
+    events can carry per-state energies without extra evaluations.  The cache
+    holds only the points evaluated since the last `retain`, plus the points
+    that call kept."""
 
     def __init__(self, hamiltonian, ansatz, initial_states, weights, offset=0):
         self.hamiltonian = hamiltonian
@@ -147,6 +144,11 @@ class _CountedObjective:
         e_sa = self(theta)
         return e_sa, self._components[key][1]
 
+    def retain(self, thetas=()):
+        """Drop every cached point except `thetas`."""
+        keep = {np.asarray(theta, dtype=float).tobytes() for theta in thetas}
+        self._components = {k: v for k, v in self._components.items() if k in keep}
+
 
 def run_sa_vqe(
     hamiltonian: QubitHamiltonian,
@@ -168,11 +170,16 @@ def run_sa_vqe(
     exact cumulative-evaluation coordinates.
     """
     optimizer = optimizer or OptimizerChoice("bfgs")
-    weights = EnsembleSpec(weights).weights
+    ensemble = EnsembleSpec(weights)
+    weights = ensemble.weights
     if initial_states is None:
         if n_orb is None or n_elec is None:
             raise ValueError("provide initial_states or (n_orb, n_elec)")
         initial_states = build_initial_states(n_orb, n_elec)
+    if ensemble.n_states != len(initial_states):
+        raise ValueError(
+            f"{ensemble.n_states} weights given for {len(initial_states)} states"
+        )
     trace = OptimizationTrace() if trace is None else trace
 
     dim = ansatz.parameter_count
@@ -181,11 +188,8 @@ def run_sa_vqe(
         hamiltonian, ansatz, initial_states, weights, offset=eval_offset
     )
 
-    def record(theta, e_sa=None):
-        if e_sa is None:
-            e_sa, energies = objective.components(theta)
-        else:
-            energies = objective.components(theta)[1]
+    def record(theta):
+        e_sa, energies = objective.components(theta)
         trace.append(
             TraceEvent(
                 cum_evals=objective.cum_evals,
@@ -200,12 +204,19 @@ def run_sa_vqe(
         bound = optimizer.theta_bound
         bounds = de_mod.Bounds.box(-bound, bound, dim)
 
-        result = _run_de(objective, bounds, optimizer.de_config, trace, macro_index)
+        def on_generation(pop, _cum_evals):
+            record(pop.members[pop.best_index()])
+            objective.retain(pop.members)  # later generations read only members
+
+        result = de_mod.de_minimize(
+            objective, bounds, optimizer.de_config, callback=on_generation
+        )
         theta_star = result.best_vector
         stop_reason = result.stop_reason
     elif optimizer.kind in ("gd", "bfgs"):
-        def callback(x, fx, _evals, *_extra):
-            record(x, fx)
+        def callback(x, _fx, _evals, *_extra):
+            record(x)
+            objective.retain()  # the next step records a freshly evaluated point
 
         if optimizer.kind == "gd":
             result = local_mod.gradient_descent(
@@ -237,22 +248,3 @@ def run_sa_vqe(
         evaluations=objective.calls,
         stop_reason=stop_reason,
     )
-
-
-def _run_de(objective, bounds, config, trace, macro_index):
-    """DE drive recording one event per generation in the shared trace."""
-
-    def on_generation(pop, _cum_evals):
-        best = pop.members[pop.best_index()]
-        e_sa, energies = objective.components(best)
-        trace.append(
-            TraceEvent(
-                cum_evals=objective.cum_evals,
-                scope=SCOPE_STEP,
-                macro_index=macro_index,
-                e_sa=e_sa,
-                e_states=tuple(energies),
-            )
-        )
-
-    return de_mod.de_minimize(objective, bounds, config, callback=on_generation)

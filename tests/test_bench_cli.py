@@ -15,8 +15,12 @@ from devqe.bench import (
     cmd_single,
     parse_config,
     parse_seeds,
+    parse_weights,
 )
 from devqe.cli import main
+from devqe.de import DEConfig
+from devqe.orbitals import MacroConfig
+from devqe.savqe import EnsembleSpec
 from tests.conftest import fixture_path
 
 
@@ -42,6 +46,12 @@ class TestConfig:
 
     def test_seed_list_parsing(self):
         assert parse_seeds("3, 1,2") == [3, 1, 2]
+
+    def test_weights_checked_where_parsed(self):
+        assert parse_weights("").weights == EnsembleSpec().weights
+        assert parse_weights("0.2, 0.8").weights == (0.2, 0.8)
+        with pytest.raises(UsageError):
+            parse_weights("0.5 0.6")
 
 
 class TestOptimize:
@@ -151,6 +161,29 @@ class TestCompare:
         manifest = read_rows(os.path.join(str(tmp_path), "manifest.csv"))
         keys = {row[0] for row in manifest[1:]}
         assert {"mode", "methods", "seeds", "molecule"} <= keys
+
+    @pytest.mark.parametrize("overrides, f", [({}, DEConfig().f), ({"f": "0.7"}, 0.7)])
+    def test_manifest_holds_effective_settings(self, tmp_path, overrides, f):
+        config = {
+            "molecule": fixture_path("h2_sto3g.fcidump"),
+            "optimizer": "de_rand1_bin",
+            "seeds": "0",
+            "max_evals": "150",
+            "max_macro_iters": "2",
+            **overrides,
+        }
+        cmd_compare(config, str(tmp_path))
+        rows = read_rows(os.path.join(str(tmp_path), "manifest.csv"))[1:]
+        keys = [row[0] for row in rows]
+        assert len(keys) == len(set(keys))  # one row per setting
+        manifest = dict(rows)
+        assert float(manifest["f"]) == f
+        assert float(manifest["cr"]) == DEConfig().cr
+        assert int(manifest["np"]) == DEConfig().population_size(2)  # H2: 2 parameters
+        assert int(manifest["max_evals"]) == 150
+        assert int(manifest["max_macro_iters"]) == 2
+        assert float(manifest["macro_tol"]) == MacroConfig().macro_tol
+        assert manifest["weights"] == "0.5 0.5"
 
     def test_per_run_failures_recorded_and_rest_continue(self, tmp_path):
         # np=4 is too small for rand/2 index draws, so every de_rand2_bin run

@@ -11,6 +11,7 @@ from devqe.de import (
     TerminationCriteria,
     de_minimize,
 )
+from devqe.trace import SCOPE_STEP, TraceEvent
 
 
 def test_quadratic_reference_run():
@@ -147,3 +148,21 @@ def test_stop_reason_max_evals_exact_budget():
     result = de_minimize(sphere, Bounds.box(-5, 5, 5), config)
     assert result.stop_reason == "max_evals"
     assert result.evaluations == 200
+
+
+def test_trace_is_the_per_generation_history():
+    seen = []  # (cum_evals, best fitness) after every generation, from the callback
+    config = DEConfig(
+        np_size=12, seed=4, termination=TerminationCriteria(max_evals=600)
+    )
+    result = de_minimize(
+        sphere,
+        Bounds.box(-5, 5, 3),
+        config,
+        callback=lambda pop, evals: seen.append((evals, float(np.min(pop.fitnesses)))),
+    )
+    assert len(seen) == result.generations + 1
+    assert result.trace.events == [
+        TraceEvent(cum_evals=evals, scope=SCOPE_STEP, macro_index=0, e_sa=f_best)
+        for evals, f_best in seen
+    ]

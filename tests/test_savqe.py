@@ -209,6 +209,40 @@ class TestRunSaVqe:
         assert [e.e_sa for e in r1.trace.events] == [e.e_sa for e in r2.trace.events]
         assert r1.evaluations == r2.evaluations
 
+    def test_weight_count_must_match_state_count(self, h2_integrals):
+        ham = jordan_wigner(h2_integrals)
+        with pytest.raises(ValueError, match="3 weights given for 2 states"):
+            run_sa_vqe(
+                ham, default_ansatz(2, 2), weights=(0.2, 0.3, 0.5), n_orb=2, n_elec=2
+            )
+
+    def test_component_cache_bounded_by_population(self, h2_integrals, monkeypatch):
+        import devqe.de as de_mod
+
+        de_minimize = de_mod.de_minimize
+        sizes = []  # (cached points, population size) after every generation
+
+        def watched_de(objective, bounds, config, callback):
+            def on_generation(pop, cum_evals):
+                callback(pop, cum_evals)
+                sizes.append((len(objective._components), pop.size))
+
+            return de_minimize(objective, bounds, config, callback=on_generation)
+
+        monkeypatch.setattr(de_mod, "de_minimize", watched_de)
+        choice = OptimizerChoice(
+            "de",
+            de_config=DEConfig(seed=0, termination=TerminationCriteria(max_evals=3000)),
+        )
+        result = run_sa_vqe(
+            jordan_wigner(h2_integrals), default_ansatz(2, 2),
+            optimizer=choice, n_orb=2, n_elec=2,
+        )
+        # 3000 DE evaluations plus the final reconstruction: no cache miss was charged
+        assert result.evaluations == 3001
+        assert len(sizes) == len(result.trace.events) > 100
+        assert all(cached <= population for cached, population in sizes)
+
     def test_single_evaluation_per_sa_energy_call(self, h2_integrals):
         # the audit: reported evaluations equal the number of sa_energy calls
         import devqe.savqe as savqe_mod

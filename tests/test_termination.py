@@ -1,8 +1,10 @@
 """Each stop criterion fires on a synthetic history built to trip exactly it."""
 
+import numpy as np
 import pytest
 
 from devqe.de import (
+    STOP_REASONS,
     ConfigurationError,
     GenerationRecord,
     TerminationCriteria,
@@ -104,3 +106,133 @@ def test_zero_spread_population():
     crit = TerminationCriteria(best_worst=(1e-8, 1))
     hist = history([2.0], worst=[2.0])
     assert should_terminate(hist, crit) == "best_worst"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"abs_tol": (1e-8, 0.0)},
+        {"abs_tol": (1e-8, -3.0)},
+        {"abs_tol": (1e-8, 0)},
+        {"best_worst": (1e-8, 2.5)},
+        {"running_mean": (1e-8, 4.0, 2)},
+        {"rel_tol": (1e-6, 5, -1e-12)},
+        {"abs_tol": (1e-8,)},
+    ],
+)
+def test_malformed_tolerance_tuples_rejected(kwargs):
+    with pytest.raises(ConfigurationError):
+        TerminationCriteria(**kwargs)
+
+
+def test_integer_rel_tol_delta_accepted():
+    crit = TerminationCriteria(rel_tol=(1e-6, 5, 0))
+    best = [1e9 - g for g in range(7)]
+    assert should_terminate(history(best), crit) == "rel_tol"
+
+
+# ---------------------------------------------------------------------------
+# The full-history implementation the windowed should_terminate replaced,
+# kept verbatim as the reference oracle.
+
+
+def _consecutive_tail(flags) -> int:
+    count = 0
+    for ok in reversed(flags):
+        if not ok:
+            break
+        count += 1
+    return count
+
+
+def reference_should_terminate(history, criteria):
+    if not history:
+        return None
+    cur = history[-1]
+
+    if criteria.max_evals is not None and cur.cum_evals >= criteria.max_evals:
+        return "max_evals"
+    if criteria.max_generations is not None and cur.generation >= criteria.max_generations:
+        return "max_generations"
+
+    best = [rec.f_best for rec in history]
+    improvements = [abs(best[i] - best[i - 1]) for i in range(1, len(best))]
+
+    if criteria.abs_tol is not None:
+        eps, n_tol = criteria.abs_tol
+        flags = [imp < eps for imp in improvements]
+        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+            return "abs_tol"
+
+    if criteria.rel_tol is not None:
+        eps, n_tol, delta = criteria.rel_tol
+        flags = [
+            improvements[i] / (abs(best[i + 1]) + delta) < eps
+            for i in range(len(improvements))
+        ]
+        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+            return "rel_tol"
+
+    if criteria.running_mean is not None:
+        eps, n_mean, n_tol = criteria.running_mean
+        flags = []
+        for g in range(len(improvements)):
+            if g + 1 < n_mean:
+                flags.append(False)  # window not yet full
+                continue
+            window = improvements[g - n_mean + 1 : g + 1]
+            flags.append(sum(window) / n_mean < eps)
+        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+            return "running_mean"
+
+    if criteria.best_worst is not None:
+        eps, n_tol = criteria.best_worst
+        flags = [abs(rec.f_worst - rec.f_best) < eps for rec in history]
+        if len(flags) >= n_tol and _consecutive_tail(flags) >= n_tol:
+            return "best_worst"
+
+    return None
+
+
+def random_history(rng, length):
+    """Non-increasing best fitness with exact plateaus and steps spanning 1e-12..1e-1."""
+    best = [float(rng.uniform(-2.0, 2.0))]
+    for _ in range(length - 1):
+        step = 0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-12, -1))
+        best.append(best[-1] - step)
+    worst = [
+        b if rng.random() < 0.3 else b + float(10.0 ** rng.uniform(-12, 0)) for b in best
+    ]
+    return history(best, worst)
+
+
+def random_criteria(rng, length):
+    """A random non-empty subset of the six criteria; windows up to past the history."""
+    eps = lambda: float(10.0 ** rng.uniform(-12, -1))  # noqa: E731
+    window = lambda: int(rng.integers(1, length + 4))  # noqa: E731
+    options = {
+        "max_evals": lambda: int(rng.integers(1, 10 * (length + 2))),
+        "max_generations": lambda: int(rng.integers(0, length + 2)),
+        "abs_tol": lambda: (eps(), window()),
+        "rel_tol": lambda: (eps(), window(), [0, 1e-12, 1.0][int(rng.integers(3))]),
+        "running_mean": lambda: (eps(), window(), window()),
+        "best_worst": lambda: (eps(), window()),
+    }
+    chosen = [name for name in options if rng.random() < 0.4]
+    chosen = chosen or [list(options)[int(rng.integers(len(options)))]]
+    return TerminationCriteria(**{name: options[name]() for name in chosen})
+
+
+def test_windowed_check_matches_full_history_oracle():
+    rng = np.random.default_rng(20250913)
+    fired = {reason: 0 for reason in STOP_REASONS}
+    for _ in range(400):
+        length = int(rng.integers(1, 30))
+        hist = random_history(rng, length)
+        crit = random_criteria(rng, length)
+        for end in range(1, length + 1):  # every prefix, as a run grows
+            expected = reference_should_terminate(hist[:end], crit)
+            assert should_terminate(hist[:end], crit) == expected
+            if expected is not None:
+                fired[expected] += 1
+    assert all(count > 0 for count in fired.values()), fired
