@@ -46,11 +46,15 @@ from .savqe import (
     sa_energy,
 )
 from .statevector import (
+    CompiledAnsatz,
+    CompiledHamiltonian,
     RDMPair,
     StateVector,
     apply_excitation,
     apply_pauli_rotation,
     basis_state,
+    compile_ansatz,
+    compile_hamiltonian,
     expectation,
     measure_rdms,
     rdm_energy,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .pauli import masks_to_string, multiply_sums, strings_commute
 from .jw import jw_ladder
-from .statevector import StateVector, apply_excitation
+from .statevector import ShapeError, StateVector, compile_ansatz
 
 DECOMPOSITION_CUTOFF = 1e-14
 REAL_RESIDUE_TOL = 1e-12
@@ -143,10 +143,11 @@ def default_ansatz(n_orb: int, n_elec: int) -> AnsatzSpec:
     return AnsatzSpec(n_qubits=2 * n_orb, excitations=excitations)
 
 
-def apply_ansatz(state: StateVector, ansatz: AnsatzSpec, theta) -> StateVector:
-    if len(theta) != ansatz.parameter_count:
+def apply_ansatz(state: StateVector, ansatz, theta) -> StateVector:
+    """U(theta)|psi> for an AnsatzSpec (compiled here) or a CompiledAnsatz."""
+    compiled = compile_ansatz(ansatz)
+    if len(theta) != compiled.parameter_count:
         raise ValueError("theta length must equal the ansatz parameter count")
-    out = state
-    for excitation, angle in zip(ansatz.excitations, theta):
-        out = apply_excitation(out, excitation, float(angle))
-    return out
+    if state.n_qubits != compiled.n_qubits:
+        raise ShapeError("ansatz and state qubit counts differ")
+    return StateVector(state.n_qubits, compiled.apply(state.amplitudes, theta))

@@ -218,7 +218,10 @@ def should_terminate(history, criteria: TerminationCriteria) -> str | None:
         eps, n_tol, delta = criteria.rel_tol
 
         def rel_flag(g):
-            return _improvement(history, g) / (abs(history[g].f_best) + delta) < eps
+            scale = abs(history[g].f_best) + delta
+            if scale == 0:  # delta = 0 at an exact zero: only no change counts
+                return _improvement(history, g) == 0
+            return _improvement(history, g) / scale < eps
 
         if _tail_holds(history, n_tol, rel_flag):
             return "rel_tol"

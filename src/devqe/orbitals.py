@@ -17,15 +17,30 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import local as local_mod
+from .de import ObjectiveError
 from .integrals import MolecularIntegrals
 from .jw import jordan_wigner
 from .savqe import OptimizerChoice, build_initial_states, run_sa_vqe, sa_energy
-from .statevector import measure_rdms, rdm_energy
+from .statevector import (
+    ExpectationError,
+    compile_ansatz,
+    compile_hamiltonian,
+    measure_rdms,
+    rdm_energy,
+)
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
 
 DEFAULT_MACRO_TOL = 1e-4
 DEFAULT_MAX_MACRO_ITERS = 20
 NO_WORSE_SLACK = 1e-12
+# numerical failures of one macro iteration's inner stage, retried once;
+# anything else (a TypeError, ShapeError or ConfigurationError) propagates
+INNER_FAILURES = (
+    local_mod.GradientError,
+    ExpectationError,
+    ObjectiveError,
+    np.linalg.LinAlgError,
+)
 
 
 def default_pairs(n_orb: int):
@@ -210,10 +225,11 @@ def run_sa_oo_vqe(
     final_energies = ()
     final_theta = np.zeros(ansatz.parameter_count)
     final_e_sa = np.nan
+    ansatz = compile_ansatz(ansatz)
 
     for attempt in range(1, macro_config.max_macro_iters + 1):
         macro_index = len(macro_trace) + 1  # failed attempts are retried in place
-        hamiltonian = jordan_wigner(current)
+        hamiltonian = compile_hamiltonian(jordan_wigner(current))
         initial_states = build_initial_states(current.n_orb, current.n_elec)
         stage_optimizer = inner_optimizer
         if inner_optimizer.kind == "de":
@@ -250,7 +266,7 @@ def run_sa_oo_vqe(
                         measure_rdms(s, current.n_orb) for s in states_prev
                     )
             oo = minimize_orbitals(current, rdms, weights, oo_config)
-        except Exception as exc:  # inner stage failed
+        except INNER_FAILURES as exc:
             consecutive_failures += 1
             inner_failures.append((macro_index, str(exc)))
             if consecutive_failures >= 2:

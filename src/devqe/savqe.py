@@ -15,10 +15,14 @@ from . import local as local_mod
 from .ansatz import AnsatzSpec, apply_ansatz
 from .pauli import QubitHamiltonian
 from .statevector import (
+    CompiledAnsatz,
+    CompiledHamiltonian,
     StateVector,
     apply_annihilation,
     apply_creation,
     basis_state,
+    compile_ansatz,
+    compile_hamiltonian,
     expectation,
     measure_rdms,
 )
@@ -96,10 +100,11 @@ def build_initial_states(n_orb: int, n_elec: int):
     return hf, excited
 
 
-def sa_energy(theta, hamiltonian: QubitHamiltonian, ansatz: AnsatzSpec,
-              initial_states, weights):
+def sa_energy(theta, hamiltonian, ansatz, initial_states, weights):
     """Apply the shared unitary to every reference and average the energies.
 
+    `hamiltonian` and `ansatz` are letter forms or their compiled forms
+    (`compile_hamiltonian`, `compile_ansatz`); the hot paths pass compiled ones.
     One call here counts as a single objective evaluation everywhere.
     """
     theta = np.asarray(theta, dtype=float)
@@ -151,8 +156,8 @@ class _CountedObjective:
 
 
 def run_sa_vqe(
-    hamiltonian: QubitHamiltonian,
-    ansatz: AnsatzSpec,
+    hamiltonian: QubitHamiltonian | CompiledHamiltonian,
+    ansatz: AnsatzSpec | CompiledAnsatz,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
     theta0=None,
@@ -167,8 +172,11 @@ def run_sa_vqe(
 
     The trace receives one optimizer_step event for the starting point and one
     after every internal optimizer step (for DE: every generation), each at
-    exact cumulative-evaluation coordinates.
+    exact cumulative-evaluation coordinates.  Letter-form operators are
+    compiled once here, before the first evaluation.
     """
+    hamiltonian = compile_hamiltonian(hamiltonian)
+    ansatz = compile_ansatz(ansatz)
     optimizer = optimizer or OptimizerChoice("bfgs")
     ensemble = EnsembleSpec(weights)
     weights = ensemble.weights

@@ -3,6 +3,12 @@
 Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
 significant).  All operations return new StateVector instances; amplitudes
 are never mutated in place.
+
+The hot path is compiled once and evaluated many times: CompiledHamiltonian
+and CompiledAnsatz hold gather-index and coefficient arrays built from the
+(x, z) masks of the letter strings, and expectation / apply_ansatz accept
+either form.  apply_pauli and apply_excitation walk the letter strings and
+stay as the reference the compiled kernels are tested against.
 """
 
 from __future__ import annotations
@@ -109,57 +115,126 @@ def apply_excitation(state: StateVector, excitation, theta: float) -> StateVecto
     return out
 
 
-def _expectation_plan(hamiltonian: QubitHamiltonian):
-    """Split terms into one combined diagonal vector plus the flipping terms.
+def _word_gather(n_qubits: int, x_mask: int, z_mask: int):
+    """(gather, factor) with (P psi)[j] = factor[j] * psi[gather[j]] for the
+    letter word P(x, z): the gather form of apply_pauli's scatter."""
+    idx = _index_array(n_qubits)
+    phase = (1j) ** ((x_mask & z_mask).bit_count() % 4)
+    signs = 1.0 - 2.0 * _parity(idx & np.uint64(z_mask))
+    gather = (idx ^ np.uint64(x_mask)).astype(np.intp)
+    return gather, (phase * signs)[gather]
 
-    Cached on the Hamiltonian: every Z-only string contributes a sign pattern
-    to a single length-2^N vector, so the diagonal part of the sum costs one
-    pass regardless of how many such terms exist.
+
+@dataclass(frozen=True)
+class CompiledHamiltonian:
+    """H|psi> = sum_x D_x * psi[idx ^ x], one row per distinct X-mask.
+
+    Each D_x folds in every term with that X-mask: its coefficient, its
+    i^popcount(x & z) phase and its Z-parity signs.
     """
-    plan = getattr(hamiltonian, "_expectation_plan", None)
-    if plan is None:
-        n = 2**hamiltonian.n_qubits
-        idx = _index_array(hamiltonian.n_qubits)
-        diagonal = np.zeros(n)
-        flipping = []
+
+    n_qubits: int
+    gather: np.ndarray  # (G, 2^n) indices idx ^ x
+    diagonals: np.ndarray  # (G, 2^n) complex D_x
+
+    @classmethod
+    def from_hamiltonian(cls, hamiltonian: QubitHamiltonian) -> "CompiledHamiltonian":
+        groups: dict = {}
         for term in hamiltonian.terms:
             x_mask, z_mask = string_to_masks(term.string)
-            if x_mask == 0:
-                signs = 1.0 - 2.0 * _parity(idx & np.uint64(z_mask))
-                diagonal += term.coefficient * signs
+            gather, factor = _word_gather(hamiltonian.n_qubits, x_mask, z_mask)
+            if x_mask in groups:
+                groups[x_mask][1] += term.coefficient * factor
             else:
-                flipping.append((term.coefficient, term.string))
-        plan = (diagonal, flipping)
-        hamiltonian._expectation_plan = plan
-    return plan
+                groups[x_mask] = [gather, term.coefficient * factor]
+        size = 2**hamiltonian.n_qubits
+        rows = [groups[x] for x in sorted(groups)]
+        gather = np.array([g for g, _ in rows], dtype=np.intp).reshape(-1, size)
+        diagonals = np.array([d for _, d in rows], dtype=complex).reshape(-1, size)
+        return cls(hamiltonian.n_qubits, gather, diagonals)
 
 
-def expectation(state: StateVector, hamiltonian: QubitHamiltonian) -> float:
-    if hamiltonian.n_qubits != state.n_qubits:
+def compile_hamiltonian(hamiltonian) -> CompiledHamiltonian:
+    """The compiled form of a letter-form Hamiltonian; compiled input passes."""
+    if isinstance(hamiltonian, CompiledHamiltonian):
+        return hamiltonian
+    return CompiledHamiltonian.from_hamiltonian(hamiltonian)
+
+
+def expectation(state: StateVector, hamiltonian) -> float:
+    """<psi|H|psi> for a QubitHamiltonian (compiled here) or a CompiledHamiltonian."""
+    compiled = compile_hamiltonian(hamiltonian)
+    if compiled.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    diagonal, flipping = _expectation_plan(hamiltonian)
-    total = complex(diagonal @ (state.amplitudes.real**2 + state.amplitudes.imag**2))
-    for coefficient, string in flipping:
-        total += coefficient * state.inner(apply_pauli(state, string))
+    psi = state.amplitudes
+    h_psi = (compiled.diagonals * psi[compiled.gather]).sum(axis=0)
+    total = complex(np.vdot(psi, h_psi))
     if abs(total.imag) > IMAG_TOLERANCE:
         raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
     return float(total.real)
+
+
+@dataclass(frozen=True)
+class CompiledAnsatz:
+    """An ansatz as gather kernels: per generator word, in circuit order,
+    (parameter index, coefficient, gather, phase * sign)."""
+
+    n_qubits: int
+    parameter_count: int
+    words: tuple
+
+    @classmethod
+    def from_spec(cls, ansatz) -> "CompiledAnsatz":
+        words = []
+        gathers: dict = {}  # words with one X-mask share one gather array
+        for k, excitation in enumerate(ansatz.excitations):
+            for string, coeff in excitation.pauli_decomposition:
+                if len(string) != ansatz.n_qubits:
+                    raise ShapeError("excitation decomposition does not match the ansatz")
+                x_mask, z_mask = string_to_masks(string)
+                gather, factor = _word_gather(ansatz.n_qubits, x_mask, z_mask)
+                words.append((k, coeff, gathers.setdefault(x_mask, gather), factor))
+        return cls(ansatz.n_qubits, ansatz.parameter_count, tuple(words))
+
+    def apply(self, amplitudes: np.ndarray, theta) -> np.ndarray:
+        """U(theta) psi with apply_excitation's arithmetic, word by word."""
+        out = amplitudes
+        for k, coeff, gather, factor in self.words:
+            # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
+            angle = -2.0 * float(theta[k]) * coeff
+            out = (
+                math.cos(angle / 2.0) * out
+                - 1j * math.sin(angle / 2.0) * (factor * out[gather])
+            )
+        return out
+
+
+def compile_ansatz(ansatz) -> CompiledAnsatz:
+    """The compiled form of an AnsatzSpec; compiled input passes."""
+    if isinstance(ansatz, CompiledAnsatz):
+        return ansatz
+    return CompiledAnsatz.from_spec(ansatz)
+
+
+def _annihilate(amplitudes: np.ndarray, mode: int) -> np.ndarray:
+    """c_mode applied to a vector, or to every row of a (k, 2^n) block, with
+    the Jordan-Wigner sign (-1)^(occupied modes below)."""
+    n_qubits = amplitudes.shape[-1].bit_length() - 1
+    bit = np.uint64(1 << mode)
+    lower = np.uint64((1 << mode) - 1)
+    idx = _index_array(n_qubits)
+    src = idx[(idx & bit) != 0]
+    signs = 1.0 - 2.0 * _parity(src & lower)
+    out = np.zeros_like(amplitudes)
+    out[..., src ^ bit] = signs * amplitudes[..., src]
+    return out
 
 
 def apply_annihilation(state: StateVector, mode: int) -> StateVector:
     """c_mode |psi> with the Jordan-Wigner sign (-1)^(occupied modes below)."""
     if not 0 <= mode < state.n_qubits:
         raise IndexError(f"mode {mode} outside [0, {state.n_qubits})")
-    n = state.amplitudes.size
-    bit = np.uint64(1 << mode)
-    lower = np.uint64((1 << mode) - 1)
-    idx = _index_array(state.n_qubits)
-    occupied = (idx & bit) != 0
-    src = idx[occupied]
-    signs = 1.0 - 2.0 * _parity(src & lower)
-    out = np.zeros(n, dtype=complex)
-    out[src ^ bit] = signs * state.amplitudes[src]
-    return StateVector(state.n_qubits, out)
+    return StateVector(state.n_qubits, _annihilate(state.amplitudes, mode))
 
 
 def apply_creation(state: StateVector, mode: int) -> StateVector:
@@ -189,6 +264,8 @@ class RDMPair:
 def measure_rdms(state: StateVector, n_orb: int) -> RDMPair:
     """Spin-summed 1- and 2-RDMs by exact statevector inner products.
 
+    Every inner product comes from one Gram matrix: <c_p psi|c_q psi> for the
+    1-RDM, <c_A c_B psi|c_C c_D psi> over the A < B pair kets for the 2-RDM.
     The convention is fixed so rdm_energy(integrals, rdms) reproduces
     expectation(state, jordan_wigner(integrals)) exactly.
     """
@@ -196,48 +273,32 @@ def measure_rdms(state: StateVector, n_orb: int) -> RDMPair:
         raise ShapeError("state must carry 2 * n_orb modes")
     n_modes = 2 * n_orb
 
-    annihilated = [apply_annihilation(state, m) for m in range(n_modes)]
+    annihilated = np.array([_annihilate(state.amplitudes, m) for m in range(n_modes)])
+    rho = annihilated.conj() @ annihilated.T  # rho[p, q] = <c_p psi|c_q psi>
+    one = (rho[0::2, 0::2] + rho[1::2, 1::2]).real
 
-    rho = np.zeros((n_modes, n_modes), dtype=complex)
-    for p_mode in range(n_modes):
-        for q_mode in range(n_modes):
-            if (p_mode ^ q_mode) & 1:
-                continue  # spin-off-diagonal blocks vanish for S_z eigenstates
-            rho[p_mode, q_mode] = annihilated[p_mode].inner(annihilated[q_mode])
+    # pair kets c_A c_B |psi> for A < B, one row each; c_B c_A = -c_A c_B
+    pairs = np.concatenate(
+        [_annihilate(annihilated[a + 1 :], a) for a in range(n_modes - 1)]
+    )
+    lo, hi = np.triu_indices(n_modes, k=1)  # the same (A, B) order as the rows
+    slot = np.zeros((n_modes, n_modes), dtype=np.intp)
+    slot[lo, hi] = slot[hi, lo] = np.arange(lo.size)
+    sign = np.zeros((n_modes, n_modes))  # 0 on A == B: c_A c_A vanishes
+    sign[lo, hi] = 1.0
+    sign[hi, lo] = -1.0
+    gram = pairs.conj() @ pairs.T
 
-    one = np.zeros((n_orb, n_orb))
-    for p in range(n_orb):
-        for q in range(n_orb):
-            val = rho[2 * p, 2 * q] + rho[2 * p + 1, 2 * q + 1]
-            one[p, q] = val.real
-
-    # pair kets c_A c_B |psi> for A < B; antisymmetry covers the rest
-    pair = {}
-    for b_mode in range(n_modes):
-        for a_mode in range(b_mode):
-            pair[(a_mode, b_mode)] = apply_annihilation(annihilated[b_mode], a_mode)
-
-    def pair_ket(a_mode, b_mode):
-        if a_mode == b_mode:
-            return None, 0.0
-        if a_mode < b_mode:
-            return pair[(a_mode, b_mode)], 1.0
-        return pair[(b_mode, a_mode)], -1.0
-
-    two = np.zeros((n_orb,) * 4)
-    for p in range(n_orb):
-        for q in range(n_orb):
-            for r in range(n_orb):
-                for s in range(n_orb):
-                    total = 0.0 + 0.0j
-                    for sigma in (0, 1):
-                        for tau in (0, 1):
-                            bra, sb = pair_ket(2 * q + tau, 2 * p + sigma)
-                            ket, sk = pair_ket(2 * s + tau, 2 * r + sigma)
-                            if bra is None or ket is None:
-                                continue
-                            total += sb * sk * bra.inner(ket)
-                    two[p, q, r, s] = total.real
+    # d[p, q, r, s] = sum_{sigma,tau} <c_{2q+tau} c_{2p+sigma} psi|c_{2s+tau} c_{2r+sigma} psi>,
+    # with (sigma, tau, p, q) flattened to (4, n_orb^2) on both sides
+    orb = np.arange(n_orb)
+    spin = np.arange(2)
+    first = 2 * orb[None, None, None, :] + spin[None, :, None, None]  # 2q + tau
+    second = 2 * orb[None, None, :, None] + spin[:, None, None, None]  # 2p + sigma
+    rows = slot[first, second].reshape(4, n_orb**2)
+    signs = sign[first, second].reshape(4, n_orb**2)
+    blocks = signs[:, :, None] * signs[:, None, :] * gram[rows[:, :, None], rows[:, None, :]]
+    two = blocks.sum(axis=0).real.reshape((n_orb,) * 4)
     return RDMPair(one_rdm=one, two_rdm=two)
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from devqe import fock
 from devqe.ansatz import default_ansatz
-from devqe.de import DEConfig, TerminationCriteria
+from devqe.de import ConfigurationError, DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals
 from devqe.jw import jordan_wigner
-from devqe.local import fd_gradient
+from devqe.local import GradientError, fd_gradient
 from devqe.orbitals import (
     KappaMatrix,
     MacroConfig,
@@ -250,9 +250,33 @@ class TestMacroLoop:
             ]
             assert all(b <= a + 1e-12 for a, b in zip(stage, stage[1:]))
 
-    def test_inner_failure_aborts_after_two(self, h2_integrals):
+    def test_inner_failure_aborts_after_two(self, h2_integrals, monkeypatch):
+        import devqe.orbitals as orbitals_mod
+
+        calls = {"n": 0}
+
+        def failing(*args, **kwargs):
+            calls["n"] += 1
+            raise GradientError("non-finite stencil value at coordinate 0", 0)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", failing)
         ansatz = default_ansatz(2, 2)
-        # force failures by pointing DE at an impossible population size
+        with pytest.raises(RuntimeError, match="two consecutive inner failures"):
+            run_sa_oo_vqe(h2_integrals, ansatz, inner_optimizer=OptimizerChoice("bfgs"))
+        assert calls["n"] == 2
+
+    def test_configuration_error_raised_unretried(self, h2_integrals, monkeypatch):
+        import devqe.orbitals as orbitals_mod
+
+        real_run = orbitals_mod.run_sa_vqe
+        calls = {"n": 0}
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", counted)
+        ansatz = default_ansatz(2, 2)
         choice = OptimizerChoice(
             "de",
             de_config=DEConfig(
@@ -261,8 +285,9 @@ class TestMacroLoop:
                 termination=TerminationCriteria(max_generations=3),
             ),
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ConfigurationError, match="too small"):
             run_sa_oo_vqe(h2_integrals, ansatz, inner_optimizer=choice)
+        assert calls["n"] == 1
 
     def test_single_transient_failure_recovers(self, h2_integrals, monkeypatch):
         import devqe.orbitals as orbitals_mod
@@ -273,7 +298,7 @@ class TestMacroLoop:
         def flaky(*args, **kwargs):
             state["calls"] += 1
             if state["calls"] == 1:
-                raise RuntimeError("transient glitch")
+                raise GradientError("transient glitch", 0)
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(orbitals_mod, "run_sa_vqe", flaky)

@@ -15,7 +15,12 @@ from devqe.ansatz import (
 )
 from devqe.jw import jordan_wigner
 from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix, pauli_matrix
+from devqe.savqe import build_initial_states
 from devqe.statevector import (
+    CompiledAnsatz,
+    CompiledHamiltonian,
+    ExpectationError,
+    RDMPair,
     ShapeError,
     StateVector,
     apply_annihilation,
@@ -24,10 +29,14 @@ from devqe.statevector import (
     apply_pauli,
     apply_pauli_rotation,
     basis_state,
+    compile_ansatz,
+    compile_hamiltonian,
     expectation,
     measure_rdms,
     rdm_energy,
 )
+
+MOLECULES = ("h2_integrals", "h4_integrals", "lih_integrals")
 
 
 def random_state(n_qubits, seed):
@@ -166,6 +175,14 @@ class TestExcitations:
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
+def pauli_sum_expectation(state, ham):
+    """<psi|H|psi> term by term through the letter-string apply_pauli."""
+    return sum(
+        term.coefficient * state.inner(apply_pauli(state, term.string)).real
+        for term in ham.terms
+    )
+
+
 class TestExpectation:
     def test_z_on_zero_state(self):
         ham = QubitHamiltonian(2, [PauliTerm("ZI", 1.0)])
@@ -196,15 +213,85 @@ class TestExpectation:
             expectation(random_state(3, 17), ham)
 
     def test_matches_term_by_term_sum(self, h2_integrals):
-        # the combined-diagonal fast path must agree with the naive sum
+        # the compiled path must agree with the naive sum
         ham = jordan_wigner(h2_integrals)
         for seed in range(10):
             state = random_state(4, 100 + seed)
-            naive = sum(
-                term.coefficient * state.inner(apply_pauli(state, term.string)).real
-                for term in ham.terms
-            )
+            naive = pauli_sum_expectation(state, ham)
             assert expectation(state, ham) == pytest.approx(naive, abs=1e-12)
+
+
+class TestCompiledHamiltonian:
+    @pytest.mark.parametrize("molecule", MOLECULES)
+    def test_matches_oracle_on_random_states(self, molecule, request):
+        integrals = request.getfixturevalue(molecule)
+        ham = jordan_wigner(integrals)
+        compiled = CompiledHamiltonian.from_hamiltonian(ham)
+        # the dense matrix up to 8 qubits; at 12 qubits it would take 268 MB,
+        # so LiH is checked against the term-by-term letter-string sum
+        dense = hamiltonian_matrix(ham) if ham.n_qubits <= 8 else None
+        for seed in range(20):
+            state = random_state(ham.n_qubits, 200 + seed)
+            if dense is not None:
+                ref = np.vdot(state.amplitudes, dense @ state.amplitudes).real
+            else:
+                ref = pauli_sum_expectation(state, ham)
+            assert abs(expectation(state, compiled) - ref) < 1e-12
+
+    def test_one_row_per_x_mask(self, h4_integrals, lih_integrals):
+        for integrals, n_terms, n_rows in ((h4_integrals, 185, 27), (lih_integrals, 631, 84)):
+            ham = jordan_wigner(integrals)
+            assert len(ham) == n_terms
+            assert compile_hamiltonian(ham).gather.shape == (n_rows, 2**ham.n_qubits)
+
+    def test_letter_and_compiled_forms_agree(self, h2_integrals):
+        ham = jordan_wigner(h2_integrals)
+        compiled = compile_hamiltonian(ham)
+        assert compile_hamiltonian(compiled) is compiled
+        state = random_state(4, 21)
+        assert expectation(state, ham) == expectation(state, compiled)
+
+    def test_wrong_width_rejected(self, h2_integrals):
+        compiled = compile_hamiltonian(jordan_wigner(h2_integrals))
+        with pytest.raises(ShapeError):
+            expectation(random_state(3, 22), compiled)
+        with pytest.raises(ShapeError):
+            expectation(random_state(5, 23), compiled)
+
+    def test_imaginary_residue_rejected(self):
+        # iX is anti-Hermitian: <+|iX|+> = i
+        compiled = compile_hamiltonian(QubitHamiltonian(1, [PauliTerm("X", 1j)]))
+        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
+        with pytest.raises(ExpectationError):
+            expectation(plus, compiled)
+
+
+class TestCompiledAnsatz:
+    @pytest.mark.parametrize("molecule", MOLECULES)
+    def test_bit_identical_to_excitation_chain(self, molecule, request):
+        integrals = request.getfixturevalue(molecule)
+        ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+        compiled = CompiledAnsatz.from_spec(ansatz)
+        rng = np.random.default_rng(24)
+        for reference in build_initial_states(integrals.n_orb, integrals.n_elec):
+            for _ in range(3):
+                theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+                chain = reference
+                for excitation, angle in zip(ansatz.excitations, theta):
+                    chain = apply_excitation(chain, excitation, float(angle))
+                out = apply_ansatz(reference, compiled, theta)
+                assert np.array_equal(out.amplitudes, chain.amplitudes)
+                assert np.array_equal(
+                    apply_ansatz(reference, ansatz, theta).amplitudes, chain.amplitudes
+                )
+
+    def test_rejects_bad_theta_and_width(self):
+        compiled = compile_ansatz(default_ansatz(2, 2))
+        assert compile_ansatz(compiled) is compiled
+        with pytest.raises(ValueError):
+            apply_ansatz(basis_state(4, [0, 1]), compiled, [0.1])
+        with pytest.raises(ShapeError):
+            apply_ansatz(basis_state(6, [0, 1]), compiled, [0.1, 0.2])
 
 
 class TestLadderOnStates:
@@ -253,3 +340,65 @@ class TestRdms:
     def test_odd_qubit_count_rejected(self):
         with pytest.raises(ShapeError):
             measure_rdms(random_state(3, 16), 1)
+
+    @pytest.mark.parametrize("molecule", MOLECULES)
+    def test_gram_rdms_match_inner_product_loop(self, molecule, request):
+        integrals = request.getfixturevalue(molecule)
+        n_orb = integrals.n_orb
+        ansatz = default_ansatz(n_orb, integrals.n_elec)
+        hf, excited = build_initial_states(n_orb, integrals.n_elec)
+        theta = np.random.default_rng(25).uniform(-1.0, 1.0, ansatz.parameter_count)
+        states = [
+            apply_ansatz(hf, ansatz, theta),
+            apply_ansatz(excited, ansatz, theta),
+            random_state(2 * n_orb, 26),
+        ]
+        for state in states:
+            got = measure_rdms(state, n_orb)
+            ref = loop_measure_rdms(state, n_orb)
+            assert np.max(np.abs(got.one_rdm - ref.one_rdm)) < 1e-12
+            assert np.max(np.abs(got.two_rdm - ref.two_rdm)) < 1e-12
+
+
+def loop_measure_rdms(state, n_orb):
+    """The RDM measurement the Gram form replaced: one vdot per entry."""
+    n_modes = 2 * n_orb
+    annihilated = [apply_annihilation(state, m) for m in range(n_modes)]
+    rho = np.zeros((n_modes, n_modes), dtype=complex)
+    for p_mode in range(n_modes):
+        for q_mode in range(n_modes):
+            if (p_mode ^ q_mode) & 1:
+                continue
+            rho[p_mode, q_mode] = annihilated[p_mode].inner(annihilated[q_mode])
+    one = np.zeros((n_orb, n_orb))
+    for p in range(n_orb):
+        for q in range(n_orb):
+            one[p, q] = (rho[2 * p, 2 * q] + rho[2 * p + 1, 2 * q + 1]).real
+
+    pair = {}
+    for b_mode in range(n_modes):
+        for a_mode in range(b_mode):
+            pair[(a_mode, b_mode)] = apply_annihilation(annihilated[b_mode], a_mode)
+
+    def pair_ket(a_mode, b_mode):
+        if a_mode == b_mode:
+            return None, 0.0
+        if a_mode < b_mode:
+            return pair[(a_mode, b_mode)], 1.0
+        return pair[(b_mode, a_mode)], -1.0
+
+    two = np.zeros((n_orb,) * 4)
+    for p in range(n_orb):
+        for q in range(n_orb):
+            for r in range(n_orb):
+                for s in range(n_orb):
+                    total = 0.0 + 0.0j
+                    for sigma in (0, 1):
+                        for tau in (0, 1):
+                            bra, sb = pair_ket(2 * q + tau, 2 * p + sigma)
+                            ket, sk = pair_ket(2 * s + tau, 2 * r + sigma)
+                            if bra is None or ket is None:
+                                continue
+                            total += sb * sk * bra.inner(ket)
+                    two[p, q, r, s] = total.real
+    return RDMPair(one_rdm=one, two_rdm=two)

@@ -131,6 +131,13 @@ def test_integer_rel_tol_delta_accepted():
     assert should_terminate(history(best), crit) == "rel_tol"
 
 
+def test_rel_tol_zero_delta_at_exact_zero():
+    # |f_best| + delta == 0: a drop onto zero keeps running, a flat zero stops
+    crit = TerminationCriteria(rel_tol=(1e-6, 1, 0))
+    assert should_terminate(history([1.0, 0.0]), crit) is None
+    assert should_terminate(history([0.0, 0.0]), crit) == "rel_tol"
+
+
 # ---------------------------------------------------------------------------
 # The full-history implementation the windowed should_terminate replaced,
 # kept verbatim as the reference oracle.
