@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .pauli import masks_to_string, multiply_sums, strings_commute
 from .jw import jw_ladder
 from .statevector import ShapeError, StateVector, compile_ansatz
@@ -143,11 +145,23 @@ def default_ansatz(n_orb: int, n_elec: int) -> AnsatzSpec:
     return AnsatzSpec(n_qubits=2 * n_orb, excitations=excitations)
 
 
-def apply_ansatz(state: StateVector, ansatz, theta) -> StateVector:
-    """U(theta)|psi> for an AnsatzSpec (compiled here) or a CompiledAnsatz."""
+def apply_ansatz(state, ansatz, theta):
+    """U(theta)|psi> for an AnsatzSpec (compiled here) or a CompiledAnsatz.
+
+    `state` is a StateVector with a theta vector (returns a StateVector), or
+    an (R, 2^n) amplitude block with an (R, P) theta block, one state and one
+    theta per row (returns the evolved block).
+    """
     compiled = compile_ansatz(ansatz)
-    if len(theta) != compiled.parameter_count:
+    single = isinstance(state, StateVector)
+    amplitudes = state.amplitudes[None] if single else state
+    thetas = np.asarray(theta, dtype=float)
+    thetas = thetas[None] if single else thetas
+    if thetas.ndim != 2 or thetas.shape[1] != compiled.parameter_count:
         raise ValueError("theta length must equal the ansatz parameter count")
-    if state.n_qubits != compiled.n_qubits:
+    if amplitudes.shape[-1] != 2**compiled.n_qubits:
         raise ShapeError("ansatz and state qubit counts differ")
-    return StateVector(state.n_qubits, compiled.apply(state.amplitudes, theta))
+    if len(thetas) != len(amplitudes):
+        raise ShapeError("a block needs one theta row per state")
+    out = compiled.apply(amplitudes, thetas)
+    return StateVector(state.n_qubits, out[0]) if single else out

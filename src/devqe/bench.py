@@ -412,6 +412,7 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"scan_{mode}.csv")
+    failures = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coordinate_label", "e0", "e1", "e_sa", "mode", "status"])
@@ -420,13 +421,19 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
             try:
                 integrals = load_fcidump(os.path.join(scan_dir, name))
                 run = run_molecule(integrals, method, seeds[0], config, mode)
-            except Exception:
+            except Exception as exc:
+                failures.append((label, str(exc)))
                 writer.writerow([label, "", "", "", mode, "failed"])
                 continue
             writer.writerow(
                 [label, repr(run.state_energies[0]), repr(run.state_energies[1]),
                  repr(run.e_sa), mode, "ok"]
             )
+    if failures:
+        with open(os.path.join(out_dir, "failures.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["coordinate_label", "error"])
+            writer.writerows(failures)
     return path
 
 

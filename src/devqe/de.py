@@ -6,6 +6,12 @@ composable termination criteria.  One counter-based RNG stream (Philox) drives
 a run; every stochastic draw for a generation happens serially before any
 objective evaluation, so results are reproducible regardless of how the
 evaluations themselves are scheduled.
+
+That is what the batch protocol rests on: an objective with a `batch(xs)`
+method gets the initial population and then each generation's trials as one
+(np, D) block and returns one value per row.  One row counts as one
+evaluation, and a batch-capable objective gives the same run, value for value,
+as calling it row by row.
 """
 
 from __future__ import annotations
@@ -483,8 +489,15 @@ def select(current: Population, trials, trial_fitnesses) -> Population:
 def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> DEResult:
     """Run the full DE loop; see module docstring for the reproducibility rules.
 
-    Non-finite objective values are treated as +inf fitness.  If the objective
-    raises, the run aborts with an ObjectiveError carrying the partial result.
+    Non-finite objective values are treated as +inf fitness.  An objective
+    with a `batch(xs)` method (one value per row of an (R, D) block, each
+    equal to a call on that row) evaluates the initial population and each
+    generation's trials in one call; any other callable is called once per
+    member.  Either way one row is one evaluation, so the result is the same.
+    If the objective raises, the run aborts with an ObjectiveError carrying
+    the partial result, whose `evaluations` counts every point handed to the
+    objective so far: up to and including the failing call, and so the whole
+    block when a `batch` call raises.
     `callback(population, cum_evals)` fires after the initial evaluation and
     after every completed generation.
     """
@@ -495,18 +508,32 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
 
     history: list[GenerationRecord] = []
     state = {"evals": 0}
+    batch = getattr(objective, "batch", None)
+
+    def aborted(exc):
+        partial = _partial_result(history, pop, state["evals"])
+        return ObjectiveError(f"objective raised: {exc}", partial=partial)
 
     def evaluate(x):
         state["evals"] += 1
         try:
             val = float(objective(np.asarray(x, dtype=float)))
         except Exception as exc:
-            partial = _partial_result(history, pop, state["evals"])
-            raise ObjectiveError(f"objective raised: {exc}", partial=partial) from exc
+            raise aborted(exc) from exc
         return val if math.isfinite(val) else math.inf
 
+    def evaluate_all(xs):
+        if batch is None:
+            return np.array([evaluate(x) for x in xs])
+        state["evals"] += len(xs)
+        try:
+            values = np.asarray(batch(xs), dtype=float)
+        except Exception as exc:
+            raise aborted(exc) from exc
+        return np.where(np.isfinite(values), values, math.inf)
+
     pop = initialize_population(bounds, np_size, "uniform", rng)
-    pop.fitnesses = np.array([evaluate(m) for m in pop.members])
+    pop.fitnesses = evaluate_all(pop.members)
     _record_generation(history, pop, state["evals"])
     if callback is not None:
         callback(pop, state["evals"])
@@ -524,7 +551,7 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
             else:
                 trial = crossover_exponential(pop.members[i], donor, config.cr, rng)
             trials[i] = handle_bounds(trial, bounds, config.boundary, rng)
-        trial_fitnesses = np.array([evaluate(t) for t in trials])
+        trial_fitnesses = evaluate_all(trials)
         pop = select(pop, trials, trial_fitnesses)
         _record_generation(history, pop, state["evals"])
         if callback is not None:

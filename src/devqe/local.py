@@ -1,8 +1,14 @@
 """Local minimizers used as inner VQE drivers.
 
 Central finite-difference gradients, fixed-step gradient descent, and BFGS
-with Armijo backtracking.  Every objective call — including the 2D-point
-finite-difference stencil — is charged to the evaluation tally.
+with Armijo backtracking.  Every objective evaluation — including the 2D
+points of each finite-difference stencil — is charged to the evaluation tally.
+
+Batch protocol: an objective may have a `batch(xs)` method that takes an
+(R, D) block of points and returns their R values, each equal to what a call
+on that row returns.  One row counts as one evaluation.  fd_gradient hands
+its whole stencil to `batch`; single points (line searches, steps) are
+plain calls.
 """
 
 from __future__ import annotations
@@ -54,33 +60,65 @@ class LocalResult:
 
 
 def fd_gradient(objective, x, h: float) -> np.ndarray:
-    """Central-difference gradient, 2 calls per coordinate."""
+    """Central-difference gradient, 2 evaluations per coordinate.
+
+    The stencil is x + h e_j, x - h e_j for j = 0, 1, ...  An objective with a
+    `batch` method gets all 2D points in one call, as a (2D, D) block; any
+    other callable is called point by point and stops at the first
+    coordinate with a non-finite value.
+    """
     x = np.asarray(x, dtype=float)
+    steps = h * np.eye(x.size)
+    points = np.empty((2 * x.size, x.size))
+    points[0::2] = x + steps
+    points[1::2] = x - steps
+    batch = getattr(objective, "batch", None)
+    values = iter(batch(points)) if batch is not None else map(objective, points)
     grad = np.empty_like(x)
     for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = h
-        fp = float(objective(x + step))
-        fm = float(objective(x - step))
+        fp = float(next(values))
+        fm = float(next(values))
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise GradientError(f"non-finite stencil value at coordinate {j}", j)
         grad[j] = (fp - fm) / (2.0 * h)
     return grad
 
 
+class _Counted:
+    """The objective with a tally of evaluated points."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.n = 0
+
+    def __call__(self, x):
+        self.n += 1
+        return float(self.objective(x))
+
+
+class _CountedBatch(_Counted):
+    """A batch-capable objective with a tally: one evaluation per row."""
+
+    def batch(self, xs):
+        self.n += len(xs)
+        return self.objective.batch(xs)
+
+
+def _counted(objective) -> _Counted:
+    # a subclass, not an instance attribute: a bound method stored on its own
+    # instance is a reference cycle, which keeps the objective and its
+    # compiled operators alive until a full garbage collection
+    return _CountedBatch(objective) if hasattr(objective, "batch") else _Counted(objective)
+
+
 def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> LocalResult:
     """Fixed-step descent x <- x - lr * g; stops on grad_tol, max_iters, or the
     first step that would increase the objective."""
-    counter = {"n": 0}
-
-    def f(x):
-        counter["n"] += 1
-        return float(objective(x))
-
+    f = _counted(objective)
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     if callback is not None:
-        callback(x, fx, counter["n"])
+        callback(x, fx, f.n)
     stop_reason = "max_iters"
     iterations = 0
     for _ in range(config.max_iters):
@@ -96,11 +134,11 @@ def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> Lo
         x, fx = x_new, f_new
         iterations += 1
         if callback is not None:
-            callback(x, fx, counter["n"])
+            callback(x, fx, f.n)
     return LocalResult(
         x=x,
         fun=fx,
-        evaluations=counter["n"],
+        evaluations=f.n,
         iterations=iterations,
         stop_reason=stop_reason,
     )
@@ -117,19 +155,14 @@ def bfgs_minimize(
     If `hessian_log` is a list, the inverse-Hessian approximation is appended
     after every iteration.
     """
-    counter = {"n": 0}
-
-    def f(x):
-        counter["n"] += 1
-        return float(objective(x))
-
+    f = _counted(objective)
     x = np.asarray(x0, dtype=float).copy()
     dim = x.size
     fx = f(x)
     grad = fd_gradient(f, x, config.grad_step)
     h_inv = np.eye(dim)
     if callback is not None:
-        callback(x, fx, counter["n"])
+        callback(x, fx, f.n)
     stop_reason = "max_iters"
     iterations = 0
 
@@ -170,12 +203,12 @@ def bfgs_minimize(
         if hessian_log is not None:
             hessian_log.append(h_inv.copy())
         if callback is not None:
-            callback(x, fx, counter["n"])
+            callback(x, fx, f.n)
 
     return LocalResult(
         x=x,
         fun=fx,
-        evaluations=counter["n"],
+        evaluations=f.n,
         iterations=iterations,
         stop_reason=stop_reason,
     )

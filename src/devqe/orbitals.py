@@ -34,11 +34,12 @@ DEFAULT_MACRO_TOL = 1e-4
 DEFAULT_MAX_MACRO_ITERS = 20
 NO_WORSE_SLACK = 1e-12
 # numerical failures of one macro iteration's inner stage, retried once;
-# anything else (a TypeError, ShapeError or ConfigurationError) propagates
+# anything else (a TypeError, ShapeError or ConfigurationError) propagates.
+# DE wraps whatever its objective raises in ObjectiveError, so there the
+# wrapped exception decides.
 INNER_FAILURES = (
     local_mod.GradientError,
     ExpectationError,
-    ObjectiveError,
     np.linalg.LinAlgError,
 )
 
@@ -266,7 +267,9 @@ def run_sa_oo_vqe(
                         measure_rdms(s, current.n_orb) for s in states_prev
                     )
             oo = minimize_orbitals(current, rdms, weights, oo_config)
-        except INNER_FAILURES as exc:
+        except (*INNER_FAILURES, ObjectiveError) as exc:
+            if isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES):
+                raise exc.__cause__ from None  # a programming error in a DE objective
             consecutive_failures += 1
             inner_failures.append((macro_index, str(exc)))
             if consecutive_failures >= 2:

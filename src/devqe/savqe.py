@@ -30,6 +30,10 @@ from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
 
 WEIGHT_TOL = 1e-12
 DEFAULT_THETA_BOUND = math.pi
+# amplitudes evolved in one block by sa_energy: at most this many (point,
+# reference) rows of 2^n amplitudes go through the ansatz together, and a
+# row wider than this goes alone (sweep in tools/time_layers.py)
+BLOCK_AMPLITUDES = 4096
 
 
 @dataclass
@@ -103,22 +107,49 @@ def build_initial_states(n_orb: int, n_elec: int):
 def sa_energy(theta, hamiltonian, ansatz, initial_states, weights):
     """Apply the shared unitary to every reference and average the energies.
 
-    `hamiltonian` and `ansatz` are letter forms or their compiled forms
-    (`compile_hamiltonian`, `compile_ansatz`); the hot paths pass compiled ones.
-    One call here counts as a single objective evaluation everywhere.
+    `theta` is one point (D,) or a block of points (R, D).  One point returns
+    (e_sa, energies, states): a float, a tuple of per-state floats and a tuple
+    of StateVectors.  A block returns (e_sa, energies, None) with an (R,)
+    and an (R, n_states) array; every row is bitwise what one point gives.
+    The (point, reference) rows are evolved in blocks of at most
+    BLOCK_AMPLITUDES amplitudes.  `hamiltonian` and `ansatz` are letter forms
+    or their compiled forms (`compile_hamiltonian`, `compile_ansatz`); the hot
+    paths pass compiled ones.  Each point counts as one objective evaluation.
     """
-    theta = np.asarray(theta, dtype=float)
-    states = tuple(apply_ansatz(state, ansatz, theta) for state in initial_states)
-    energies = tuple(expectation(state, hamiltonian) for state in states)
-    e_sa = float(sum(w * e for w, e in zip(weights, energies)))
-    return e_sa, energies, states
+    thetas = np.asarray(theta, dtype=float)
+    single = thetas.ndim == 1
+    refs = np.array([state.amplitudes for state in initial_states])
+    n_states, size = refs.shape
+    # row i * n_states + k is reference k under point i
+    row_thetas = np.repeat(np.atleast_2d(thetas), n_states, axis=0)
+    row_refs = np.arange(len(row_thetas)) % n_states
+    step = max(1, BLOCK_AMPLITUDES // size)
+    energies = np.empty(len(row_thetas))
+    states = []
+    for start in range(0, len(row_thetas), step):
+        rows = slice(start, start + step)
+        block = apply_ansatz(refs[row_refs[rows]], ansatz, row_thetas[rows])
+        energies[rows] = expectation(block, hamiltonian)
+        if single:
+            states.extend(block)
+    energies = energies.reshape(-1, n_states)
+    e_sa = sum(w * e for w, e in zip(weights, energies.T))
+    if not single:
+        return e_sa, energies, None
+    n_qubits = initial_states[0].n_qubits
+    return (
+        float(e_sa[0]),
+        tuple(energies[0].tolist()),
+        tuple(StateVector(n_qubits, amps) for amps in states),
+    )
 
 
 class _CountedObjective:
     """sa_energy wrapper: exact call counting plus a component cache so trace
     events can carry per-state energies without extra evaluations.  The cache
     holds only the points evaluated since the last `retain`, plus the points
-    that call kept."""
+    that call kept.  `batch` evaluates a block of points in one sa_energy
+    call and charges one evaluation per row, as calling once per row would."""
 
     def __init__(self, hamiltonian, ansatz, initial_states, weights, offset=0):
         self.hamiltonian = hamiltonian
@@ -134,11 +165,16 @@ class _CountedObjective:
         return self.offset + self.calls
 
     def __call__(self, theta):
-        self.calls += 1
+        return float(self.batch(np.asarray(theta, dtype=float)[None])[0])
+
+    def batch(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        self.calls += len(thetas)
         e_sa, energies, _ = sa_energy(
-            theta, self.hamiltonian, self.ansatz, self.initial_states, self.weights
+            thetas, self.hamiltonian, self.ansatz, self.initial_states, self.weights
         )
-        self._components[np.asarray(theta, dtype=float).tobytes()] = (e_sa, energies)
+        for theta, value, row in zip(thetas, e_sa.tolist(), energies.tolist()):
+            self._components[theta.tobytes()] = (value, tuple(row))
         return e_sa
 
     def components(self, theta):

@@ -7,8 +7,12 @@ are never mutated in place.
 The hot path is compiled once and evaluated many times: CompiledHamiltonian
 and CompiledAnsatz hold gather-index and coefficient arrays built from the
 (x, z) masks of the letter strings, and expectation / apply_ansatz accept
-either form.  apply_pauli and apply_excitation walk the letter strings and
-stay as the reference the compiled kernels are tested against.
+either form.  Both also take an (R, 2^n) amplitude block, one state per row:
+the ansatz kernel works on whole blocks (a single state is a block of one
+row), the expectation reduces row by row, and every row comes out bitwise
+equal to evaluating it alone.  apply_pauli and apply_excitation walk the
+letter strings and stay as the reference the compiled kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -161,31 +165,41 @@ def compile_hamiltonian(hamiltonian) -> CompiledHamiltonian:
     return CompiledHamiltonian.from_hamiltonian(hamiltonian)
 
 
-def expectation(state: StateVector, hamiltonian) -> float:
-    """<psi|H|psi> for a QubitHamiltonian (compiled here) or a CompiledHamiltonian."""
+def expectation(state, hamiltonian):
+    """<psi|H|psi> for a QubitHamiltonian (compiled here) or a CompiledHamiltonian.
+
+    `state` is a StateVector (returns a float) or an (R, 2^n) amplitude block
+    (returns the R values).  Each row is reduced on its own, with the same
+    arithmetic as a single state.
+    """
     compiled = compile_hamiltonian(hamiltonian)
-    if compiled.n_qubits != state.n_qubits:
+    block = state.amplitudes[None] if isinstance(state, StateVector) else state
+    if block.shape[-1] != 2**compiled.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    psi = state.amplitudes
-    h_psi = (compiled.diagonals * psi[compiled.gather]).sum(axis=0)
-    total = complex(np.vdot(psi, h_psi))
-    if abs(total.imag) > IMAG_TOLERANCE:
-        raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
-    return float(total.real)
+    values = np.empty(len(block))
+    for row, psi in enumerate(block):
+        h_psi = (compiled.diagonals * psi[compiled.gather]).sum(axis=0)
+        total = complex(np.vdot(psi, h_psi))
+        if abs(total.imag) > IMAG_TOLERANCE:
+            raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
+        values[row] = total.real
+    return float(values[0]) if isinstance(state, StateVector) else values
 
 
 @dataclass(frozen=True)
 class CompiledAnsatz:
-    """An ansatz as gather kernels: per generator word, in circuit order,
-    (parameter index, coefficient, gather, phase * sign)."""
+    """An ansatz as gather kernels, one per generator word in circuit order:
+    the word's parameter index and coefficient, its gather and phase * sign."""
 
     n_qubits: int
     parameter_count: int
-    words: tuple
+    params: np.ndarray  # (W,) parameter index of each word
+    coeffs: np.ndarray  # (W,) coefficient of each word
+    words: tuple  # ((gather, factor), ...)
 
     @classmethod
     def from_spec(cls, ansatz) -> "CompiledAnsatz":
-        words = []
+        params, coeffs, words = [], [], []
         gathers: dict = {}  # words with one X-mask share one gather array
         for k, excitation in enumerate(ansatz.excitations):
             for string, coeff in excitation.pauli_decomposition:
@@ -193,19 +207,38 @@ class CompiledAnsatz:
                     raise ShapeError("excitation decomposition does not match the ansatz")
                 x_mask, z_mask = string_to_masks(string)
                 gather, factor = _word_gather(ansatz.n_qubits, x_mask, z_mask)
-                words.append((k, coeff, gathers.setdefault(x_mask, gather), factor))
-        return cls(ansatz.n_qubits, ansatz.parameter_count, tuple(words))
+                params.append(k)
+                coeffs.append(coeff)
+                words.append((gathers.setdefault(x_mask, gather), factor))
+        return cls(
+            ansatz.n_qubits,
+            ansatz.parameter_count,
+            np.array(params, dtype=np.intp),
+            np.array(coeffs, dtype=float),
+            tuple(words),
+        )
 
-    def apply(self, amplitudes: np.ndarray, theta) -> np.ndarray:
-        """U(theta) psi with apply_excitation's arithmetic, word by word."""
+    def apply(self, amplitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """U(thetas[r]) applied to row r of an (R, 2^n) block, for every row.
+
+        Each row gets apply_excitation's arithmetic: its cos/sin come from
+        math.cos/math.sin on the same angle expression, and enter as complex
+        columns, as a Python float would.
+        """
+        # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
+        half = (-2.0 * thetas[:, self.params] * self.coeffs / 2.0).T.ravel().tolist()
+        shape = (len(self.words), len(amplitudes), 1)
+        cos = np.array(list(map(math.cos, half)), dtype=complex).reshape(shape)
+        i_sin = (1j * np.array(list(map(math.sin, half)))).reshape(shape)
         out = amplitudes
-        for k, coeff, gather, factor in self.words:
-            # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
-            angle = -2.0 * float(theta[k]) * coeff
-            out = (
-                math.cos(angle / 2.0) * out
-                - 1j * math.sin(angle / 2.0) * (factor * out[gather])
-            )
+        for (gather, factor), c, s in zip(self.words, cos, i_sin):
+            # cos * out - (1j * sin) * (factor * out[gather]), each product
+            # with its operands in that order, computed in place
+            rotated = out.take(gather, axis=1)
+            np.multiply(factor, rotated, out=rotated)
+            np.multiply(s, rotated, out=rotated)
+            out = c * out
+            out -= rotated
         return out
 
 

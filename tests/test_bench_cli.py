@@ -225,6 +225,27 @@ class TestScan:
             assert float(relaxed_row[1]) <= float(fixed_row[1]) + 1e-8  # E0
             assert float(relaxed_row[3]) <= float(fixed_row[3]) + 1e-8  # E_SA
 
+    def test_failures_recorded_with_their_messages(self, tmp_path, h2_scan_dir):
+        import shutil
+
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        (scan / "h2_r9.99.fcidump").write_text("not an fcidump\n")
+        out = tmp_path / "out"
+        rows = read_rows(cmd_scan({"molecule": str(scan), "optimizer": "bfgs"}, str(out), "savqe"))
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("h2_r1.10", "ok"), ("h2_r1.40", "ok"), ("h2_r2.00", "ok"), ("h2_r9.99", "failed"),
+        ]
+        failures = read_rows(os.path.join(str(out), "failures.csv"))
+        assert failures == [
+            ["coordinate_label", "error"],
+            ["h2_r9.99", "no &END terminator found in header"],
+        ]
+
+    def test_no_failures_file_when_every_point_runs(self, tmp_path, h2_scan_dir):
+        cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"}, str(tmp_path), "savqe")
+        assert not os.path.exists(os.path.join(str(tmp_path), "failures.csv"))
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -166,3 +166,122 @@ def test_trace_is_the_per_generation_history():
         TraceEvent(cum_evals=evals, scope=SCOPE_STEP, macro_index=0, e_sa=f_best)
         for evals, f_best in seen
     ]
+
+
+def shifted_sphere(x):
+    """sum_j (x_j - 0.3)^2 by elementwise steps, so a row and a block of rows
+    give the same bits."""
+    value = 0.0
+    for j in range(x.shape[-1]):
+        d = x[..., j] - 0.3
+        value = value + d * d
+    return value
+
+
+class Batched:
+    """The batch protocol over a row-wise function: one call per block."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+        self.blocks = []
+
+    def __call__(self, x):
+        self.points += 1
+        return float(self.fn(np.asarray(x)))
+
+    def batch(self, xs):
+        self.points += len(xs)
+        self.blocks.append(len(xs))
+        return self.fn(np.asarray(xs))
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.best_vector, b.best_vector)
+    assert a.best_fitness == b.best_fitness
+    assert (a.evaluations, a.generations, a.stop_reason) == (
+        b.evaluations, b.generations, b.stop_reason
+    )
+    assert a.trace.events == b.trace.events
+
+
+@pytest.mark.parametrize("boundary", ["clamp", "toroidal", "reinit"])
+@pytest.mark.parametrize("crossover", ["binomial", "exponential"])
+@pytest.mark.parametrize("strategy", ["rand1", "rand2", "best1", "best2",
+                                      "current_to_rand1", "current_to_best1",
+                                      "current_to_pbest1", "rand_to_best1"])
+def test_batch_gives_the_point_by_point_run(strategy, crossover, boundary):
+    config = DEConfig(
+        np_size=9,
+        f=0.9,  # large steps, so donors often leave the box and get repaired
+        seed=41,
+        strategy=strategy,
+        crossover=crossover,
+        boundary=boundary,
+        termination=TerminationCriteria(max_generations=12, abs_tol=(1e-3, 3)),
+    )
+    bounds = Bounds.box(-1.0, 1.0, 3)
+    batched, plain = Batched(shifted_sphere), Batched(shifted_sphere)
+    seen = {"batched": [], "plain": []}
+
+    def watcher(key):
+        return lambda pop, evals: seen[key].append((pop.members.copy(), evals))
+
+    a = de_minimize(batched, bounds, config, callback=watcher("batched"))
+    b = de_minimize(lambda x: plain(x), bounds, config, callback=watcher("plain"))
+    assert_same_result(a, b)
+    assert len(seen["batched"]) == len(seen["plain"]) == a.generations + 1
+    for (pa, ea), (pb, eb) in zip(seen["batched"], seen["plain"]):
+        assert ea == eb and np.array_equal(pa, pb)
+    assert batched.blocks == [9] * (a.generations + 1)  # one block per generation
+    assert batched.points == plain.points == a.evaluations
+
+
+def test_batch_non_finite_values_become_inf():
+    def half_nan(x):
+        value = shifted_sphere(x)
+        return np.where(x[..., 0] > 0.0, np.nan, np.where(x[..., 1] > 0.8, -np.inf, value))
+
+    config = DEConfig(np_size=12, seed=2, termination=TerminationCriteria(max_generations=20))
+    bounds = Bounds.box(-1.0, 1.0, 2)
+    fitnesses = []
+    batched = Batched(half_nan)
+    a = de_minimize(batched, bounds, config,
+                    callback=lambda pop, _evals: fitnesses.append(pop.fitnesses.copy()))
+    b = de_minimize(lambda x: float(half_nan(np.asarray(x))), bounds, config)
+    assert_same_result(a, b)
+    assert np.isinf(fitnesses[0]).any() and (fitnesses[0] > 0).all()
+    assert np.isfinite(a.best_fitness) and a.best_vector[0] <= 0.0
+
+
+def test_batch_exception_aborts_with_whole_block_counted():
+    class Failing(Batched):
+        def batch(self, xs):
+            if self.blocks:
+                raise RuntimeError("boom")
+            return super().batch(xs)
+
+    config = DEConfig(np_size=10, seed=3, termination=TerminationCriteria(max_generations=50))
+    with pytest.raises(ObjectiveError) as excinfo:
+        de_minimize(Failing(shifted_sphere), Bounds.box(-1, 1, 2), config)
+    partial = excinfo.value.partial
+    assert partial.stop_reason == "aborted"
+    assert partial.evaluations == 20  # the initial population and the failed block
+    assert partial.generations == 0
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+def test_sa_vqe_objective_batch_gives_the_point_by_point_run(h2_integrals):
+    from devqe.ansatz import default_ansatz
+    from devqe.jw import jordan_wigner
+    from devqe.savqe import _CountedObjective, build_initial_states
+
+    args = (jordan_wigner(h2_integrals), default_ansatz(2, 2), build_initial_states(2, 2),
+            (0.5, 0.5))
+    batched, plain = _CountedObjective(*args), _CountedObjective(*args)
+    config = DEConfig(seed=6, strategy="best2", termination=TerminationCriteria(max_evals=450))
+    bounds = Bounds.box(-np.pi, np.pi, 2)
+    a = de_minimize(batched, bounds, config)
+    b = de_minimize(lambda x: plain(x), bounds, config)
+    assert_same_result(a, b)
+    assert batched.calls == plain.calls == a.evaluations == 450

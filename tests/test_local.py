@@ -65,6 +65,125 @@ class TestFdGradient:
         assert calls["n"] == 14
 
 
+def cubic(x):
+    """A smooth test function built from elementwise products only, so a
+    row-by-row and a whole-block evaluation agree bit for bit."""
+    value = 0.0
+    for j in range(x.shape[-1]):
+        xj = x[..., j]
+        value = value + (j + 1.0) * xj * xj * xj - xj * x[..., 0] + 0.5 * xj
+    return value
+
+
+class Batched:
+    """An objective with the batch protocol: rows of a block in one call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+        self.blocks = 0
+
+    def __call__(self, x):
+        self.points += 1
+        return float(self.fn(np.asarray(x)))
+
+    def batch(self, xs):
+        self.points += len(xs)
+        self.blocks += 1
+        return self.fn(np.asarray(xs))
+
+
+def loop_fd_gradient(objective, x, h):
+    """The point-by-point central-difference loop, as a reference."""
+    grad = np.empty_like(x)
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        grad[j] = (float(objective(x + step)) - float(objective(x - step))) / (2.0 * h)
+    return grad
+
+
+class TestFdGradientBatch:
+    def test_same_gradient_and_count_as_point_by_point(self):
+        x = np.random.default_rng(31).uniform(-1.0, 1.0, 6)
+        batched, plain = Batched(cubic), Batched(cubic)
+        grad = fd_gradient(batched, x, 1e-6)
+        assert np.array_equal(grad, fd_gradient(lambda v: plain(v), x, 1e-6))
+        assert np.array_equal(grad, loop_fd_gradient(cubic, x, 1e-6))
+        assert batched.points == plain.points == 12
+        assert batched.blocks == 1 and plain.blocks == 0
+
+    def test_sa_energy_objective_batch_matches_point_by_point(self, h4_integrals):
+        from devqe.ansatz import default_ansatz
+        from devqe.jw import jordan_wigner
+        from devqe.savqe import _CountedObjective, build_initial_states
+
+        args = (
+            jordan_wigner(h4_integrals),
+            default_ansatz(4, 4),
+            build_initial_states(4, 4),
+            (0.5, 0.5),
+        )
+        batched, plain = _CountedObjective(*args), _CountedObjective(*args)
+        x = np.random.default_rng(32).uniform(-0.5, 0.5, 8)
+        grad = fd_gradient(batched, x, 1e-6)
+        assert np.array_equal(grad, fd_gradient(lambda v: plain(v), x, 1e-6))
+        assert batched.calls == plain.calls == 16
+
+    @pytest.mark.parametrize("bad_row", range(8))
+    def test_same_error_index(self, bad_row):
+        x = np.array([0.1, -0.2, 0.3, 0.4])
+        points = [x + s * 1e-3 * np.eye(4)[j] for j in range(4) for s in (1.0, -1.0)]
+
+        def nan_at_bad_row(v):
+            hit = np.all(v == points[bad_row], axis=-1)
+            return np.where(hit, np.nan, cubic(v))
+
+        batched, plain = Batched(nan_at_bad_row), Batched(nan_at_bad_row)
+        with pytest.raises(GradientError) as from_batch:
+            fd_gradient(batched, x, 1e-3)
+        with pytest.raises(GradientError) as from_points:
+            fd_gradient(lambda v: plain(v), x, 1e-3)
+        assert from_batch.value.index == from_points.value.index == bad_row // 2
+        # the whole stencil went in one block; point by point stops at the bad pair
+        assert batched.points == 8
+        assert plain.points == 2 * (bad_row // 2 + 1)
+
+    @pytest.mark.parametrize("minimize", [gradient_descent, bfgs_minimize])
+    def test_objective_released_without_garbage_collection(self, minimize):
+        # the evaluation counter must not form a reference cycle: one would
+        # keep a batch objective (in VQE, its compiled operators) alive until
+        # a full collection, and the process's memory would grow run by run
+        import gc
+        import weakref
+
+        objective = Batched(cubic)
+        alive = weakref.ref(objective)
+        gc.disable()
+        try:
+            minimize(objective, np.array([0.3, -0.4]), LocalOptConfig(max_iters=3))
+            del objective
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("minimize", [gradient_descent, bfgs_minimize])
+    def test_optimizers_same_run_with_batch(self, minimize):
+        config = LocalOptConfig(max_iters=30, gd_learning_rate=0.05)
+        x0 = np.array([0.3, -0.4, 0.2])
+        batched, plain = Batched(cubic), Batched(cubic)
+        seen = {"batched": [], "plain": []}
+        a = minimize(batched, x0, config, callback=lambda *ev: seen["batched"].append(ev[1:]))
+        b = minimize(lambda v: plain(v), x0, config, callback=lambda *ev: seen["plain"].append(ev[1:]))
+        assert np.array_equal(a.x, b.x)
+        assert (a.fun, a.evaluations, a.iterations, a.stop_reason) == (
+            b.fun, b.evaluations, b.iterations, b.stop_reason
+        )
+        assert seen["batched"] == seen["plain"] and len(seen["plain"]) > 2
+        assert a.evaluations == batched.points == plain.points
+        assert batched.blocks > 0
+
+
 class TestGradientDescent:
     def test_one_step_quadratic(self):
         # lr = 0.5 sends x - 0.5 * 2x to (FD-exactly) zero in one step

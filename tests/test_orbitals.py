@@ -312,3 +312,78 @@ class TestMacroLoop:
         assert [e.macro_index for e in macro_events] == list(
             range(1, len(macro_events) + 1)
         )
+
+    @staticmethod
+    def _short_de():
+        return OptimizerChoice(
+            "de",
+            de_config=DEConfig(seed=1, termination=TerminationCriteria(max_evals=150)),
+        )
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "single"])
+    def test_de_objective_programming_error_raised_unretried(
+        self, h2_integrals, monkeypatch, batched
+    ):
+        # DE wraps the objective's exception in ObjectiveError; a ShapeError
+        # inside it is a programming error, not a numerical failure
+        import devqe.de as de_mod
+        import devqe.orbitals as orbitals_mod
+        import devqe.savqe as savqe_mod
+        from devqe.statevector import ShapeError
+
+        real_run = orbitals_mod.run_sa_vqe
+        real_de = de_mod.de_minimize
+        calls = {"run": 0, "objective": 0}
+
+        def counted(*args, **kwargs):
+            calls["run"] += 1
+            return real_run(*args, **kwargs)
+
+        def broken(*args, **kwargs):
+            calls["objective"] += 1
+            raise ShapeError("programming error")
+
+        def plain_de(objective, bounds, config, callback=None):
+            # hide `batch`, so DE calls the objective once per member
+            return real_de(lambda x: objective(x), bounds, config, callback=callback)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", counted)
+        monkeypatch.setattr(savqe_mod, "sa_energy", broken)
+        if not batched:
+            monkeypatch.setattr(de_mod, "de_minimize", plain_de)
+        with pytest.raises(ShapeError, match="programming error"):
+            run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2), inner_optimizer=self._short_de())
+        assert calls == {"run": 1, "objective": 1}
+
+    def test_de_objective_expectation_error_retried_once(self, h2_integrals, monkeypatch):
+        import devqe.orbitals as orbitals_mod
+        import devqe.savqe as savqe_mod
+        from devqe.statevector import ExpectationError
+
+        real_run = orbitals_mod.run_sa_vqe
+        real_energy = savqe_mod.sa_energy
+        calls = {"run": 0, "objective": 0}
+
+        def counted(*args, **kwargs):
+            calls["run"] += 1
+            return real_run(*args, **kwargs)
+
+        def glitch_once(*args, **kwargs):
+            calls["objective"] += 1
+            if calls["objective"] == 1:
+                raise ExpectationError("imaginary residue 1e-3 in expectation")
+            return real_energy(*args, **kwargs)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", counted)
+        monkeypatch.setattr(savqe_mod, "sa_energy", glitch_once)
+        result = run_sa_oo_vqe(
+            h2_integrals,
+            default_ansatz(2, 2),
+            inner_optimizer=self._short_de(),
+            macro_config=MacroConfig(max_macro_iters=2),
+        )
+        assert result.inner_failures == [
+            (1, "objective raised: imaginary residue 1e-3 in expectation")
+        ]
+        assert calls["run"] == 2  # the failed attempt and its retry
+        assert result.macro_iterations == 1  # the failed attempt used up one of the two

@@ -118,6 +118,43 @@ class TestSaEnergy:
         assert energies == (pytest.approx(-1.0), pytest.approx(-2.0))
         assert e_sa == pytest.approx(-1.5)
 
+    @pytest.mark.parametrize("molecule", ["h2", "h4", "lih_frozen_core"])
+    @pytest.mark.parametrize("rows_per_block", [None, 3], ids=["default_blocks", "3_rows"])
+    def test_block_equals_one_point_calls(self, molecule, rows_per_block, request, monkeypatch):
+        import devqe.savqe as savqe_mod
+        from devqe.integrals import freeze_core
+        from devqe.statevector import apply_excitation, compile_ansatz, compile_hamiltonian
+
+        if molecule == "lih_frozen_core":
+            integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
+        else:
+            integrals = request.getfixturevalue(f"{molecule}_integrals")
+        spec = default_ansatz(integrals.n_orb, integrals.n_elec)
+        ham = compile_hamiltonian(jordan_wigner(integrals))
+        ansatz = compile_ansatz(spec)
+        states = build_initial_states(integrals.n_orb, integrals.n_elec)
+        size = 2**ham.n_qubits
+        if rows_per_block is not None:  # blocks that split a point's references
+            monkeypatch.setattr(savqe_mod, "BLOCK_AMPLITUDES", rows_per_block * size)
+        weights = (0.375, 0.625)
+        n_points = max(5, savqe_mod.BLOCK_AMPLITUDES // size + 1)  # more than one block
+        thetas = np.random.default_rng(27).uniform(-1.0, 1.0, (n_points, spec.parameter_count))
+
+        e_sa, energies, states_out = sa_energy(thetas, ham, ansatz, states, weights)
+        assert states_out is None
+        assert e_sa.shape == (n_points,) and energies.shape == (n_points, 2)
+        for i, theta in enumerate(thetas):
+            one_e_sa, one_energies, evolved = sa_energy(theta, ham, ansatz, states, weights)
+            assert e_sa[i] == one_e_sa
+            assert tuple(energies[i].tolist()) == one_energies
+            for reference, state, energy in zip(states, evolved, one_energies):
+                chain = reference
+                for excitation, angle in zip(spec.excitations, theta):
+                    chain = apply_excitation(chain, excitation, float(angle))
+                assert np.array_equal(state.amplitudes, chain.amplitudes)
+                assert energy == expectation(chain, ham)
+            assert one_e_sa == weights[0] * one_energies[0] + weights[1] * one_energies[1]
+
 
 class TestRunSaVqe:
     def test_bfgs_reaches_ensemble_floor(self, h2_integrals):
@@ -243,27 +280,37 @@ class TestRunSaVqe:
         assert len(sizes) == len(result.trace.events) > 100
         assert all(cached <= population for cached, population in sizes)
 
-    def test_single_evaluation_per_sa_energy_call(self, h2_integrals):
-        # the audit: reported evaluations equal the number of sa_energy calls
+    def test_single_evaluation_per_sa_energy_row(self, h2_integrals, monkeypatch):
+        # the audit: reported evaluations equal the points sa_energy evaluated,
+        # one per row of a block, for the local optimizers and for DE
         import devqe.savqe as savqe_mod
 
-        ham = jordan_wigner(h2_integrals)
-        ansatz = default_ansatz(2, 2)
-        calls = {"n": 0}
         original = savqe_mod.sa_energy
+        rows = []
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting(theta, *args, **kwargs):
+            rows.append(np.atleast_2d(theta).shape[0])
+            return original(theta, *args, **kwargs)
 
-        savqe_mod.sa_energy = counting
-        try:
+        monkeypatch.setattr(savqe_mod, "sa_energy", counting)
+        choices = [
+            OptimizerChoice("bfgs"),
+            OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=40)),
+            OptimizerChoice(
+                "de",
+                de_config=DEConfig(
+                    strategy="best2", seed=3, termination=TerminationCriteria(max_evals=600)
+                ),
+            ),
+        ]
+        for choice in choices:
+            rows.clear()
             result = run_sa_vqe(
-                ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
+                jordan_wigner(h2_integrals), default_ansatz(2, 2),
+                optimizer=choice, n_orb=2, n_elec=2,
             )
-        finally:
-            savqe_mod.sa_energy = original
-        assert result.evaluations == calls["n"]
+            assert result.evaluations == sum(rows), choice.kind
+            assert len(rows) < sum(rows)  # stencils or generations went as blocks
 
     def test_frozen_core_lih_pipeline(self, lih_integrals):
         from devqe.integrals import freeze_core, hf_determinant_energy

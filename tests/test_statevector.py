@@ -264,6 +264,18 @@ class TestCompiledHamiltonian:
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(ExpectationError):
             expectation(plus, compiled)
+        with pytest.raises(ExpectationError):
+            expectation(np.array([[1.0, 0.0], plus.amplitudes]), compiled)
+
+    @pytest.mark.parametrize("molecule", MOLECULES)
+    def test_block_rows_equal_single_states(self, molecule, request):
+        integrals = request.getfixturevalue(molecule)
+        compiled = compile_hamiltonian(jordan_wigner(integrals))
+        n_qubits = 2 * integrals.n_orb
+        states = [random_state(n_qubits, 300 + seed) for seed in range(4)]
+        values = expectation(np.array([s.amplitudes for s in states]), compiled)
+        assert values.shape == (4,)
+        assert values.tolist() == [expectation(s, compiled) for s in states]
 
 
 class TestCompiledAnsatz:
@@ -284,6 +296,34 @@ class TestCompiledAnsatz:
                 assert np.array_equal(
                     apply_ansatz(reference, ansatz, theta).amplitudes, chain.amplitudes
                 )
+
+    @pytest.mark.parametrize("molecule", MOLECULES)
+    def test_block_rows_bit_identical_to_excitation_chain(self, molecule, request):
+        # one block, a different theta and either reference on every row
+        integrals = request.getfixturevalue(molecule)
+        ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+        compiled = compile_ansatz(ansatz)
+        references = build_initial_states(integrals.n_orb, integrals.n_elec)
+        rng = np.random.default_rng(26)
+        n_rows = 5
+        thetas = rng.uniform(-np.pi, np.pi, (n_rows, ansatz.parameter_count))
+        chosen = [references[r % 2] for r in range(n_rows)]
+        block = apply_ansatz(np.array([ref.amplitudes for ref in chosen]), compiled, thetas)
+        assert block.shape == (n_rows, 2**ansatz.n_qubits)
+        for row, (reference, theta) in enumerate(zip(chosen, thetas)):
+            chain = reference
+            for excitation, angle in zip(ansatz.excitations, theta):
+                chain = apply_excitation(chain, excitation, float(angle))
+            assert np.array_equal(block[row], chain.amplitudes), row
+
+    def test_block_rejects_mismatched_rows(self):
+        compiled = compile_ansatz(default_ansatz(2, 2))
+        block = np.array([basis_state(4, [0, 1]).amplitudes] * 3)
+        assert apply_ansatz(block, compiled, np.zeros((3, 2))).shape == (3, 16)
+        with pytest.raises(ShapeError):
+            apply_ansatz(block, compiled, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            apply_ansatz(block, compiled, np.zeros((3, 1)))
 
     def test_rejects_bad_theta_and_width(self):
         compiled = compile_ansatz(default_ansatz(2, 2))

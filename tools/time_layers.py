@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Milliseconds per objective evaluation of the SA-VQE energy, point by point
+and in blocks.
+
+Run from the repository root:
+
+    python tools/time_layers.py                      # all cases, all systems
+    python tools/time_layers.py --cases point        # one point only
+    python tools/time_layers.py --sweep 1024,4096,8192,16384
+
+Systems: H2 (4 qubits), H4 (8), LiH with a frozen core (10) and full LiH (12),
+each with its default ansatz and the two SA-VQE references.  Cases:
+
+- point:   one sa_energy call on one theta (a line-search step);
+- stencil: the 2D points of one central-difference gradient as one block
+           (what fd_gradient hands to the batch protocol);
+- de_gen:  one DE generation of max(15, 5D) random thetas as one block.
+
+A block case also times the same points evaluated one at a time, and prints
+the ratio.  Every figure is the median over repeats of ms per evaluation (one
+evaluation = one theta).  --sweep re-times the block cases with
+savqe.BLOCK_AMPLITUDES set to each given value; that sweep is what the
+module constant was chosen from.  BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+from time import perf_counter
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from devqe import savqe  # noqa: E402
+from devqe.ansatz import default_ansatz  # noqa: E402
+from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
+from devqe.jw import jordan_wigner  # noqa: E402
+from devqe.statevector import compile_ansatz, compile_hamiltonian  # noqa: E402
+
+CASES = ("point", "stencil", "de_gen")
+WEIGHTS = (0.5, 0.5)
+MIN_REPEAT_S = 0.1  # each repeat runs the case at least this long
+
+
+def systems():
+    """(name, integrals) of the four timed systems."""
+    fixtures = os.path.join(ROOT, "fixtures")
+    lih = load_fcidump(os.path.join(fixtures, "lih_sto3g.fcidump"))
+    return [
+        ("H2", load_fcidump(os.path.join(fixtures, "h2_sto3g.fcidump"))),
+        ("H4", load_fcidump(os.path.join(fixtures, "h4_sto3g.fcidump"))),
+        ("LiH-fc", freeze_core(lih, 1)),
+        ("LiH", lih),
+    ]
+
+
+def case_points(case, dim, rng):
+    """The thetas one case evaluates, as an (R, D) block."""
+    if case == "point":
+        return rng.uniform(-1.0, 1.0, (1, dim))
+    if case == "stencil":
+        x = rng.uniform(-1.0, 1.0, dim)
+        steps = 1e-6 * np.eye(dim)
+        return np.concatenate([x + steps, x - steps])
+    return rng.uniform(-np.pi, np.pi, (max(15, 5 * dim), dim))
+
+
+def ms_per_eval(run, n_points, repeats):
+    """Median over repeats of milliseconds per evaluated point."""
+    start = perf_counter()
+    run()
+    once = perf_counter() - start
+    loops = max(1, int(MIN_REPEAT_S / max(once, 1e-9)))
+    samples = []
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(loops):
+            run()
+        samples.append((perf_counter() - start) / loops / n_points * 1e3)
+    return statistics.median(samples)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", default=",".join(CASES),
+                        help="comma-separated subset of " + ", ".join(CASES))
+    parser.add_argument("--systems", default="H2,H4,LiH-fc,LiH")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--sweep", default="",
+                        help="comma-separated BLOCK_AMPLITUDES values for the block cases")
+    args = parser.parse_args(argv)
+    cases = args.cases.split(",")
+    wanted = args.systems.split(",")
+    caps = [int(v) for v in args.sweep.split(",") if v] or [savqe.BLOCK_AMPLITUDES]
+
+    print(f"BLOCK_AMPLITUDES {savqe.BLOCK_AMPLITUDES}; ms per evaluation, "
+          f"median of {args.repeats} repeats")
+    print(f"{'system':7s} {'case':8s} {'points':>6s} {'cap':>6s} {'block':>9s} "
+          f"{'one by one':>10s} {'ratio':>6s}")
+    rng = np.random.default_rng(0)
+    for name, integrals in systems():
+        if name not in wanted:
+            continue
+        hamiltonian = compile_hamiltonian(jordan_wigner(integrals))
+        ansatz = compile_ansatz(default_ansatz(integrals.n_orb, integrals.n_elec))
+        states = savqe.build_initial_states(integrals.n_orb, integrals.n_elec)
+
+        def evaluate(thetas):
+            return savqe.sa_energy(thetas, hamiltonian, ansatz, states, WEIGHTS)
+
+        for case in cases:
+            points = case_points(case, ansatz.parameter_count, rng)
+
+            def one_by_one(points=points):
+                for theta in points:
+                    evaluate(theta)
+
+            single = ms_per_eval(one_by_one, len(points), args.repeats)
+            if case == "point":
+                print(f"{name:7s} {case:8s} {1:6d} {'-':>6s} {'-':>9s} {single:10.4f} {'-':>6s}")
+                continue
+            default_cap = savqe.BLOCK_AMPLITUDES
+            for cap in caps:
+                savqe.BLOCK_AMPLITUDES = cap
+                try:
+                    block = ms_per_eval(lambda: evaluate(points), len(points), args.repeats)
+                finally:
+                    savqe.BLOCK_AMPLITUDES = default_cap
+                print(f"{name:7s} {case:8s} {len(points):6d} {cap:6d} {block:9.4f} "
+                      f"{single:10.4f} {single / block:6.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
