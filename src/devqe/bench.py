@@ -21,6 +21,7 @@ from .orbitals import MacroConfig, run_sa_oo_vqe
 from .savqe import EnsembleSpec, OptimizerChoice, run_sa_vqe
 
 SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
+N_REFERENCES = 2  # the Hartree-Fock and singlet-excited references of every run
 
 
 class UsageError(ValueError):
@@ -39,6 +40,27 @@ def rosenbrock(x):
 def rastrigin(x):
     x = np.asarray(x, dtype=float)
     return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
+
+
+# The batch protocol (devqe.de): the same expressions row by row over a C-ordered
+# (R, D) block, whose rows numpy sums exactly as it sums a single row.
+def _sphere_rows(xs):
+    return np.sum(np.ascontiguousarray(xs) ** 2, axis=-1)
+
+
+def _rosenbrock_rows(xs):
+    x = np.ascontiguousarray(xs, dtype=float)
+    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2, axis=-1)
+
+
+def _rastrigin_rows(xs):
+    x = np.ascontiguousarray(xs, dtype=float)
+    return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+
+
+sphere.batch = _sphere_rows
+rosenbrock.batch = _rosenbrock_rows
+rastrigin.batch = _rastrigin_rows
 
 
 TEST_FUNCTIONS = {
@@ -126,13 +148,23 @@ def _is_set(config: dict, key) -> bool:
 
 
 def parse_weights(text) -> EnsembleSpec:
-    """Ensemble weights from a config value; unset means the EnsembleSpec default."""
+    """Ensemble weights from a config value; unset means the EnsembleSpec default.
+
+    Every run builds the two SA-VQE references (build_initial_states), so a
+    weights entry needs exactly two.
+    """
     if text is None or str(text).strip() == "":
         return EnsembleSpec()
     try:
-        return EnsembleSpec(tuple(float(tok) for tok in str(text).replace(",", " ").split()))
+        spec = EnsembleSpec(tuple(float(tok) for tok in str(text).replace(",", " ").split()))
     except ValueError as exc:
         raise UsageError(f"bad weights {text!r}: {exc}")
+    if spec.n_states != N_REFERENCES:
+        raise UsageError(
+            f"bad weights {text!r}: {spec.n_states} given, one for each of the "
+            f"{N_REFERENCES} reference states"
+        )
+    return spec
 
 
 # config key -> (constructor keyword, parser) for settings a config may override

@@ -12,6 +12,20 @@ method gets the initial population and then each generation's trials as one
 (np, D) block and returns one value per row.  One row counts as one
 evaluation, and a batch-capable objective gives the same run, value for value,
 as calling it row by row.
+
+`de_minimize` builds each generation's trials as one block too, and still
+draws exactly what the per-member operators (`mutate`, `crossover_*`,
+`handle_bounds`) would draw from the same Generator.  After the initial
+population, `_PhiloxDraws` reads the raw Philox words and replays numpy's
+algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`, and
+`Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low half
+first, the high half kept for the next 32-bit draw) with numpy's rejection
+threshold `(2**32 - n) % n`.  A serial pass makes the draws whose count depends
+on the data; donors, masks and repairs are row-block operations with the
+per-member operand order.  So every run is bitwise the per-member run.  Two
+tests in tests/test_de_minimize.py guard this: the draw oracle compares the
+replay with the Generator over interleaved draws, and the run oracle compares
+whole runs with the per-member loop.
 """
 
 from __future__ import annotations
@@ -82,6 +96,8 @@ class Bounds:
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise BoundsError("lower and upper bounds must have the same shape")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise BoundsError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise BoundsError("lower bound exceeds upper bound")
 
@@ -164,6 +180,12 @@ class TerminationCriteria:
             )
         ):
             raise ConfigurationError("at least one termination criterion must be set")
+        for name in ("max_evals", "max_generations"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigurationError(f"{name} must be an integer >= 0")
         for name, layout in _TOLERANCE_LAYOUTS.items():
             tup = getattr(self, name)
             if tup is None:
@@ -271,8 +293,8 @@ class DEConfig:
     )
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ConfigurationError("scale factor F must be positive")
+        if not (math.isfinite(self.f) and self.f > 0):
+            raise ConfigurationError("scale factor F must be positive and finite")
         if not 0.0 <= self.cr <= 1.0:
             raise ConfigurationError("crossover rate Cr must lie in [0, 1]")
         if not 0.0 < self.p_best_fraction <= 1.0:
@@ -474,6 +496,257 @@ def handle_bounds(vector, bounds: Bounds, strategy: str, rng=None) -> np.ndarray
     raise ConfigurationError(f"unknown boundary mode {strategy!r}")
 
 
+_U32_MASK = 0xFFFFFFFF
+_DOUBLE_SCALE = 2.0**-53
+_RAW_CHUNK = 1024  # Philox words read ahead at a time (8 KB)
+
+
+class _PhiloxDraws:
+    """`Generator.integers(n)` and `Generator.random()` replayed from the raw
+    Philox words of the same stream.
+
+    Takes over a Generator: from then on every draw of the run comes from
+    here, with the values and in the order the Generator calls would give.
+    `random()` is the top 53 bits of the next 64-bit word.  `integers(n)` is
+    numpy's bounded 32-bit Lemire method with its rejection threshold
+    `(2**32 - n) % n`, on 32-bit halves taken low half first; the high half
+    waits for the next 32-bit draw (Philox's `has_uint32` buffer), and
+    `random()` leaves it waiting.  `integers(1)` consumes nothing.  Words are
+    read ahead in chunks, so the Generator itself must not be drawn from again.
+    """
+
+    def __init__(self, rng, chunk=_RAW_CHUNK):
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        self._raw = bit_generator.random_raw
+        self._chunk = chunk
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._values = []  # the words, as Python ints
+        self._uniforms = np.empty(0)  # random() of each word
+        self._pos = 0  # next unread word
+        self._mark = 0  # words from here on are kept; `take` counts from here
+
+    def mark(self):
+        """Start a block: positions from `take` count from the next word."""
+        self._mark = self._pos
+
+    def _refill(self, count):
+        """Read ahead so that `count` words follow the current position."""
+        fresh = self._raw(max(self._chunk, self._pos + count - len(self._values)))
+        self._values = self._values[self._mark :] + fresh.tolist()
+        fresh_uniforms = (fresh >> 11) * _DOUBLE_SCALE
+        self._uniforms = np.concatenate((self._uniforms[self._mark :], fresh_uniforms))
+        self._pos -= self._mark
+        self._mark = 0
+
+    def _word(self):
+        if self._pos == len(self._values):
+            self._refill(1)
+        self._pos += 1
+        return self._values[self._pos - 1]
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _U32_MASK
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _DOUBLE_SCALE
+
+    def integers(self, n: int) -> int:
+        """One draw from [0, n), for 1 <= n < 2**32."""
+        if n == 1:
+            return 0
+        # _uint32(), inlined: this is the hottest call of a DE run
+        half = self._half
+        if half is None:
+            if self._pos == len(self._values):
+                self._refill(1)
+            word = self._values[self._pos]
+            self._pos += 1
+            self._half = word >> 32
+            m = (word & _U32_MASK) * n
+        else:
+            self._half = None
+            m = half * n
+        if m & _U32_MASK < n:
+            threshold = (0x100000000 - n) % n
+            while m & _U32_MASK < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def take(self, count: int) -> int:
+        """Consume the words of `random(count)`; returns their position from
+        the mark, for `uniforms`."""
+        if self._pos + count > len(self._values):
+            self._refill(count)
+        start = self._pos - self._mark
+        self._pos += count
+        return start
+
+    def uniforms(self, starts, count: int) -> np.ndarray:
+        """The `random(count)` whose words `take(count)` consumed at position
+        `starts`, or one such row per entry of an array of positions."""
+        if isinstance(starts, np.ndarray):
+            return self._uniforms[self._mark + starts[:, None] + np.arange(count)]
+        first = self._mark + starts
+        return self._uniforms[first : first + count]
+
+
+# how many indices each strategy draws with _draw_distinct
+_DISTINCT_DRAWS = {
+    "rand1": 3,
+    "rand2": 5,
+    "best1": 2,
+    "best2": 4,
+    "current_to_rand1": 2,
+    "current_to_best1": 2,
+    "current_to_pbest1": 2,
+    "rand_to_best1": 3,
+}
+
+
+def _smallest_population(strategy: str) -> int:
+    """Fewest members from which `mutate` can draw its distinct indices: the
+    draws, the target and, for current_to_pbest1, the p-best pick."""
+    return max(4, _DISTINCT_DRAWS[strategy] + 1 + (strategy == "current_to_pbest1"))
+
+
+def _donors(strategy, rows, best, f) -> np.ndarray:
+    """`mutate`'s donor expression, with its operand order, on one target or
+    on a block of targets.  rows[0] holds the targets; then come the p-best
+    picks (current_to_pbest1 only) and the distinct picks in draw order."""
+    current, r = rows[0], rows[1:]
+    if strategy == "rand1":
+        return r[0] + f * (r[1] - r[2])
+    if strategy == "rand2":
+        return r[0] + f * (r[1] - r[2]) + f * (r[3] - r[4])
+    if strategy == "best1":
+        return best + f * (r[0] - r[1])
+    if strategy == "best2":
+        return best + f * (r[0] - r[1]) + f * (r[2] - r[3])
+    if strategy == "current_to_rand1":
+        return current + f * (r[0] - r[1])
+    if strategy == "current_to_best1":
+        return current + f * (best - current) + f * (r[0] - r[1])
+    if strategy == "current_to_pbest1":
+        return current + f * (r[0] - current) + f * (r[1] - r[2])
+    return r[0] + f * (best - r[0]) + f * (r[1] - r[2])  # rand_to_best1
+
+
+def _toroidal_block(v, bounds: Bounds) -> np.ndarray:
+    """`handle_bounds(row, bounds, "toroidal")` on every row of v, in place;
+    raises what the first failing component, in row-major order, raises there."""
+    lo, hi = bounds.lower, bounds.upper
+    below = v < lo
+    rows, cols = np.nonzero(below | (v > hi))
+    if not len(rows):
+        return v
+    x, width, low = v[rows, cols], (hi - lo)[cols], below[rows, cols]
+    excess = np.where(low, lo[cols] - x, x - hi[cols])
+    # where C fmod gives NaN from non-NaN input, math.fmod raises
+    failing = (width == 0.0) | (np.isinf(excess) & ~np.isnan(width))
+    if failing.any():
+        first = int(np.argmax(failing))
+        if width[first] == 0.0:
+            raise DegenerateRangeError(f"zero-width interval at component {cols[first]}")
+        raise ValueError("math domain error")
+    wrapped = np.fmod(excess, width)
+    v[rows, cols] = np.where(low, hi[cols] - wrapped, lo[cols] + wrapped)
+    return v
+
+
+def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws) -> np.ndarray:
+    """One generation's (np, D) trial block, bit for bit what the per-member
+    chain mutate -> crossover_* -> handle_bounds gives on the Generator that
+    `draws` replays.
+
+    A serial pass makes only the draws whose count depends on the data:
+    distinct indices with rejection, the p-best pick, the exponential window
+    length and reinit redraws.  The redraws need their member's trial row, so
+    reinit builds each row in the pass; otherwise donors, crossover masks and
+    the repair are row-block operations.
+    """
+    x = pop.members
+    n, dim = x.shape
+    strategy, f, cr = config.strategy, config.f, config.cr
+    binomial = config.crossover == "binomial"
+    reinit = config.boundary == "reinit"
+    n_picks = _DISTINCT_DRAWS[strategy]
+    p_best = strategy == "current_to_pbest1"
+    if p_best:  # _p_best_index's candidates, from one sort per generation
+        order = np.argsort(pop.fitnesses, kind="stable").tolist()
+        top = order[: max(1, int(round(config.p_best_fraction * n)))]
+    best = x[pop.best_index()]
+    lo, hi = bounds.lower, bounds.upper
+    columns = np.arange(dim)
+    integers, random = draws.integers, draws.random
+    draws.mark()
+
+    # per member: the rows its donor reads (_donors' order), then its crossover draws
+    picks, starts, firsts, lengths = [], [], [], []
+    need = 1 + p_best + n_picks
+    if reinit:
+        trials = np.empty_like(x)
+        width = hi - lo
+    for i in range(n):
+        taken = [i]
+        if p_best:
+            candidates = top
+            if i in top:
+                candidates = [c for c in top if c != i] or order[1:2]
+            taken.append(candidates[integers(len(candidates))])
+        while len(taken) < need:
+            r = integers(n)
+            if r not in taken:
+                taken.append(r)
+        if binomial:
+            start = draws.take(dim)
+            first = integers(dim)
+        else:
+            first = integers(dim)
+            length = 1
+            while length < dim and random() <= cr:
+                length += 1
+        if not reinit:
+            picks.append(taken)
+            firsts.append(first)
+            if binomial:
+                starts.append(start)
+            else:
+                lengths.append(length)
+            continue
+        if binomial:
+            from_donor = draws.uniforms(start, dim) <= cr
+            from_donor[first] = True
+        else:
+            from_donor = (columns - first) % dim < length
+        trial = np.where(from_donor, _donors(strategy, [x[j] for j in taken], best, f), x[i])
+        outside = (trial < lo) | (trial > hi)
+        redraws = np.count_nonzero(outside)
+        if redraws:
+            values = np.array([random() for _ in range(redraws)])
+            trial[outside] = values * width[outside] + lo[outside]
+        trials[i] = trial
+    if reinit:
+        return trials
+
+    firsts = np.array(firsts)
+    if binomial:
+        from_donor = draws.uniforms(np.array(starts), dim) <= cr
+        from_donor[np.arange(n), firsts] = True
+    else:
+        from_donor = (columns - firsts[:, None]) % dim < np.array(lengths)[:, None]
+    trials = np.where(from_donor, _donors(strategy, x[picks].swapaxes(0, 1), best, f), x)
+    if config.boundary == "clamp":
+        return np.minimum(np.maximum(trials, lo), hi)
+    return _toroidal_block(trials, bounds)
+
+
 def select(current: Population, trials, trial_fitnesses) -> Population:
     """Greedy one-to-one selection; ties go to the trial vector."""
     trials = np.asarray(trials, dtype=float)
@@ -502,8 +775,11 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
     after every completed generation.
     """
     np_size = config.population_size(bounds.dim)
-    if np_size < 4:
-        raise ConfigurationError("population size must be at least 4")
+    smallest = _smallest_population(config.strategy)
+    if np_size < smallest:
+        raise ConfigurationError(
+            f"population of {np_size} too small for {config.strategy}; it needs {smallest}"
+        )
     rng = make_rng(config.seed)
 
     history: list[GenerationRecord] = []
@@ -538,19 +814,11 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
     if callback is not None:
         callback(pop, state["evals"])
 
+    draws = _PhiloxDraws(rng)  # every later draw of the run
     stop_reason = should_terminate(history, config.termination)
     while stop_reason is None:
         # all stochastic draws happen serially here, before any evaluation
-        trials = np.empty_like(pop.members)
-        for i in range(np_size):
-            donor = mutate(
-                config.strategy, pop, i, config.f, config.p_best_fraction, rng
-            )
-            if config.crossover == "binomial":
-                trial = crossover_binomial(pop.members[i], donor, config.cr, rng)
-            else:
-                trial = crossover_exponential(pop.members[i], donor, config.cr, rng)
-            trials[i] = handle_bounds(trial, bounds, config.boundary, rng)
+        trials = _generation_trials(pop, bounds, config, draws)
         trial_fitnesses = evaluate_all(trials)
         pop = select(pop, trials, trial_fitnesses)
         _record_generation(history, pop, state["evals"])

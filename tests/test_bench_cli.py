@@ -16,6 +16,9 @@ from devqe.bench import (
     parse_config,
     parse_seeds,
     parse_weights,
+    rastrigin,
+    rosenbrock,
+    sphere,
 )
 from devqe.cli import main
 from devqe.de import DEConfig
@@ -52,6 +55,20 @@ class TestConfig:
         assert parse_weights("0.2, 0.8").weights == (0.2, 0.8)
         with pytest.raises(UsageError):
             parse_weights("0.5 0.6")
+
+    @pytest.mark.parametrize("text", ["1.0", "0.3,0.3,0.4"])
+    def test_weights_count_the_two_references(self, text):
+        with pytest.raises(UsageError, match="2 reference states"):
+            parse_weights(text)
+
+
+class TestTestFunctions:
+    @pytest.mark.parametrize("fn", [sphere, rosenbrock, rastrigin])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 7, 8, 9, 17])  # across numpy's 8-wide sum blocks
+    def test_batch_is_the_function_row_by_row(self, fn, dim):
+        xs = np.random.default_rng(dim).uniform(-5.0, 5.0, (200, dim))
+        expected = np.array([fn(x) for x in xs])
+        assert fn.batch(xs).tobytes() == expected.tobytes()
 
 
 class TestOptimize:
@@ -288,6 +305,13 @@ class TestCliExitCodes:
     def test_unknown_config_key_exit_two(self, tmp_path):
         config = write_config(tmp_path, function="sphere", bogus="1")
         assert main(["optimize", "--config", config, "--out", str(tmp_path)]) == 2
+
+    def test_three_weights_exit_two_before_any_run(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer="bfgs", seeds="0", weights="0.3,0.3,0.4")
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "manifest.csv").exists()
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2

@@ -6,10 +6,21 @@ import pytest
 from devqe.bench import sphere
 from devqe.de import (
     Bounds,
+    ConfigurationError,
     DEConfig,
+    GenerationRecord,
     ObjectiveError,
     TerminationCriteria,
+    _PhiloxDraws,
+    crossover_binomial,
+    crossover_exponential,
     de_minimize,
+    handle_bounds,
+    initialize_population,
+    make_rng,
+    mutate,
+    select,
+    should_terminate,
 )
 from devqe.trace import SCOPE_STEP, TraceEvent
 
@@ -285,3 +296,177 @@ def test_sa_vqe_objective_batch_gives_the_point_by_point_run(h2_integrals):
     b = de_minimize(lambda x: plain(x), bounds, config)
     assert_same_result(a, b)
     assert batched.calls == plain.calls == a.evaluations == 450
+
+
+# ---------------------------------------------------------------------------
+# The per-member generation loop de_minimize ran before its trials were built
+# as one block, kept as the run oracle: the public operators on a real
+# Generator, one member at a time.
+
+
+def reference_de_minimize(objective, bounds, config, callback):
+    np_size = config.population_size(bounds.dim)
+    rng = make_rng(config.seed)
+    evals = 0
+
+    def evaluate_all(xs):
+        nonlocal evals
+        evals += len(xs)
+        values = np.array([float(objective(np.asarray(x, dtype=float))) for x in xs])
+        return np.where(np.isfinite(values), values, np.inf)
+
+    history = []
+
+    def record(pop):
+        history.append(GenerationRecord(pop.generation, evals, float(np.min(pop.fitnesses)),
+                                        float(np.max(pop.fitnesses))))
+        callback(pop, evals)
+
+    pop = initialize_population(bounds, np_size, "uniform", rng)
+    pop.fitnesses = evaluate_all(pop.members)
+    record(pop)
+    stop_reason = should_terminate(history, config.termination)
+    while stop_reason is None:
+        trials = np.empty_like(pop.members)
+        for i in range(np_size):
+            donor = mutate(config.strategy, pop, i, config.f, config.p_best_fraction, rng)
+            if config.crossover == "binomial":
+                trial = crossover_binomial(pop.members[i], donor, config.cr, rng)
+            else:
+                trial = crossover_exponential(pop.members[i], donor, config.cr, rng)
+            trials[i] = handle_bounds(trial, bounds, config.boundary, rng)
+        pop = select(pop, trials, evaluate_all(trials))
+        record(pop)
+        stop_reason = should_terminate(history, config.termination)
+    best = pop.best_index()
+    best_vector, best_fitness = pop.members[best], float(pop.fitnesses[best])
+    return best_vector, best_fitness, evals, pop.generation, stop_reason, history
+
+
+def coarse_sphere(x):
+    """shifted_sphere on a grid of 1/4: many equal fitnesses."""
+    return np.floor(4.0 * shifted_sphere(x)) / 4.0
+
+
+def assert_matches_reference(objective, bounds, config):
+    seen = {"block": [], "reference": []}
+
+    def watcher(key):
+        return lambda pop, evals: seen[key].append(
+            (pop.members.copy(), pop.fitnesses.copy(), evals))
+
+    result = de_minimize(objective, bounds, config, callback=watcher("block"))
+    best_vector, best_fitness, evals, generations, stop_reason, history = reference_de_minimize(
+        objective, bounds, config, watcher("reference"))
+    assert result.best_vector.tobytes() == best_vector.tobytes()
+    assert result.best_fitness == best_fitness
+    assert (result.evaluations, result.generations, result.stop_reason) == (
+        evals, generations, stop_reason)
+    assert [(e.cum_evals, e.e_sa) for e in result.trace.events] == [
+        (rec.cum_evals, rec.f_best) for rec in history]
+    assert len(seen["block"]) == len(seen["reference"])
+    for (ma, fa, ea), (mb, fb, eb) in zip(seen["block"], seen["reference"]):
+        assert ea == eb
+        assert ma.tobytes() == mb.tobytes() and fa.tobytes() == fb.tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["clamp", "toroidal", "reinit"])
+@pytest.mark.parametrize("crossover", ["binomial", "exponential"])
+@pytest.mark.parametrize("strategy", ["rand1", "rand2", "best1", "best2",
+                                      "current_to_rand1", "current_to_best1",
+                                      "current_to_pbest1", "rand_to_best1"])
+def test_block_generations_match_the_per_member_loop(strategy, crossover, boundary):
+    smallest = {"rand2": 6, "best2": 5}.get(strategy, 4)
+    runs = 0
+    for dim in (1, 2, 5):
+        for cr in (0.0, 0.5, 1.0):
+            # the smallest legal population (a p-best block of one, which has
+            # to widen when the target is the best) and a default-sized one
+            for np_size in (smallest, None):
+                plain = runs % 2 == 0
+                fn = coarse_sphere if cr == 0.5 else shifted_sphere
+                config = DEConfig(
+                    np_size=np_size,
+                    f=0.9,  # large steps, so donors often leave the box and get repaired
+                    cr=cr,
+                    seed=100 + runs,
+                    strategy=strategy,
+                    crossover=crossover,
+                    boundary=boundary,
+                    termination=TerminationCriteria(max_generations=8, abs_tol=(1e-3, 4)),
+                )
+                objective = (lambda x, fn=fn: float(fn(x))) if plain else Batched(fn)
+                assert_matches_reference(objective, Bounds.box(-1.0, 1.0, dim), config)
+                runs += 1
+
+
+@pytest.mark.parametrize("crossover", ["binomial", "exponential"])
+def test_p_best_ties_follow_the_stable_order(crossover):
+    # many equal fitnesses in a population larger than a small-array sort
+    config = DEConfig(np_size=40, f=0.7, p_best_fraction=0.4, seed=5, crossover=crossover,
+                      strategy="current_to_pbest1",
+                      termination=TerminationCriteria(max_generations=15))
+    assert_matches_reference(Batched(coarse_sphere), Bounds.box(-1.0, 1.0, 3), config)
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, 0.0])
+def test_scale_factor_must_be_positive_and_finite(f):
+    with pytest.raises(ConfigurationError):
+        DEConfig(f=f)
+
+
+def test_too_small_population_rejected_before_any_evaluation():
+    calls = {"n": 0}
+
+    def objective(x):
+        calls["n"] += 1
+        return 0.0
+
+    for strategy, np_size in (("rand2", 4), ("rand2", 5), ("best2", 4)):
+        config = DEConfig(np_size=np_size, strategy=strategy,
+                          termination=TerminationCriteria(max_generations=3))
+        with pytest.raises(ConfigurationError):
+            de_minimize(objective, Bounds.box(-1, 1, 2), config)
+    assert calls["n"] == 0
+    config = DEConfig(np_size=6, strategy="rand2",
+                      termination=TerminationCriteria(max_generations=3))
+    assert de_minimize(objective, Bounds.box(-1, 1, 2), config).evaluations == 24
+
+
+# ---------------------------------------------------------------------------
+# The draw oracle: the raw-word replay against the Generator it replaces.
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])  # 5: blocks of up to 8 words outgrow a read-ahead
+@pytest.mark.parametrize("start", ["fresh", "after_init", "half_pending"])
+def test_draw_replay_matches_the_generator(start, chunk):
+    def stream():
+        rng = make_rng(77)
+        if start == "after_init":
+            initialize_population(Bounds.box(-1.0, 1.0, 3), 7, "uniform", rng)
+        if start == "half_pending":  # the high half of a word waits in has_uint32
+            rng.integers(9)
+        return rng
+
+    generator, draws = stream(), _PhiloxDraws(stream(), chunk)
+    choose = np.random.default_rng(2024)
+    sizes = [1, 2, 3, 5, 7, 20, 1000, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]
+    taken = []
+    for step in range(120_000):
+        kind = choose.integers(8)
+        if kind < 4:
+            n = sizes[choose.integers(len(sizes))] if kind else int(
+                choose.integers(2**31 - 100, 2**31 + 100))
+            assert draws.integers(n) == generator.integers(n)
+        elif kind < 7:
+            assert draws.random() == generator.random()
+        else:
+            count = int(choose.integers(1, 9))
+            taken.append((draws.take(count), generator.random(count)))
+        if step % 50 == 0:  # a generation ends: check its blocks, start the next
+            for start, expected in taken:
+                assert draws.uniforms(start, len(expected)).tobytes() == expected.tobytes()
+                block = draws.uniforms(np.array([start, start]), len(expected))
+                assert block.tobytes() == np.stack([expected, expected]).tobytes()
+            taken.clear()
+            draws.mark()

@@ -32,6 +32,12 @@ class TestBounds:
         with pytest.raises(BoundsError):
             Bounds([0.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("lower, upper", [([np.nan, 0.0], [1.0, 1.0]),
+                                              ([0.0, 0.0], [1.0, np.nan])])
+    def test_nan_bound_rejected(self, lower, upper):
+        with pytest.raises(BoundsError):
+            Bounds(lower, upper)
+
     def test_unbounded_uses_extreme_finite_floats(self):
         bounds = Bounds.unbounded(3)
         assert np.all(np.isfinite(bounds.lower))

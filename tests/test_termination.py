@@ -125,6 +125,18 @@ def test_malformed_tolerance_tuples_rejected(kwargs):
         TerminationCriteria(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["max_evals", "max_generations"])
+@pytest.mark.parametrize("value", [-5, 10.5, 100.0, True, "100"])
+def test_budgets_must_be_integers_at_least_zero(name, value):
+    with pytest.raises(ConfigurationError):
+        TerminationCriteria(**{name: value})
+
+
+def test_budget_of_zero_and_numpy_integers_accepted():
+    assert TerminationCriteria(max_evals=0).max_evals == 0
+    assert TerminationCriteria(max_generations=np.int64(3)).max_generations == 3
+
+
 def test_integer_rel_tol_delta_accepted():
     crit = TerminationCriteria(rel_tol=(1e-6, 5, 0))
     best = [1e9 - g for g in range(7)]

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Milliseconds per objective evaluation of the SA-VQE energy, point by point
-and in blocks.
+and in blocks, and the DE driver's own cost per evaluation.
 
 Run from the repository root:
 
     python tools/time_layers.py                      # all cases, all systems
     python tools/time_layers.py --cases point        # one point only
+    python tools/time_layers.py --cases de_driver    # the DE driver only
     python tools/time_layers.py --sweep 1024,4096,8192,16384
 
 Systems: H2 (4 qubits), H4 (8), LiH with a frozen core (10) and full LiH (12),
@@ -14,7 +15,12 @@ each with its default ansatz and the two SA-VQE references.  Cases:
 - point:   one sa_energy call on one theta (a line-search step);
 - stencil: the 2D points of one central-difference gradient as one block
            (what fd_gradient hands to the batch protocol);
-- de_gen:  one DE generation of max(15, 5D) random thetas as one block.
+- de_gen:  one DE generation of max(15, 5D) random thetas as one block;
+- de_driver: microseconds per evaluation of whole de_minimize runs of
+           DE_DRIVER_EVALS evaluations on bench.sphere, whose batch form makes
+           the objective nearly free: the de_sphere benchmark's three variants
+           (D=5, np=20) and the DE methods of h2_compare (D=2, np=15, box of
+           half-width pi, clamp repair).  No molecule is involved.
 
 A block case also times the same points evaluated one at a time, and prints
 the ratio.  Every figure is the median over repeats of ms per evaluation (one
@@ -39,13 +45,24 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from devqe import savqe  # noqa: E402
+from devqe import bench, de, savqe  # noqa: E402
 from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
 from devqe.jw import jordan_wigner  # noqa: E402
 from devqe.statevector import compile_ansatz, compile_hamiltonian  # noqa: E402
 
-CASES = ("point", "stencil", "de_gen")
+CASES = ("point", "stencil", "de_gen", "de_driver")
+SA_ENERGY_CASES = ("point", "stencil", "de_gen")
+DE_DRIVER_EVALS = 6000
+# (workload, D, np, box half-width, strategy, crossover, boundary)
+DE_DRIVER_RUNS = (
+    ("de_sphere", 5, 20, 5.0, "rand1", "binomial", "clamp"),
+    ("de_sphere", 5, 20, 5.0, "best2", "exponential", "toroidal"),
+    ("de_sphere", 5, 20, 5.0, "current_to_pbest1", "binomial", "reinit"),
+    ("h2_compare", 2, 15, np.pi, "rand1", "binomial", "clamp"),
+    ("h2_compare", 2, 15, np.pi, "best2", "binomial", "clamp"),
+    ("h2_compare", 2, 15, np.pi, "current_to_pbest1", "exponential", "clamp"),
+)
 WEIGHTS = (0.5, 0.5)
 MIN_REPEAT_S = 0.1  # each repeat runs the case at least this long
 
@@ -88,6 +105,23 @@ def ms_per_eval(run, n_points, repeats):
     return statistics.median(samples)
 
 
+def time_de_driver(repeats):
+    """Print microseconds per evaluation of each DE_DRIVER_RUNS setting."""
+    print(f"DE driver: us per evaluation over {DE_DRIVER_EVALS} evaluations of "
+          f"bench.sphere (batch), median of {repeats} repeats")
+    print(f"{'workload':10s} {'D':>2s} {'np':>3s} {'strategy':17s} {'crossover':11s} "
+          f"{'boundary':8s} {'us/eval':>8s}")
+    for workload, dim, np_size, half_width, strategy, crossover, boundary in DE_DRIVER_RUNS:
+        bounds = de.Bounds.box(-half_width, half_width, dim)
+        config = de.DEConfig(np_size=np_size, strategy=strategy, crossover=crossover,
+                             boundary=boundary,
+                             termination=de.TerminationCriteria(max_evals=DE_DRIVER_EVALS))
+        us = 1e3 * ms_per_eval(lambda: de.de_minimize(bench.sphere, bounds, config),
+                               DE_DRIVER_EVALS, repeats)
+        print(f"{workload:10s} {dim:2d} {np_size:3d} {strategy:17s} {crossover:11s} "
+              f"{boundary:8s} {us:8.2f}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", default=",".join(CASES),
@@ -98,6 +132,14 @@ def main(argv=None) -> int:
                         help="comma-separated BLOCK_AMPLITUDES values for the block cases")
     args = parser.parse_args(argv)
     cases = args.cases.split(",")
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        parser.error(f"unknown cases {', '.join(unknown)}; valid: {', '.join(CASES)}")
+    if "de_driver" in cases:
+        time_de_driver(args.repeats)
+    cases = [case for case in cases if case in SA_ENERGY_CASES]
+    if not cases:
+        return 0
     wanted = args.systems.split(",")
     caps = [int(v) for v in args.sweep.split(",") if v] or [savqe.BLOCK_AMPLITUDES]
 
