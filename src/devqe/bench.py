@@ -365,7 +365,7 @@ def _write_manifest(out_dir, config, methods, seeds, mode, n_params):
     return path
 
 
-def cmd_compare(config: dict, out_dir, seeds=None) -> str:
+def cmd_compare(config: dict, out_dir) -> str:
     fcidump_path = config.get("molecule")
     if not fcidump_path:
         raise UsageError("compare requires molecule=<fcidump path> in the config")
@@ -374,7 +374,7 @@ def cmd_compare(config: dict, out_dir, seeds=None) -> str:
     for method in methods:
         if method not in LOCAL_METHODS and method not in DE_METHODS:
             raise method_error(method)
-    seeds = parse_seeds(config.get("seeds")) if seeds is None else list(seeds)
+    seeds = parse_seeds(config.get("seeds"))
 
     os.makedirs(out_dir, exist_ok=True)
     n_params = default_ansatz(integrals.n_orb, integrals.n_elec).parameter_count

@@ -9,33 +9,34 @@ evaluations themselves are scheduled.
 
 That is what the batch protocol rests on: an objective with a `batch(xs)`
 method gets the initial population and then each generation's trials as one
-(np, D) block and returns one value per row.  One row counts as one
-evaluation, and a batch-capable objective gives the same run, value for value,
-as calling it row by row.
+(np, D) block and returns one value per row; any other callable is called
+once per row (`local.evaluate_rows` makes that choice).  One row counts as
+one evaluation, and a batch-capable objective gives the same run, value for
+value, as calling it row by row.
 
-`de_minimize` builds each generation's trials as one block too, and still
-draws exactly what the per-member operators (`mutate`, `crossover_*`,
-`handle_bounds`) would draw from the same Generator.  After the initial
-population, `_PhiloxDraws` reads the raw Philox words and replays numpy's
-algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`, and
-`Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low half
-first, the high half kept for the next 32-bit draw) with numpy's rejection
-threshold `(2**32 - n) % n`.  A serial pass makes the draws whose count depends
-on the data; donors, masks and repairs are row-block operations with the
-per-member operand order.  So every run is bitwise the per-member run.  Two
-tests in tests/test_de_minimize.py guard this: the draw oracle compares the
-replay with the Generator over interleaved draws, and the run oracle compares
-whole runs with the per-member loop.
+`de_minimize` builds each generation's trials as one block too.  After the
+initial population, `_PhiloxDraws` reads the raw Philox words and replays
+numpy's algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`,
+and `Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low
+half first, the high half kept for the next 32-bit draw) with numpy's
+rejection threshold `(2**32 - n) % n`.  A serial pass makes the draws whose
+count depends on the data; donors, masks and repairs are row-block operations.
+Every run is bitwise the classic per-member run (donor, crossover, repair, one
+member at a time on a `Generator`), which tests/de_oracle.py keeps as the
+oracle.  Two tests in tests/test_de_minimize.py guard this: the draw oracle
+compares the replay with the Generator over interleaved draws, and the run
+oracle compares whole runs with the per-member loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .local import evaluate_rows
 from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
 
 STRATEGIES = (
@@ -168,17 +169,7 @@ class TerminationCriteria:
     best_worst: tuple | None = None
 
     def __post_init__(self):
-        if not any(
-            v is not None
-            for v in (
-                self.max_evals,
-                self.max_generations,
-                self.abs_tol,
-                self.rel_tol,
-                self.running_mean,
-                self.best_worst,
-            )
-        ):
+        if all(getattr(self, f.name) is None for f in fields(self)):
             raise ConfigurationError("at least one termination criterion must be set")
         for name in ("max_evals", "max_generations"):
             value = getattr(self, name)
@@ -327,173 +318,25 @@ class DEResult:
     stop_reason: str
 
 
-def initialize_population(
-    bounds: Bounds, np_size: int, distribution="uniform", rng=None
-) -> Population:
-    """Draw the generation-0 population inside the box.
-
-    `distribution` is "uniform" or a ("normal", mean, sigma) tuple; normal
-    samples are clamped back into the box.  Fitnesses start as NaN sentinels.
-    """
+def initialize_population(bounds: Bounds, np_size: int, rng) -> Population:
+    """Draw the generation-0 population uniformly inside the box.  Fitnesses
+    start as NaN sentinels."""
     if np_size < 4:
         raise ConfigurationError("population size must be at least 4")
-    rng = make_rng(0) if rng is None else rng
-    dim = bounds.dim
-    if distribution == "uniform":
-        r = rng.random((np_size, dim))
-        with np.errstate(over="ignore"):
-            width = bounds.upper - bounds.lower
-            members = r * width + bounds.lower
-        overflow = ~np.isfinite(width)
-        if np.any(overflow):
-            # extreme default bounds: r*width overflows, use the split form
-            alt = r * bounds.upper + (1.0 - r) * bounds.lower
-            members[:, overflow] = np.clip(
-                alt[:, overflow], bounds.lower[overflow], bounds.upper[overflow]
-            )
-    elif isinstance(distribution, tuple) and distribution[0] == "normal":
-        _, mean, sigma = distribution
-        members = rng.normal(loc=mean, scale=sigma, size=(np_size, dim))
-        members = np.clip(members, bounds.lower, bounds.upper)
-    else:
-        raise ConfigurationError(f"unknown init distribution {distribution!r}")
+    r = rng.random((np_size, bounds.dim))
+    with np.errstate(over="ignore"):
+        width = bounds.upper - bounds.lower
+        members = r * width + bounds.lower
+    overflow = ~np.isfinite(width)
+    if np.any(overflow):
+        # extreme default bounds: r*width overflows, use the split form
+        alt = r * bounds.upper + (1.0 - r) * bounds.lower
+        members[:, overflow] = np.clip(
+            alt[:, overflow], bounds.lower[overflow], bounds.upper[overflow]
+        )
     return Population(
         generation=0, members=members, fitnesses=np.full(np_size, np.nan)
     )
-
-
-def _draw_distinct(rng, n_pop: int, count: int, exclude) -> list:
-    """`count` indices from [0, n_pop), distinct from each other and `exclude`."""
-    if n_pop - len(set(exclude)) < count:
-        raise ConfigurationError(
-            f"population of {n_pop} too small to draw {count} distinct indices"
-        )
-    taken = set(exclude)
-    out = []
-    while len(out) < count:
-        r = int(rng.integers(n_pop))
-        if r in taken:
-            continue
-        taken.add(r)
-        out.append(r)
-    return out
-
-
-def _p_best_index(pop: Population, p_best_fraction: float, rng, exclude=()) -> int:
-    """Random member of the top p*100% block, never one of `exclude`; the block
-    widens just enough when the excluded index is its only candidate."""
-    k = max(1, int(round(p_best_fraction * pop.size)))
-    order = np.argsort(pop.fitnesses, kind="stable")
-    candidates = [int(i) for i in order[:k] if int(i) not in exclude]
-    while not candidates and k < pop.size:
-        k += 1
-        candidates = [int(i) for i in order[:k] if int(i) not in exclude]
-    if not candidates:
-        raise ConfigurationError("population too small to draw a p-best index")
-    return candidates[int(rng.integers(len(candidates)))]
-
-
-def mutate(
-    strategy: str,
-    pop: Population,
-    target_index: int,
-    f: float,
-    p_best_fraction: float = 0.11,
-    rng=None,
-) -> np.ndarray:
-    """Build the donor vector for one target; the population is not modified."""
-    rng = make_rng(0) if rng is None else rng
-    x = pop.members
-    i = target_index
-
-    if strategy == "rand1":
-        r0, r1, r2 = _draw_distinct(rng, pop.size, 3, [i])
-        return x[r0] + f * (x[r1] - x[r2])
-    if strategy == "rand2":
-        r0, r1, r2, r3, r4 = _draw_distinct(rng, pop.size, 5, [i])
-        return x[r0] + f * (x[r1] - x[r2]) + f * (x[r3] - x[r4])
-    if strategy == "best1":
-        best = pop.best_index()
-        r1, r2 = _draw_distinct(rng, pop.size, 2, [i])
-        return x[best] + f * (x[r1] - x[r2])
-    if strategy == "best2":
-        best = pop.best_index()
-        r1, r2, r3, r4 = _draw_distinct(rng, pop.size, 4, [i])
-        return x[best] + f * (x[r1] - x[r2]) + f * (x[r3] - x[r4])
-    if strategy == "current_to_rand1":
-        r1, r2 = _draw_distinct(rng, pop.size, 2, [i])
-        return x[i] + f * (x[r1] - x[r2])
-    if strategy == "current_to_best1":
-        best = pop.best_index()
-        r1, r2 = _draw_distinct(rng, pop.size, 2, [i])
-        return x[i] + f * (x[best] - x[i]) + f * (x[r1] - x[r2])
-    if strategy == "current_to_pbest1":
-        pbest = _p_best_index(pop, p_best_fraction, rng, exclude=(i,))
-        r1, r2 = _draw_distinct(rng, pop.size, 2, [i, pbest])
-        return x[i] + f * (x[pbest] - x[i]) + f * (x[r1] - x[r2])
-    if strategy == "rand_to_best1":
-        best = pop.best_index()
-        r1, r2, r3 = _draw_distinct(rng, pop.size, 3, [i])
-        return x[r1] + f * (x[best] - x[r1]) + f * (x[r2] - x[r3])
-    raise ConfigurationError(f"unknown strategy {strategy!r}")
-
-
-def crossover_binomial(target, donor, cr: float, rng) -> np.ndarray:
-    target = np.asarray(target, dtype=float)
-    donor = np.asarray(donor, dtype=float)
-    if target.shape != donor.shape:
-        raise ValueError("target and donor dimensions differ")
-    dim = target.size
-    take = rng.random(dim) <= cr
-    j_rand = int(rng.integers(dim))
-    take[j_rand] = True  # at least one component always comes from the donor
-    return np.where(take, donor, target)
-
-
-def crossover_exponential(target, donor, cr: float, rng) -> np.ndarray:
-    target = np.asarray(target, dtype=float)
-    donor = np.asarray(donor, dtype=float)
-    if target.shape != donor.shape:
-        raise ValueError("target and donor dimensions differ")
-    dim = target.size
-    j_rand = int(rng.integers(dim))
-    length = 1
-    while length < dim and rng.random() <= cr:
-        length += 1
-    trial = target.copy()
-    for k in range(length):
-        j = (j_rand + k) % dim
-        trial[j] = donor[j]
-    return trial
-
-
-def handle_bounds(vector, bounds: Bounds, strategy: str, rng=None) -> np.ndarray:
-    """Repair out-of-box components; in-range components pass through unchanged."""
-    v = np.array(vector, dtype=float)
-    lo, hi = bounds.lower, bounds.upper
-    if strategy == "clamp":
-        return np.minimum(np.maximum(v, lo), hi)
-    if strategy == "toroidal":
-        width = hi - lo
-        out = v.copy()
-        for j in range(v.size):
-            if v[j] < lo[j]:
-                if width[j] == 0.0:
-                    raise DegenerateRangeError(f"zero-width interval at component {j}")
-                out[j] = hi[j] - math.fmod(lo[j] - v[j], width[j])
-            elif v[j] > hi[j]:
-                if width[j] == 0.0:
-                    raise DegenerateRangeError(f"zero-width interval at component {j}")
-                out[j] = lo[j] + math.fmod(v[j] - hi[j], width[j])
-        return out
-    if strategy == "reinit":
-        rng = make_rng(0) if rng is None else rng
-        out = v.copy()
-        for j in range(v.size):
-            if v[j] < lo[j] or v[j] > hi[j]:
-                out[j] = rng.random() * (hi[j] - lo[j]) + lo[j]
-        return out
-    raise ConfigurationError(f"unknown boundary mode {strategy!r}")
 
 
 _U32_MASK = 0xFFFFFFFF
@@ -597,7 +440,7 @@ class _PhiloxDraws:
         return self._uniforms[first : first + count]
 
 
-# how many indices each strategy draws with _draw_distinct
+# how many distinct indices each strategy draws, besides the target and p-best
 _DISTINCT_DRAWS = {
     "rand1": 3,
     "rand2": 5,
@@ -611,15 +454,16 @@ _DISTINCT_DRAWS = {
 
 
 def _smallest_population(strategy: str) -> int:
-    """Fewest members from which `mutate` can draw its distinct indices: the
-    draws, the target and, for current_to_pbest1, the p-best pick."""
+    """Fewest members from which a strategy can draw its distinct indices:
+    the draws, the target and, for current_to_pbest1, the p-best pick."""
     return max(4, _DISTINCT_DRAWS[strategy] + 1 + (strategy == "current_to_pbest1"))
 
 
 def _donors(strategy, rows, best, f) -> np.ndarray:
-    """`mutate`'s donor expression, with its operand order, on one target or
-    on a block of targets.  rows[0] holds the targets; then come the p-best
-    picks (current_to_pbest1 only) and the distinct picks in draw order."""
+    """A strategy's donor expression, in the oracle's operand order, on one
+    target or on a block of targets.  rows[0] holds the targets; then come
+    the p-best picks (current_to_pbest1 only) and the distinct picks in draw
+    order."""
     current, r = rows[0], rows[1:]
     if strategy == "rand1":
         return r[0] + f * (r[1] - r[2])
@@ -639,8 +483,10 @@ def _donors(strategy, rows, best, f) -> np.ndarray:
 
 
 def _toroidal_block(v, bounds: Bounds) -> np.ndarray:
-    """`handle_bounds(row, bounds, "toroidal")` on every row of v, in place;
-    raises what the first failing component, in row-major order, raises there."""
+    """Toroidal repair of every row of v, in place: an out-of-box component
+    re-enters from the opposite bound by `fmod` of its excess over the width.
+    Raises what the oracle's per-component `math.fmod` loop raises at the first
+    failing component in row-major order."""
     lo, hi = bounds.lower, bounds.upper
     below = v < lo
     rows, cols = np.nonzero(below | (v > hi))
@@ -648,8 +494,8 @@ def _toroidal_block(v, bounds: Bounds) -> np.ndarray:
         return v
     x, width, low = v[rows, cols], (hi - lo)[cols], below[rows, cols]
     excess = np.where(low, lo[cols] - x, x - hi[cols])
-    # where C fmod gives NaN from non-NaN input, math.fmod raises
-    failing = (width == 0.0) | (np.isinf(excess) & ~np.isnan(width))
+    # math.fmod raises where C fmod gives NaN: a zero width or an infinite excess
+    failing = (width == 0.0) | np.isinf(excess)
     if failing.any():
         first = int(np.argmax(failing))
         if width[first] == 0.0:
@@ -662,7 +508,7 @@ def _toroidal_block(v, bounds: Bounds) -> np.ndarray:
 
 def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws) -> np.ndarray:
     """One generation's (np, D) trial block, bit for bit what the per-member
-    chain mutate -> crossover_* -> handle_bounds gives on the Generator that
+    oracle chain (donor, crossover, repair) gives on the Generator that
     `draws` replays.
 
     A serial pass makes only the draws whose count depends on the data:
@@ -678,7 +524,7 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     reinit = config.boundary == "reinit"
     n_picks = _DISTINCT_DRAWS[strategy]
     p_best = strategy == "current_to_pbest1"
-    if p_best:  # _p_best_index's candidates, from one sort per generation
+    if p_best:  # the top p*100% block, from one stable sort per generation
         order = np.argsort(pop.fitnesses, kind="stable").tolist()
         top = order[: max(1, int(round(config.p_best_fraction * n)))]
     best = x[pop.best_index()]
@@ -762,15 +608,14 @@ def select(current: Population, trials, trial_fitnesses) -> Population:
 def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> DEResult:
     """Run the full DE loop; see module docstring for the reproducibility rules.
 
-    Non-finite objective values are treated as +inf fitness.  An objective
-    with a `batch(xs)` method (one value per row of an (R, D) block, each
-    equal to a call on that row) evaluates the initial population and each
-    generation's trials in one call; any other callable is called once per
-    member.  Either way one row is one evaluation, so the result is the same.
+    Non-finite objective values are treated as +inf fitness.  The initial
+    population and each generation's trials go to the objective as one block:
+    to its `batch(xs)` method (one value per row of an (R, D) block, each
+    equal to a call on that row) when it has one, otherwise one call per
+    row.  Either way one row is one evaluation, so the result is the same.
     If the objective raises, the run aborts with an ObjectiveError carrying
-    the partial result, whose `evaluations` counts every point handed to the
-    objective so far: up to and including the failing call, and so the whole
-    block when a `batch` call raises.
+    the partial result, whose `evaluations` counts every row handed to the
+    objective so far, the whole failing block included.
     `callback(population, cum_evals)` fires after the initial evaluation and
     after every completed generation.
     """
@@ -780,71 +625,63 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
         raise ConfigurationError(
             f"population of {np_size} too small for {config.strategy}; it needs {smallest}"
         )
+    if config.boundary == "toroidal":
+        with np.errstate(over="ignore"):
+            widths = bounds.upper - bounds.lower
+        if not np.isfinite(widths).all():
+            raise ConfigurationError("boundary mode 'toroidal' needs finite bound widths")
     rng = make_rng(config.seed)
-
     history: list[GenerationRecord] = []
-    state = {"evals": 0}
-    batch = getattr(objective, "batch", None)
+    evals = 0
 
-    def aborted(exc):
-        partial = _partial_result(history, pop, state["evals"])
-        return ObjectiveError(f"objective raised: {exc}", partial=partial)
-
-    def evaluate(x):
-        state["evals"] += 1
+    def evaluate(xs):
+        nonlocal evals
+        evals += len(xs)
         try:
-            val = float(objective(np.asarray(x, dtype=float)))
+            values = evaluate_rows(objective, xs)
         except Exception as exc:
-            raise aborted(exc) from exc
-        return val if math.isfinite(val) else math.inf
-
-    def evaluate_all(xs):
-        if batch is None:
-            return np.array([evaluate(x) for x in xs])
-        state["evals"] += len(xs)
-        try:
-            values = np.asarray(batch(xs), dtype=float)
-        except Exception as exc:
-            raise aborted(exc) from exc
+            partial = _result(history, pop, evals, "aborted")
+            raise ObjectiveError(f"objective raised: {exc}", partial=partial) from exc
         return np.where(np.isfinite(values), values, math.inf)
 
-    pop = initialize_population(bounds, np_size, "uniform", rng)
-    pop.fitnesses = evaluate_all(pop.members)
-    _record_generation(history, pop, state["evals"])
-    if callback is not None:
-        callback(pop, state["evals"])
+    def record(population):
+        history.append(
+            GenerationRecord(
+                generation=population.generation,
+                cum_evals=evals,
+                f_best=float(np.min(population.fitnesses)),
+                f_worst=float(np.max(population.fitnesses)),
+            )
+        )
+        if callback is not None:
+            callback(population, evals)
+
+    pop = initialize_population(bounds, np_size, rng)
+    pop.fitnesses = evaluate(pop.members)
+    record(pop)
 
     draws = _PhiloxDraws(rng)  # every later draw of the run
     stop_reason = should_terminate(history, config.termination)
     while stop_reason is None:
         # all stochastic draws happen serially here, before any evaluation
         trials = _generation_trials(pop, bounds, config, draws)
-        trial_fitnesses = evaluate_all(trials)
-        pop = select(pop, trials, trial_fitnesses)
-        _record_generation(history, pop, state["evals"])
-        if callback is not None:
-            callback(pop, state["evals"])
+        pop = select(pop, trials, evaluate(trials))
+        record(pop)
         stop_reason = should_terminate(history, config.termination)
+    return _result(history, pop, evals, stop_reason)
 
+
+def _result(history, pop, evals, stop_reason) -> DEResult:
+    """The run so far: its best member (the first one at +inf if the initial
+    population was never evaluated) and its per-generation trace."""
     best = pop.best_index()
     return DEResult(
         best_vector=pop.members[best].copy(),
-        best_fitness=float(pop.fitnesses[best]),
-        evaluations=state["evals"],
+        best_fitness=float(pop.fitnesses[best]) if history else math.inf,
+        evaluations=evals,
         generations=pop.generation,
         trace=_history_trace(history),
         stop_reason=stop_reason,
-    )
-
-
-def _record_generation(history, pop, cum_evals):
-    history.append(
-        GenerationRecord(
-            generation=pop.generation,
-            cum_evals=cum_evals,
-            f_best=float(np.min(pop.fitnesses)),
-            f_worst=float(np.max(pop.fitnesses)),
-        )
     )
 
 
@@ -855,20 +692,4 @@ def _history_trace(history) -> OptimizationTrace:
             TraceEvent(cum_evals=rec.cum_evals, scope=SCOPE_STEP, macro_index=0, e_sa=rec.f_best)
             for rec in history
         ]
-    )
-
-
-def _partial_result(history, pop, evals):
-    if history:
-        best_f = min(rec.f_best for rec in history)
-    else:
-        best_f = math.inf
-    best = pop.best_index() if np.any(np.isfinite(pop.fitnesses)) else 0
-    return DEResult(
-        best_vector=pop.members[best].copy(),
-        best_fitness=best_f,
-        evaluations=evals,
-        generations=pop.generation,
-        trace=_history_trace(history),
-        stop_reason="aborted",
     )

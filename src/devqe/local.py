@@ -6,9 +6,10 @@ points of each finite-difference stencil — is charged to the evaluation tally.
 
 Batch protocol: an objective may have a `batch(xs)` method that takes an
 (R, D) block of points and returns their R values, each equal to what a call
-on that row returns.  One row counts as one evaluation.  fd_gradient hands
-its whole stencil to `batch`; single points (line searches, steps) are
-plain calls.
+on that row returns.  One row counts as one evaluation.  `evaluate_rows` is
+the one place that chooses between `batch` and one call per row; every block
+(a DE generation, an FD stencil) goes through it and is charged in full.
+Single points (line searches, steps) are plain calls.
 """
 
 from __future__ import annotations
@@ -59,25 +60,32 @@ class LocalResult:
     stop_reason: str
 
 
+def evaluate_rows(objective, xs) -> np.ndarray:
+    """The objective's values on the rows of an (R, D) block: one
+    `objective.batch(xs)` call when it has that method, else one call per row."""
+    batch = getattr(objective, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(xs), dtype=float)
+    return np.array([float(objective(x)) for x in xs])
+
+
 def fd_gradient(objective, x, h: float) -> np.ndarray:
     """Central-difference gradient, 2 evaluations per coordinate.
 
-    The stencil is x + h e_j, x - h e_j for j = 0, 1, ...  An objective with a
-    `batch` method gets all 2D points in one call, as a (2D, D) block; any
-    other callable is called point by point and stops at the first
-    coordinate with a non-finite value.
+    The stencil is x + h e_j, x - h e_j for j = 0, 1, ...  All 2D points go
+    to the objective as one (2D, D) block (`evaluate_rows`), so all of them
+    are evaluated even when one is not finite; the GradientError names the
+    first coordinate with a non-finite value.
     """
     x = np.asarray(x, dtype=float)
     steps = h * np.eye(x.size)
     points = np.empty((2 * x.size, x.size))
     points[0::2] = x + steps
     points[1::2] = x - steps
-    batch = getattr(objective, "batch", None)
-    values = iter(batch(points)) if batch is not None else map(objective, points)
+    values = evaluate_rows(objective, points).tolist()
     grad = np.empty_like(x)
     for j in range(x.size):
-        fp = float(next(values))
-        fm = float(next(values))
+        fp, fm = values[2 * j], values[2 * j + 1]
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise GradientError(f"non-finite stencil value at coordinate {j}", j)
         grad[j] = (fp - fm) / (2.0 * h)
@@ -85,7 +93,8 @@ def fd_gradient(objective, x, h: float) -> np.ndarray:
 
 
 class _Counted:
-    """The objective with a tally of evaluated points."""
+    """The objective with a tally of evaluated points: one per call, and one
+    per row of a block."""
 
     def __init__(self, objective):
         self.objective = objective
@@ -95,26 +104,15 @@ class _Counted:
         self.n += 1
         return float(self.objective(x))
 
-
-class _CountedBatch(_Counted):
-    """A batch-capable objective with a tally: one evaluation per row."""
-
     def batch(self, xs):
         self.n += len(xs)
-        return self.objective.batch(xs)
-
-
-def _counted(objective) -> _Counted:
-    # a subclass, not an instance attribute: a bound method stored on its own
-    # instance is a reference cycle, which keeps the objective and its
-    # compiled operators alive until a full garbage collection
-    return _CountedBatch(objective) if hasattr(objective, "batch") else _Counted(objective)
+        return evaluate_rows(self.objective, xs)
 
 
 def gradient_descent(objective, x0, config: LocalOptConfig, callback=None) -> LocalResult:
     """Fixed-step descent x <- x - lr * g; stops on grad_tol, max_iters, or the
     first step that would increase the objective."""
-    f = _counted(objective)
+    f = _Counted(objective)
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     if callback is not None:
@@ -155,7 +153,7 @@ def bfgs_minimize(
     If `hessian_log` is a list, the inverse-Hessian approximation is appended
     after every iteration.
     """
-    f = _counted(objective)
+    f = _Counted(objective)
     x = np.asarray(x0, dtype=float).copy()
     dim = x.size
     fx = f(x)

@@ -234,14 +234,8 @@ def run_sa_oo_vqe(
         initial_states = build_initial_states(current.n_orb, current.n_elec)
         stage_optimizer = inner_optimizer
         if inner_optimizer.kind == "de":
-            stage_optimizer = OptimizerChoice(
-                "de",
-                de_config=replace(
-                    inner_optimizer.de_config,
-                    seed=_child_seed(inner_optimizer.de_config.seed, attempt),
-                ),
-                theta_bound=inner_optimizer.theta_bound,
-            )
+            seed = _child_seed(inner_optimizer.de_config.seed, attempt)
+            stage_optimizer = OptimizerChoice("de", replace(inner_optimizer.de_config, seed=seed))
         try:
             vqe = run_sa_vqe(
                 hamiltonian,

@@ -60,7 +60,6 @@ class OptimizerChoice:
     kind: str
     de_config: de_mod.DEConfig | None = None
     local_config: local_mod.LocalOptConfig | None = None
-    theta_bound: float = DEFAULT_THETA_BOUND  # DE box half-width
 
     def __post_init__(self):
         if self.kind not in ("de", "gd", "bfgs"):
@@ -196,7 +195,6 @@ def run_sa_vqe(
     ansatz: AnsatzSpec | CompiledAnsatz,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
-    theta0=None,
     initial_states=None,
     n_orb: int | None = None,
     n_elec: int | None = None,
@@ -227,7 +225,7 @@ def run_sa_vqe(
     trace = OptimizationTrace() if trace is None else trace
 
     dim = ansatz.parameter_count
-    theta0 = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float)
+    theta0 = np.zeros(dim)  # gd and bfgs start from the bare references
     objective = _CountedObjective(
         hamiltonian, ansatz, initial_states, weights, offset=eval_offset
     )
@@ -245,8 +243,7 @@ def run_sa_vqe(
         )
 
     if optimizer.kind == "de":
-        bound = optimizer.theta_bound
-        bounds = de_mod.Bounds.box(-bound, bound, dim)
+        bounds = de_mod.Bounds.box(-DEFAULT_THETA_BOUND, DEFAULT_THETA_BOUND, dim)
 
         def on_generation(pop, _cum_evals):
             record(pop.members[pop.best_index()])

@@ -52,12 +52,14 @@ class OptimizationTrace:
         return [ev for ev in self.events if ev.scope == scope]
 
     def write_csv(self, path) -> None:
+        """One row per event, with one e{k} column per state (at least e0 and
+        e1); an event with fewer state energies leaves the rest empty."""
+        n_states = max([2] + [len(ev.e_states) for ev in self.events])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["cum_evals", "scope", "macro_index", "e_sa", "e0", "e1"])
+            columns = [f"e{k}" for k in range(n_states)]
+            writer.writerow(["cum_evals", "scope", "macro_index", "e_sa", *columns])
             for ev in self.events:
-                e0 = repr(ev.e_states[0]) if len(ev.e_states) > 0 else ""
-                e1 = repr(ev.e_states[1]) if len(ev.e_states) > 1 else ""
-                writer.writerow(
-                    [ev.cum_evals, ev.scope, ev.macro_index, repr(ev.e_sa), e0, e1]
-                )
+                energies = [repr(e) for e in ev.e_states]
+                energies += [""] * (n_states - len(energies))
+                writer.writerow([ev.cum_evals, ev.scope, ev.macro_index, repr(ev.e_sa), *energies])

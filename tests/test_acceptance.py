@@ -19,9 +19,10 @@ from devqe.de import (
     Bounds,
     DEConfig,
     GenerationRecord,
+    Population,
     TerminationCriteria,
-    crossover_binomial,
-    crossover_exponential,
+    _generation_trials,
+    _PhiloxDraws,
     de_minimize,
     make_rng,
     should_terminate,
@@ -179,28 +180,36 @@ def test_07_macro_loop(h2_integrals):
 @criterion(8, "crossover statistics match the closed-form inheritance rates")
 def test_08_crossover_statistics():
     n_trials = 100000
+    np_size = 1000
+
+    def from_donor(crossover, cr, dim, seed):
+        """Which components of n_trials trials the shipped generation builder
+        took from the donor.  Member k is k in every component, so a
+        current_to_rand1 donor differs from its target by F * (x_r1 - x_r2),
+        never 0, in every component, and stays well inside the box."""
+        members = np.repeat(np.arange(np_size, dtype=float)[:, None], dim, axis=1)
+        pop = Population(0, members, np.zeros(np_size))
+        config = DEConfig(f=0.5, cr=cr, strategy="current_to_rand1", crossover=crossover)
+        bounds = Bounds.box(-np_size, 2 * np_size, dim)
+        draws = _PhiloxDraws(make_rng(seed))
+        return np.concatenate([
+            _generation_trials(pop, bounds, config, draws) != members
+            for _ in range(n_trials // np_size)
+        ])
+
     # binomial: per-component donor rate is cr + (1 - cr)/D
     for cr, dim, seed in ((0.3, 4, 11), (0.9, 10, 12)):
-        rng = make_rng(seed)
-        target = np.zeros(dim)
-        donor = np.ones(dim)
-        counts = np.zeros(dim)
-        for _ in range(n_trials):
-            counts += crossover_binomial(target, donor, cr, rng)
+        taken = from_donor("binomial", cr, dim, seed)
+        assert taken.shape == (n_trials, dim)
         expected = cr + (1.0 - cr) / dim
         sigma = np.sqrt(expected * (1.0 - expected) / n_trials)
-        rates = counts / n_trials
+        rates = taken.mean(axis=0)
         assert np.max(np.abs(rates - expected)) < 3.0 * sigma, (cr, dim, rates)
     # exponential: the window grows past length 1 with probability cr
     for cr, dim, seed in ((0.3, 4, 13), (0.9, 10, 14), (0.5, 8, 15)):
-        rng = make_rng(seed)
-        target = np.zeros(dim)
-        donor = np.ones(dim)
-        long_windows = 0
-        for _ in range(n_trials):
-            trial = crossover_exponential(target, donor, cr, rng)
-            if trial.sum() >= 2:
-                long_windows += 1
+        taken = from_donor("exponential", cr, dim, seed)
+        assert taken.shape == (n_trials, dim)
+        long_windows = np.count_nonzero(taken.sum(axis=1) >= 2)
         sigma = np.sqrt(cr * (1.0 - cr) / n_trials)
         assert abs(long_windows / n_trials - cr) < 3.0 * sigma, (cr, dim)
 

@@ -1,5 +1,7 @@
 """End-to-end DE runs on analytic objectives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,21 +10,16 @@ from devqe.de import (
     Bounds,
     ConfigurationError,
     DEConfig,
-    GenerationRecord,
+    DegenerateRangeError,
     ObjectiveError,
     TerminationCriteria,
     _PhiloxDraws,
-    crossover_binomial,
-    crossover_exponential,
     de_minimize,
-    handle_bounds,
     initialize_population,
     make_rng,
-    mutate,
-    select,
-    should_terminate,
 )
 from devqe.trace import SCOPE_STEP, TraceEvent
+from tests.de_oracle import reference_de_minimize
 
 
 def test_quadratic_reference_run():
@@ -74,8 +71,38 @@ def test_objective_exception_aborts_with_partial_trace():
         de_minimize(objective, Bounds.box(-1, 1, 2), config)
     partial = excinfo.value.partial
     assert partial.stop_reason == "aborted"
-    assert partial.evaluations == 26
+    assert partial.evaluations == 30  # the initial population, one generation, the failed block
     assert len(partial.trace.events) >= 1
+
+
+def test_partial_result_is_the_run_so_far():
+    def failing_after(n):
+        calls = {"n": 0}
+
+        def objective(x):
+            calls["n"] += 1
+            if calls["n"] > n:
+                raise RuntimeError("boom")
+            return float(np.sum(x**2))
+
+        return objective
+
+    config = DEConfig(np_size=10, seed=3, termination=TerminationCriteria(max_generations=50))
+    bounds = Bounds.box(-1, 1, 2)
+    one_generation = replace(config, termination=TerminationCriteria(max_generations=1))
+    done = de_minimize(failing_after(10**9), bounds, one_generation)
+    with pytest.raises(ObjectiveError) as excinfo:
+        de_minimize(failing_after(25), bounds, config)
+    partial = excinfo.value.partial
+    assert partial.best_vector.tobytes() == done.best_vector.tobytes()
+    assert (partial.best_fitness, partial.generations, partial.trace.events) == (
+        done.best_fitness, done.generations, done.trace.events)
+    # an abort inside the initial population: no generation completed
+    with pytest.raises(ObjectiveError) as excinfo:
+        de_minimize(failing_after(3), bounds, config)
+    partial = excinfo.value.partial
+    assert (partial.best_fitness, partial.generations, partial.evaluations) == (np.inf, 0, 10)
+    assert partial.trace.events == []
 
 
 def test_best_so_far_monotone_and_counts_exact():
@@ -133,7 +160,8 @@ def test_every_variant_improves_sphere(strategy, crossover):
     assert result.best_fitness < 1.0
 
 
-def test_members_respect_bounds_every_generation():
+@pytest.mark.parametrize("boundary", ["clamp", "toroidal", "reinit"])
+def test_members_respect_bounds_every_generation(boundary):
     seen = []
 
     def objective(x):
@@ -143,11 +171,12 @@ def test_members_respect_bounds_every_generation():
     config = DEConfig(
         np_size=10,
         seed=8,
-        boundary="toroidal",
+        boundary=boundary,
         termination=TerminationCriteria(max_generations=20),
     )
     bounds = Bounds.box(-0.5, 0.5, 2)
     de_minimize(objective, bounds, config)
+    assert len(seen) == 10 * 21
     for x in seen:
         assert bounds.contains(x)
 
@@ -299,48 +328,8 @@ def test_sa_vqe_objective_batch_gives_the_point_by_point_run(h2_integrals):
 
 
 # ---------------------------------------------------------------------------
-# The per-member generation loop de_minimize ran before its trials were built
-# as one block, kept as the run oracle: the public operators on a real
-# Generator, one member at a time.
-
-
-def reference_de_minimize(objective, bounds, config, callback):
-    np_size = config.population_size(bounds.dim)
-    rng = make_rng(config.seed)
-    evals = 0
-
-    def evaluate_all(xs):
-        nonlocal evals
-        evals += len(xs)
-        values = np.array([float(objective(np.asarray(x, dtype=float))) for x in xs])
-        return np.where(np.isfinite(values), values, np.inf)
-
-    history = []
-
-    def record(pop):
-        history.append(GenerationRecord(pop.generation, evals, float(np.min(pop.fitnesses)),
-                                        float(np.max(pop.fitnesses))))
-        callback(pop, evals)
-
-    pop = initialize_population(bounds, np_size, "uniform", rng)
-    pop.fitnesses = evaluate_all(pop.members)
-    record(pop)
-    stop_reason = should_terminate(history, config.termination)
-    while stop_reason is None:
-        trials = np.empty_like(pop.members)
-        for i in range(np_size):
-            donor = mutate(config.strategy, pop, i, config.f, config.p_best_fraction, rng)
-            if config.crossover == "binomial":
-                trial = crossover_binomial(pop.members[i], donor, config.cr, rng)
-            else:
-                trial = crossover_exponential(pop.members[i], donor, config.cr, rng)
-            trials[i] = handle_bounds(trial, bounds, config.boundary, rng)
-        pop = select(pop, trials, evaluate_all(trials))
-        record(pop)
-        stop_reason = should_terminate(history, config.termination)
-    best = pop.best_index()
-    best_vector, best_fitness = pop.members[best], float(pop.fitnesses[best])
-    return best_vector, best_fitness, evals, pop.generation, stop_reason, history
+# The run oracle: whole runs against the per-member loop of tests/de_oracle.py,
+# which draws from a real Generator one member at a time.
 
 
 def coarse_sphere(x):
@@ -433,6 +422,46 @@ def test_too_small_population_rejected_before_any_evaluation():
     assert de_minimize(objective, Bounds.box(-1, 1, 2), config).evaluations == 24
 
 
+def test_toroidal_rejects_infinite_widths_before_any_evaluation():
+    calls = {"n": 0}
+
+    def objective(x):
+        calls["n"] += 1
+        return float(np.sum(x**2))
+
+    config = DEConfig(np_size=8, f=0.9, seed=3, boundary="toroidal",
+                      termination=TerminationCriteria(max_generations=20))
+    for bounds in (Bounds.unbounded(2), Bounds([-np.inf, 0.0], [np.inf, 1.0])):
+        with pytest.raises(ConfigurationError, match="toroidal"):
+            de_minimize(objective, bounds, config)
+    assert calls["n"] == 0
+    with np.errstate(over="ignore"):  # differences of extreme members overflow; clamp repairs them
+        result = de_minimize(objective, Bounds.unbounded(2), replace(config, boundary="clamp"))
+    assert result.stop_reason == "max_generations"
+
+
+def test_toroidal_zero_width_component():
+    # in a run a zero-width component never leaves its box: every member
+    # starts on the bound and every difference of members is exactly 0 there
+    seen = []
+
+    def objective(x):
+        seen.append(float(x[1]))
+        return float(np.sum(x**2))
+
+    bounds = Bounds([-1.0, 2.0], [1.0, 2.0])
+    config = DEConfig(np_size=8, f=0.9, seed=3, boundary="toroidal",
+                      termination=TerminationCriteria(max_generations=10))
+    assert de_minimize(objective, bounds, config).stop_reason == "max_generations"
+    assert set(seen) == {2.0}
+
+    def push_out(pop, _evals):  # the callback gets the live population
+        pop.members[:, 1] = 3.0
+
+    with pytest.raises(DegenerateRangeError, match="component 1"):
+        de_minimize(objective, bounds, config, callback=push_out)
+
+
 # ---------------------------------------------------------------------------
 # The draw oracle: the raw-word replay against the Generator it replaces.
 
@@ -443,7 +472,7 @@ def test_draw_replay_matches_the_generator(start, chunk):
     def stream():
         rng = make_rng(77)
         if start == "after_init":
-            initialize_population(Bounds.box(-1.0, 1.0, 3), 7, "uniform", rng)
+            initialize_population(Bounds.box(-1.0, 1.0, 3), 7, rng)
         if start == "half_pending":  # the high half of a word waits in has_uint32
             rng.integers(9)
         return rng

@@ -1,4 +1,5 @@
-"""Unit tests for the individual DE operators."""
+"""Unit tests for the DE building blocks: bounds, initialization and
+selection from devqe.de, and the per-member operators of the test oracle."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from devqe.de import (
     ConfigurationError,
     DegenerateRangeError,
     Population,
+    initialize_population,
+    make_rng,
+    select,
+)
+from tests.de_oracle import (
+    _draw_distinct,
     crossover_binomial,
     crossover_exponential,
     handle_bounds,
-    initialize_population,
-    make_rng,
     mutate,
-    select,
 )
 
 
@@ -47,7 +51,7 @@ class TestBounds:
 class TestInitialize:
     def test_uniform_containment(self):
         bounds = Bounds.box(0.0, 1.0, 2)
-        pop = initialize_population(bounds, 5, "uniform", make_rng(0))
+        pop = initialize_population(bounds, 5, make_rng(0))
         assert pop.members.shape == (5, 2)
         assert np.all(pop.members >= 0.0) and np.all(pop.members < 1.0)
         assert pop.generation == 0
@@ -55,27 +59,22 @@ class TestInitialize:
 
     def test_zero_width_interval(self):
         bounds = Bounds([3.0, 3.0], [3.0, 3.0])
-        pop = initialize_population(bounds, 6, "uniform", make_rng(1))
+        pop = initialize_population(bounds, 6, make_rng(1))
         assert np.all(pop.members == 3.0)
 
     def test_same_seed_bitwise_identical(self):
         bounds = Bounds.box(-2.0, 2.0, 4)
-        a = initialize_population(bounds, 8, "uniform", make_rng(7))
-        b = initialize_population(bounds, 8, "uniform", make_rng(7))
+        a = initialize_population(bounds, 8, make_rng(7))
+        b = initialize_population(bounds, 8, make_rng(7))
         assert a.members.tobytes() == b.members.tobytes()
 
     def test_extreme_default_bounds_stay_finite(self):
-        pop = initialize_population(Bounds.unbounded(3), 5, "uniform", make_rng(2))
+        pop = initialize_population(Bounds.unbounded(3), 5, make_rng(2))
         assert np.all(np.isfinite(pop.members))
-
-    def test_normal_mode_clamped(self):
-        bounds = Bounds.box(-1.0, 1.0, 3)
-        pop = initialize_population(bounds, 50, ("normal", 0.0, 5.0), make_rng(3))
-        assert np.all(pop.members >= -1.0) and np.all(pop.members <= 1.0)
 
     def test_too_small_population_rejected(self):
         with pytest.raises(ConfigurationError):
-            initialize_population(Bounds.box(0, 1, 2), 3, "uniform", make_rng(0))
+            initialize_population(Bounds.box(0, 1, 2), 3, make_rng(0))
 
 
 class TestMutate:
@@ -127,8 +126,6 @@ class TestMutate:
         assert np.array_equal(pop.members, before)
 
     def test_drawn_indices_distinct_and_exclude_target(self):
-        from devqe.de import _draw_distinct
-
         rng = make_rng(5)
         for _ in range(500):
             ids = _draw_distinct(rng, 6, 3, [2])
