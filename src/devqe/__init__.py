@@ -4,6 +4,7 @@ VQE statevector toolkit for small molecular Hamiltonians."""
 from .ansatz import (
     AnsatzSpec,
     Excitation,
+    GivensAnsatz,
     apply_ansatz,
     default_ansatz,
     double_excitation,
@@ -41,6 +42,7 @@ from .pauli import PauliTerm, QubitHamiltonian
 from .savqe import (
     EnsembleSpec,
     OptimizerChoice,
+    Sector,
     build_initial_states,
     run_sa_vqe,
     sa_energy,
@@ -49,6 +51,7 @@ from .statevector import (
     CompiledAnsatz,
     CompiledHamiltonian,
     RDMPair,
+    SectorHamiltonian,
     StateVector,
     apply_excitation,
     apply_pauli_rotation,

@@ -1,13 +1,19 @@
 """Excitation generators and the parameterized trial-state circuit.
 
-Each Excitation carries the Pauli decomposition of its anti-Hermitian
-generator G = tau - tau^dagger as (string, c) pairs with G = sum_k i c_k P_k
-and real c_k.  The words within one generator mutually commute, so
-exp(theta G) is applied exactly as a product of Pauli rotations.
+Each Excitation carries its anti-Hermitian generator G = sum_b (tau_b -
+tau_b^dagger) twice: as the ladder strings tau_b of its branches, and as the
+Pauli decomposition (string, c) pairs with G = sum_k i c_k P_k and real c_k.
+The words within one generator mutually commute, so exp(theta G) is applied
+exactly as a product of Pauli rotations; that chain is the dense reference.
+
+On a determinant basis each branch pairs determinants one to one with +-1
+signs, so exp(theta G) is a set of real Givens rotations per branch
+(GivensAnsatz), the kernel the SA-VQE objective evaluates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +31,7 @@ class Excitation:
     kind: str
     modes: tuple
     pauli_decomposition: tuple  # ((string, coeff), ...) for G = sum i*coeff*P
+    ladder_specs: tuple  # one ((mode, dagger), ...) per branch tau_b, leftmost first
 
 
 def _ladder_product(mode_specs) -> dict:
@@ -55,19 +62,24 @@ def _anti_hermitian_terms(words: dict, n_qubits: int):
     return tuple(terms)
 
 
+def _adjoint(specs):
+    return tuple((mode, not dagger) for mode, dagger in reversed(specs))
+
+
 def _generator(kind, modes, tau_specs, n_qubits) -> Excitation:
     words: dict = {}
     for specs in tau_specs:
         tau = _ladder_product(specs)
         for key, coeff in tau.items():
             words[key] = words.get(key, 0.0) + coeff
-        dagger = _ladder_product([(m, not d) for m, d in reversed(specs)])
+        dagger = _ladder_product(_adjoint(specs))
         for key, coeff in dagger.items():
             words[key] = words.get(key, 0.0) - coeff
     return Excitation(
         kind=kind,
         modes=modes,
         pauli_decomposition=_anti_hermitian_terms(words, n_qubits),
+        ladder_specs=tuple(tuple(specs) for specs in tau_specs),
     )
 
 
@@ -145,23 +157,131 @@ def default_ansatz(n_orb: int, n_elec: int) -> AnsatzSpec:
     return AnsatzSpec(n_qubits=2 * n_orb, excitations=excitations)
 
 
+def _ladder_action(specs):
+    """(mask, value, flip, lower, parity) of a ladder string tau (leftmost
+    first), or None when tau is zero: tau|b> is nonzero exactly when
+    b & mask == value, and is then (-1)^(parity + popcount(b & lower))
+    |b ^ flip>.  This is the sign rule of fock._apply_ops: an operator on mode
+    m contributes (-1)^(occupied modes below m), counted on b with the flips
+    of the operators to its right applied, and parities of ANDs with b add
+    up as one AND with the XOR of their masks."""
+    mask = value = flip = lower = parity = 0
+    for mode, dagger in reversed(specs):
+        bit = 1 << mode
+        if not mask & bit:  # first operator on this mode: b must allow it
+            mask |= bit
+            value |= 0 if dagger else bit
+        if bool((value ^ flip) & bit) == dagger:
+            return None
+        lower ^= bit - 1
+        parity ^= (flip & (bit - 1)).bit_count() & 1
+        flip ^= bit
+    return mask, value, flip, lower, parity
+
+
+def generator_partners(ansatz, bits: np.ndarray) -> np.ndarray:
+    """Every determinant that one generator branch, tau_b or tau_b^dagger,
+    sends a determinant of `bits` to, repeats included."""
+    actions = [
+        action
+        for excitation in ansatz.excitations
+        for specs in excitation.ladder_specs
+        for ladder in (specs, _adjoint(specs))
+        if (action := _ladder_action(ladder)) is not None
+    ]
+    if not actions:
+        return np.empty(0, dtype=bits.dtype)
+    mask, value, flip = (np.array([a[i] for a in actions])[:, None] for i in range(3))
+    return (bits ^ flip)[(bits & mask) == value]
+
+
+@dataclass(frozen=True)
+class GivensAnsatz:
+    """An ansatz on a determinant basis as real Givens rotations.
+
+    A branch tau - tau^dagger pairs each determinant j with k, where
+    tau|j> = s|k> and s = +-1, so exp(theta (tau - tau^dagger)) rotates every
+    pair: psi'[j] = cos(theta) psi[j] - s sin(theta) psi[k] and
+    psi'[k] = cos(theta) psi[k] + s sin(theta) psi[j].  One set per branch,
+    in circuit order; the branches of one generator commute.  A set holds
+    the rows of both ends of its pairs, each row's partner and the signed
+    coefficient of the partner (-s on j, +s on k).
+    """
+
+    width: int  # basis size S
+    parameter_count: int
+    params: np.ndarray  # (K,) parameter index of each set
+    sets: tuple  # ((rows, partners, (2m, 1) coeffs), ...)
+
+    @classmethod
+    def on_basis(cls, ansatz, basis: np.ndarray) -> "GivensAnsatz":
+        """The Givens sets of an AnsatzSpec (or CompiledAnsatz) on a sorted
+        basis that every generator maps into itself."""
+        params, sets = [], []
+        for k, excitation in enumerate(ansatz.excitations):
+            for specs in excitation.ladder_specs:
+                action = _ladder_action(specs)
+                if action is None or action[2] == 0:  # tau = 0, or tau_jj - tau_jj
+                    continue
+                mask, value, flip, lower, parity = action
+                src = np.flatnonzero((basis & mask) == value)
+                out = basis[src] ^ flip
+                sign = 1.0 - 2.0 * ((np.bitwise_count(basis[src] & lower) + parity) & 1)
+                dst = np.searchsorted(basis, out)
+                if np.any(dst == basis.size) or np.any(basis[dst] != out):
+                    raise ValueError("basis is not closed under the ansatz generators")
+                if not src.size:
+                    continue
+                # src and dst are disjoint: flip is a nonzero part of mask, so
+                # b & mask == value fails for b ^ flip
+                params.append(k)
+                coeffs = np.concatenate([-sign, sign])[:, None]
+                sets.append((np.concatenate([src, dst]), np.concatenate([dst, src]), coeffs))
+        return cls(basis.size, ansatz.parameter_count, np.array(params, dtype=np.intp),
+                   tuple(sets))
+
+    def apply(self, amplitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """U(thetas[r]) applied to row r of an (R, S) block, for every row.
+
+        Every operation is elementwise within a row, and cos and sin come from
+        math.cos and math.sin on each row's angle, so a row comes out bitwise
+        the same in any block.
+        """
+        angles = thetas.T.ravel().tolist()
+        shape = (self.parameter_count, 1, len(amplitudes))
+        cos = np.array(list(map(math.cos, angles))).reshape(shape)
+        sin = np.array(list(map(math.sin, angles))).reshape(shape)
+        out = amplitudes.T.copy()  # (S, R): a set gathers whole basis rows
+        for k, (rows, partners, coeffs) in zip(self.params, self.sets):
+            mixed = out.take(partners, axis=0)
+            mixed *= coeffs
+            mixed *= sin[k]
+            kept = out.take(rows, axis=0)
+            kept *= cos[k]
+            kept += mixed
+            out[rows] = kept
+        return out.T.copy()
+
+
 def apply_ansatz(state, ansatz, theta):
-    """U(theta)|psi> for an AnsatzSpec (compiled here) or a CompiledAnsatz.
+    """U(theta)|psi> for an AnsatzSpec (compiled here), a CompiledAnsatz or a
+    GivensAnsatz.
 
     `state` is a StateVector with a theta vector (returns a StateVector), or
-    an (R, 2^n) amplitude block with an (R, P) theta block, one state and one
-    theta per row (returns the evolved block).
+    an amplitude block with an (R, P) theta block, one state and one theta
+    per row (returns the evolved block).  A block is (R, 2^n), or (R, S) on
+    a GivensAnsatz's basis.
     """
-    compiled = compile_ansatz(ansatz)
+    kernel = ansatz if isinstance(ansatz, GivensAnsatz) else compile_ansatz(ansatz)
     single = isinstance(state, StateVector)
     amplitudes = state.amplitudes[None] if single else state
     thetas = np.asarray(theta, dtype=float)
     thetas = thetas[None] if single else thetas
-    if thetas.ndim != 2 or thetas.shape[1] != compiled.parameter_count:
+    if thetas.ndim != 2 or thetas.shape[1] != kernel.parameter_count:
         raise ValueError("theta length must equal the ansatz parameter count")
-    if amplitudes.shape[-1] != 2**compiled.n_qubits:
-        raise ShapeError("ansatz and state qubit counts differ")
+    if amplitudes.shape[-1] != kernel.width:
+        raise ShapeError("ansatz and state widths differ")
     if len(thetas) != len(amplitudes):
         raise ShapeError("a block needs one theta row per state")
-    out = compiled.apply(amplitudes, thetas)
+    out = kernel.apply(amplitudes, thetas)
     return StateVector(state.n_qubits, out[0]) if single else out

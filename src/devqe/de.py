@@ -625,11 +625,13 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
         raise ConfigurationError(
             f"population of {np_size} too small for {config.strategy}; it needs {smallest}"
         )
-    if config.boundary == "toroidal":
+    if config.boundary in ("toroidal", "reinit"):  # both repair with the box width
         with np.errstate(over="ignore"):
             widths = bounds.upper - bounds.lower
         if not np.isfinite(widths).all():
-            raise ConfigurationError("boundary mode 'toroidal' needs finite bound widths")
+            raise ConfigurationError(
+                f"boundary mode {config.boundary!r} needs finite bound widths"
+            )
     rng = make_rng(config.seed)
     history: list[GenerationRecord] = []
     evals = 0

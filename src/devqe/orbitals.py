@@ -20,14 +20,8 @@ from . import local as local_mod
 from .de import ObjectiveError
 from .integrals import MolecularIntegrals
 from .jw import jordan_wigner
-from .savqe import OptimizerChoice, build_initial_states, run_sa_vqe, sa_energy
-from .statevector import (
-    ExpectationError,
-    compile_ansatz,
-    compile_hamiltonian,
-    measure_rdms,
-    rdm_energy,
-)
+from .savqe import OptimizerChoice, build_initial_states, run_sa_vqe
+from .statevector import ExpectationError, rdm_energy
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
 
 DEFAULT_MACRO_TOL = 1e-4
@@ -226,11 +220,10 @@ def run_sa_oo_vqe(
     final_energies = ()
     final_theta = np.zeros(ansatz.parameter_count)
     final_e_sa = np.nan
-    ansatz = compile_ansatz(ansatz)
 
     for attempt in range(1, macro_config.max_macro_iters + 1):
         macro_index = len(macro_trace) + 1  # failed attempts are retried in place
-        hamiltonian = compile_hamiltonian(jordan_wigner(current))
+        hamiltonian = jordan_wigner(current)
         initial_states = build_initial_states(current.n_orb, current.n_elec)
         stage_optimizer = inner_optimizer
         if inner_optimizer.kind == "de":
@@ -246,21 +239,11 @@ def run_sa_oo_vqe(
                 trace=trace,
                 macro_index=macro_index,
                 eval_offset=evals,
+                incumbent=theta_prev,
             )
             evals += vqe.evaluations
             theta_star, e_vqe = vqe.theta, vqe.e_sa
-            rdms = vqe.rdms
-            if theta_prev is not None:
-                e_prev, energies_prev, states_prev = sa_energy(
-                    theta_prev, hamiltonian, ansatz, initial_states, weights
-                )
-                evals += 1
-                if e_prev < e_vqe:
-                    theta_star, e_vqe = theta_prev, e_prev
-                    rdms = tuple(
-                        measure_rdms(s, current.n_orb) for s in states_prev
-                    )
-            oo = minimize_orbitals(current, rdms, weights, oo_config)
+            oo = minimize_orbitals(current, vqe.rdms, weights, oo_config)
         except (*INNER_FAILURES, ObjectiveError) as exc:
             if isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES):
                 raise exc.__cause__ from None  # a programming error in a DE objective

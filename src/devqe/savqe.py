@@ -1,6 +1,12 @@
 """State-averaged VQE: one shared parameterized unitary applied to a pair of
 orthogonal reference states, with the weighted ensemble energy minimized by a
 pluggable classical optimizer (DE, gradient descent, or BFGS).
+
+The objective never touches the 2^n statevector.  The references, the
+Hamiltonian and the generators meet on the references' active determinant
+basis (for molecules, the (N, S_z) sector), where every amplitude stays
+real: a Sector holds that basis with the Hamiltonian's real block and the
+ansatz as Givens rotations.  Only final states go back to 2^n, for the RDMs.
 """
 
 from __future__ import annotations
@@ -12,16 +18,17 @@ import numpy as np
 
 from . import de as de_mod
 from . import local as local_mod
-from .ansatz import AnsatzSpec, apply_ansatz
+from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz, generator_partners
 from .pauli import QubitHamiltonian
 from .statevector import (
     CompiledAnsatz,
     CompiledHamiltonian,
+    SectorHamiltonian,
+    ShapeError,
     StateVector,
     apply_annihilation,
     apply_creation,
     basis_state,
-    compile_ansatz,
     compile_hamiltonian,
     expectation,
     measure_rdms,
@@ -30,10 +37,10 @@ from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
 
 WEIGHT_TOL = 1e-12
 DEFAULT_THETA_BOUND = math.pi
-# amplitudes evolved in one block by sa_energy: at most this many (point,
-# reference) rows of 2^n amplitudes go through the ansatz together, and a
-# row wider than this goes alone (sweep in tools/time_layers.py)
-BLOCK_AMPLITUDES = 4096
+# Hamiltonian entries at or below this connect no determinants of the active
+# basis: the compiled X-mask rows carry round-off residues of ~1e-17 between
+# sectors, which would otherwise close the basis over the whole space
+SECTOR_CUTOFF = 1e-14
 
 
 @dataclass
@@ -103,44 +110,104 @@ def build_initial_states(n_orb: int, n_elec: int):
     return hf, excited
 
 
-def sa_energy(theta, hamiltonian, ansatz, initial_states, weights):
+def _active_basis(hamiltonian: CompiledHamiltonian, ansatz, references) -> np.ndarray:
+    """The references' support closed under the Hamiltonian's entries above
+    SECTOR_CUTOFF and the generators' ladder partners, sorted."""
+    inside = np.any(references != 0, axis=0)  # over all 2^n determinants
+    new = np.flatnonzero(inside)
+    while new.size:  # every determinant's H column is read once, when it is new
+        rows, entries = hamiltonian.columns(new)
+        reached = np.zeros_like(inside)
+        reached[rows[np.abs(entries) > SECTOR_CUTOFF]] = True
+        if not (reached & ~inside).any():  # closed under H: try the generators
+            reached[generator_partners(ansatz, np.flatnonzero(inside))] = True
+        new = np.flatnonzero(reached & ~inside)
+        inside |= reached
+    return np.flatnonzero(inside)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """An SA-VQE problem on its active determinant basis, in real arithmetic:
+    the Hamiltonian's block, the ansatz as Givens rotations and the real
+    references, all on one sorted basis of determinants (bit j of a basis
+    entry is the occupation of mode j, as in a statevector index)."""
+
+    n_qubits: int
+    basis: np.ndarray  # (S,) sorted determinant indices
+    hamiltonian: SectorHamiltonian
+    ansatz: GivensAnsatz
+    references: np.ndarray  # (n_states, S) real
+
+    @classmethod
+    def build(cls, hamiltonian, ansatz, initial_states) -> "Sector":
+        """The sector of letter-form or compiled operators and the reference
+        StateVectors.  Raises ExpectationError when the Hamiltonian's block
+        is not Hermitian and ValueError when a reference is not real."""
+        hamiltonian = compile_hamiltonian(hamiltonian)
+        n_qubits = hamiltonian.n_qubits
+        if ansatz.n_qubits != n_qubits:
+            raise ShapeError("ansatz and Hamiltonian qubit counts differ")
+        references = np.array([state.amplitudes for state in initial_states])
+        if references.ndim != 2 or references.shape[1] != 2**n_qubits:
+            raise ShapeError("references and Hamiltonian qubit counts differ")
+        if np.any(references.imag != 0.0):
+            raise ValueError("SA-VQE references must have real amplitudes")
+        basis = _active_basis(hamiltonian, ansatz, references)
+        return cls(
+            n_qubits,
+            basis,
+            SectorHamiltonian.from_compiled(hamiltonian, basis),
+            GivensAnsatz.on_basis(ansatz, basis),
+            references.real[:, basis],
+        )
+
+    def scatter(self, block: np.ndarray) -> tuple:
+        """The rows of an (R, S) block as 2^n StateVectors."""
+        states = []
+        for row in block:
+            amplitudes = np.zeros(2**self.n_qubits, dtype=complex)
+            amplitudes[self.basis] = row
+            states.append(StateVector(self.n_qubits, amplitudes))
+        return tuple(states)
+
+
+def sa_energy(theta, *operands):
     """Apply the shared unitary to every reference and average the energies.
 
-    `theta` is one point (D,) or a block of points (R, D).  One point returns
-    (e_sa, energies, states): a float, a tuple of per-state floats and a tuple
-    of StateVectors.  A block returns (e_sa, energies, None) with an (R,)
-    and an (R, n_states) array; every row is bitwise what one point gives.
-    The (point, reference) rows are evolved in blocks of at most
-    BLOCK_AMPLITUDES amplitudes.  `hamiltonian` and `ansatz` are letter forms
-    or their compiled forms (`compile_hamiltonian`, `compile_ansatz`); the hot
-    paths pass compiled ones.  Each point counts as one objective evaluation.
+    Called as sa_energy(theta, sector, weights) with a built Sector, or as
+    sa_energy(theta, hamiltonian, ansatz, initial_states, weights) with
+    letter-form or compiled operators and reference StateVectors, which
+    builds the Sector for this one call.  `theta` is one point (D,) or a
+    block of points (R, D).  One point returns (e_sa, energies, states): a
+    float, a tuple of per-state floats and a tuple of 2^n StateVectors.  A
+    block returns (e_sa, energies, None) with an (R,) and an (R, n_states)
+    array; every row is bitwise what one point gives.  Each point counts as
+    one objective evaluation.
     """
+    if len(operands) == 2:
+        sector, weights = operands
+    elif len(operands) == 4:
+        *problem, weights = operands
+        sector = Sector.build(*problem)
+    else:
+        raise TypeError("sa_energy takes (theta, sector, weights) or "
+                        "(theta, hamiltonian, ansatz, initial_states, weights)")
     thetas = np.asarray(theta, dtype=float)
     single = thetas.ndim == 1
-    refs = np.array([state.amplitudes for state in initial_states])
-    n_states, size = refs.shape
+    thetas = np.atleast_2d(thetas)
+    n_states = len(sector.references)
     # row i * n_states + k is reference k under point i
-    row_thetas = np.repeat(np.atleast_2d(thetas), n_states, axis=0)
-    row_refs = np.arange(len(row_thetas)) % n_states
-    step = max(1, BLOCK_AMPLITUDES // size)
-    energies = np.empty(len(row_thetas))
-    states = []
-    for start in range(0, len(row_thetas), step):
-        rows = slice(start, start + step)
-        block = apply_ansatz(refs[row_refs[rows]], ansatz, row_thetas[rows])
-        energies[rows] = expectation(block, hamiltonian)
-        if single:
-            states.extend(block)
-    energies = energies.reshape(-1, n_states)
+    block = apply_ansatz(
+        np.tile(sector.references, (len(thetas), 1)),
+        sector.ansatz,
+        np.repeat(thetas, n_states, axis=0),
+    )
+    energies = expectation(block, sector.hamiltonian).reshape(-1, n_states)
     e_sa = sum(w * e for w, e in zip(weights, energies.T))
     if not single:
         return e_sa, energies, None
-    n_qubits = initial_states[0].n_qubits
-    return (
-        float(e_sa[0]),
-        tuple(energies[0].tolist()),
-        tuple(StateVector(n_qubits, amps) for amps in states),
-    )
+    return float(e_sa[0]), tuple(energies[0].tolist()), sector.scatter(block)
 
 
 class _CountedObjective:
@@ -150,10 +217,8 @@ class _CountedObjective:
     that call kept.  `batch` evaluates a block of points in one sa_energy
     call and charges one evaluation per row, as calling once per row would."""
 
-    def __init__(self, hamiltonian, ansatz, initial_states, weights, offset=0):
-        self.hamiltonian = hamiltonian
-        self.ansatz = ansatz
-        self.initial_states = initial_states
+    def __init__(self, sector, weights, offset=0):
+        self.sector = sector
         self.weights = weights
         self.calls = 0
         self.offset = offset
@@ -169,9 +234,7 @@ class _CountedObjective:
     def batch(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         self.calls += len(thetas)
-        e_sa, energies, _ = sa_energy(
-            thetas, self.hamiltonian, self.ansatz, self.initial_states, self.weights
-        )
+        e_sa, energies, _ = sa_energy(thetas, self.sector, self.weights)
         for theta, value, row in zip(thetas, e_sa.tolist(), energies.tolist()):
             self._components[theta.tobytes()] = (value, tuple(row))
         return e_sa
@@ -201,16 +264,19 @@ def run_sa_vqe(
     trace: OptimizationTrace | None = None,
     macro_index: int = 0,
     eval_offset: int = 0,
+    incumbent: np.ndarray | None = None,
 ) -> SAVQEResult:
     """Minimize the ensemble energy over the circuit parameters.
 
     The trace receives one optimizer_step event for the starting point and one
     after every internal optimizer step (for DE: every generation), each at
-    exact cumulative-evaluation coordinates.  Letter-form operators are
-    compiled once here, before the first evaluation.
+    exact cumulative-evaluation coordinates.  The Sector is built here, once,
+    before the first evaluation, and is freed when the run returns.
+    `incumbent` is a point from an earlier stage (in SA-OO-VQE, the previous
+    macro iteration's optimum): it is evaluated once after the search, and
+    the run returns it instead of the search's optimum when its ensemble
+    energy is lower.
     """
-    hamiltonian = compile_hamiltonian(hamiltonian)
-    ansatz = compile_ansatz(ansatz)
     optimizer = optimizer or OptimizerChoice("bfgs")
     ensemble = EnsembleSpec(weights)
     weights = ensemble.weights
@@ -226,9 +292,8 @@ def run_sa_vqe(
 
     dim = ansatz.parameter_count
     theta0 = np.zeros(dim)  # gd and bfgs start from the bare references
-    objective = _CountedObjective(
-        hamiltonian, ansatz, initial_states, weights, offset=eval_offset
-    )
+    sector = Sector.build(hamiltonian, ansatz, initial_states)
+    objective = _CountedObjective(sector, weights, offset=eval_offset)
 
     def record(theta):
         e_sa, energies = objective.components(theta)
@@ -272,13 +337,16 @@ def run_sa_vqe(
     else:  # pragma: no cover - guarded by OptimizerChoice
         raise ValueError(optimizer.kind)
 
-    # final state reconstruction is one more genuine sa_energy invocation
+    # final state reconstruction is one more genuine sa_energy invocation,
+    # and so is the incumbent's
     objective.calls += 1
-    e_sa, energies, states = sa_energy(
-        theta_star, hamiltonian, ansatz, initial_states, weights
-    )
-    n_orb_eff = hamiltonian.n_qubits // 2
-    rdms = tuple(measure_rdms(state, n_orb_eff) for state in states)
+    e_sa, energies, states = sa_energy(theta_star, sector, weights)
+    if incumbent is not None:
+        objective.calls += 1
+        e_inc, energies_inc, states_inc = sa_energy(incumbent, sector, weights)
+        if e_inc < e_sa:
+            theta_star, e_sa, energies, states = incumbent, e_inc, energies_inc, states_inc
+    rdms = tuple(measure_rdms(state, sector.n_qubits // 2) for state in states)
     return SAVQEResult(
         theta=np.asarray(theta_star, dtype=float),
         e_sa=e_sa,

@@ -4,13 +4,14 @@ Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
 significant).  All operations return new StateVector instances; amplitudes
 are never mutated in place.
 
-The hot path is compiled once and evaluated many times: CompiledHamiltonian
+Operators are compiled once and evaluated many times: CompiledHamiltonian
 and CompiledAnsatz hold gather-index and coefficient arrays built from the
 (x, z) masks of the letter strings, and expectation / apply_ansatz accept
-either form.  Both also take an (R, 2^n) amplitude block, one state per row:
-the ansatz kernel works on whole blocks (a single state is a block of one
-row), the expectation reduces row by row, and every row comes out bitwise
-equal to evaluating it alone.  apply_pauli and apply_excitation walk the
+either form.  Both also take an (R, 2^n) amplitude block, one state per row,
+and every row comes out bitwise equal to evaluating it alone.  The SA-VQE
+objective works on a determinant basis instead: SectorHamiltonian is the
+real (S, S) block of a CompiledHamiltonian on that basis, and expectation
+takes it with an (R, S) block.  apply_pauli and apply_excitation walk the
 letter strings and stay as the reference the compiled kernels are tested
 against.
 """
@@ -40,7 +41,8 @@ class ShapeError(ValueError):
 
 
 class ExpectationError(ValueError):
-    """Expectation value kept an imaginary residue above tolerance."""
+    """Expectation value kept an imaginary residue above tolerance, or a
+    Hamiltonian block is not Hermitian within it."""
 
 
 @dataclass
@@ -157,6 +159,38 @@ class CompiledHamiltonian:
         diagonals = np.array([d for _, d in rows], dtype=complex).reshape(-1, size)
         return cls(hamiltonian.n_qubits, gather, diagonals)
 
+    def columns(self, bits: np.ndarray):
+        """(rows, entries) with H[rows[g, i], bits[i]] = entries[g, i]: the
+        entries of the columns `bits`, one row per X-mask."""
+        rows = self.gather[:, bits]
+        return rows, np.take_along_axis(self.diagonals, rows, axis=1)
+
+
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """A Hamiltonian on a determinant basis: the real part of its Hermitian
+    (S, S) block.  On real states the imaginary part, which is
+    antisymmetric, adds nothing to an expectation value."""
+
+    matrix: np.ndarray  # (S, S) real
+
+    @classmethod
+    def from_compiled(cls, compiled: CompiledHamiltonian, basis: np.ndarray):
+        """The block of `compiled` on a sorted basis; ExpectationError when
+        the block is not Hermitian within IMAG_TOLERANCE."""
+        rows, entries = compiled.columns(basis)
+        position = np.full(2**compiled.n_qubits, -1, dtype=np.intp)
+        position[basis] = np.arange(basis.size)
+        rows = position[rows]
+        inside = rows >= 0
+        cols = np.broadcast_to(np.arange(basis.size), rows.shape)
+        block = np.zeros((basis.size, basis.size), dtype=complex)
+        block[rows[inside], cols[inside]] = entries[inside]
+        residue = float(np.max(np.abs(block - block.conj().T), initial=0.0))
+        if residue > IMAG_TOLERANCE:
+            raise ExpectationError(f"Hamiltonian block is not Hermitian: residue {residue:.3e}")
+        return cls(block.real.copy())
+
 
 def compile_hamiltonian(hamiltonian) -> CompiledHamiltonian:
     """The compiled form of a letter-form Hamiltonian; compiled input passes."""
@@ -166,12 +200,21 @@ def compile_hamiltonian(hamiltonian) -> CompiledHamiltonian:
 
 
 def expectation(state, hamiltonian):
-    """<psi|H|psi> for a QubitHamiltonian (compiled here) or a CompiledHamiltonian.
+    """<psi|H|psi> for a QubitHamiltonian (compiled here), a
+    CompiledHamiltonian or a SectorHamiltonian.
 
     `state` is a StateVector (returns a float) or an (R, 2^n) amplitude block
-    (returns the R values).  Each row is reduced on its own, with the same
+    (returns the R values); with a SectorHamiltonian it is a real (R, S)
+    block on its basis.  Each row is reduced on its own, with the same
     arithmetic as a single state.
     """
+    if isinstance(hamiltonian, SectorHamiltonian):
+        if np.ndim(state) != 2 or state.shape[1] != len(hamiltonian.matrix):
+            raise ShapeError("Hamiltonian block and state widths differ")
+        # stacked (1, S) @ (S, S) products: a 2-D block @ matrix may round a
+        # row differently depending on the rows around it
+        h_psi = state[:, None, :] @ hamiltonian.matrix
+        return (h_psi @ state[:, :, None])[:, 0, 0]
     compiled = compile_hamiltonian(hamiltonian)
     block = state.amplitudes[None] if isinstance(state, StateVector) else state
     if block.shape[-1] != 2**compiled.n_qubits:
@@ -196,6 +239,11 @@ class CompiledAnsatz:
     params: np.ndarray  # (W,) parameter index of each word
     coeffs: np.ndarray  # (W,) coefficient of each word
     words: tuple  # ((gather, factor), ...)
+    excitations: tuple  # the spec's Excitations, for GivensAnsatz.on_basis
+
+    @property
+    def width(self) -> int:
+        return 2**self.n_qubits
 
     @classmethod
     def from_spec(cls, ansatz) -> "CompiledAnsatz":
@@ -216,6 +264,7 @@ class CompiledAnsatz:
             np.array(params, dtype=np.intp),
             np.array(coeffs, dtype=float),
             tuple(words),
+            tuple(ansatz.excitations),
         )
 
     def apply(self, amplitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:

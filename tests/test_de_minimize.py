@@ -314,11 +314,11 @@ def test_batch_exception_aborts_with_whole_block_counted():
 def test_sa_vqe_objective_batch_gives_the_point_by_point_run(h2_integrals):
     from devqe.ansatz import default_ansatz
     from devqe.jw import jordan_wigner
-    from devqe.savqe import _CountedObjective, build_initial_states
+    from devqe.savqe import Sector, _CountedObjective, build_initial_states
 
-    args = (jordan_wigner(h2_integrals), default_ansatz(2, 2), build_initial_states(2, 2),
-            (0.5, 0.5))
-    batched, plain = _CountedObjective(*args), _CountedObjective(*args)
+    sector = Sector.build(jordan_wigner(h2_integrals), default_ansatz(2, 2),
+                          build_initial_states(2, 2))
+    batched, plain = _CountedObjective(sector, (0.5, 0.5)), _CountedObjective(sector, (0.5, 0.5))
     config = DEConfig(seed=6, strategy="best2", termination=TerminationCriteria(max_evals=450))
     bounds = Bounds.box(-np.pi, np.pi, 2)
     a = de_minimize(batched, bounds, config)
@@ -438,6 +438,23 @@ def test_toroidal_rejects_infinite_widths_before_any_evaluation():
     with np.errstate(over="ignore"):  # differences of extreme members overflow; clamp repairs them
         result = de_minimize(objective, Bounds.unbounded(2), replace(config, boundary="clamp"))
     assert result.stop_reason == "max_generations"
+
+
+def test_reinit_rejects_infinite_widths_before_any_evaluation():
+    # reinit redraws an out-of-box component as random() * width + lower,
+    # which is inf on an unbounded component and later gives NaN donors
+    calls = {"n": 0}
+
+    def objective(x):
+        calls["n"] += 1
+        return float(np.sum(x**2))
+
+    config = DEConfig(np_size=8, f=0.9, seed=3, boundary="reinit",
+                      termination=TerminationCriteria(max_generations=20))
+    with pytest.raises(ConfigurationError,
+                       match="boundary mode 'reinit' needs finite bound widths"):
+        de_minimize(objective, Bounds.unbounded(2), config)
+    assert calls["n"] == 0
 
 
 def test_toroidal_zero_width_component():

@@ -120,9 +120,10 @@ class TestSaEnergy:
 
     @pytest.mark.parametrize("molecule", ["h2", "h4", "lih_frozen_core"])
     @pytest.mark.parametrize("rows_per_block", [None, 3], ids=["default_blocks", "3_rows"])
-    def test_block_equals_one_point_calls(self, molecule, rows_per_block, request, monkeypatch):
-        import devqe.savqe as savqe_mod
+    def test_block_equals_one_point_calls(self, molecule, rows_per_block, request):
+        from devqe.ansatz import apply_ansatz
         from devqe.integrals import freeze_core
+        from devqe.savqe import Sector
         from devqe.statevector import apply_excitation, compile_ansatz, compile_hamiltonian
 
         if molecule == "lih_frozen_core":
@@ -133,17 +134,29 @@ class TestSaEnergy:
         ham = compile_hamiltonian(jordan_wigner(integrals))
         ansatz = compile_ansatz(spec)
         states = build_initial_states(integrals.n_orb, integrals.n_elec)
-        size = 2**ham.n_qubits
-        if rows_per_block is not None:  # blocks that split a point's references
-            monkeypatch.setattr(savqe_mod, "BLOCK_AMPLITUDES", rows_per_block * size)
+        sector = Sector.build(ham, ansatz, states)
         weights = (0.375, 0.625)
-        n_points = max(5, savqe_mod.BLOCK_AMPLITUDES // size + 1)  # more than one block
+        n_points = 33  # 66 (point, reference) rows
         thetas = np.random.default_rng(27).uniform(-1.0, 1.0, (n_points, spec.parameter_count))
 
-        e_sa, energies, states_out = sa_energy(thetas, ham, ansatz, states, weights)
+        e_sa, energies, states_out = sa_energy(thetas, sector, weights)
         assert states_out is None
         assert e_sa.shape == (n_points,) and energies.shape == (n_points, 2)
+        if rows_per_block is not None:
+            # the sector kernels on blocks that split a point's references
+            row_thetas = np.repeat(thetas, 2, axis=0)
+            row_refs = np.tile(sector.references, (n_points, 1))
+            split = np.concatenate([
+                expectation(
+                    apply_ansatz(row_refs[i : i + rows_per_block], sector.ansatz,
+                                 row_thetas[i : i + rows_per_block]),
+                    sector.hamiltonian,
+                )
+                for i in range(0, 2 * n_points, rows_per_block)
+            ])
+            assert np.array_equal(split.reshape(n_points, 2), energies)
         for i, theta in enumerate(thetas):
+            # the letter/compiled form builds its own sector for the one call
             one_e_sa, one_energies, evolved = sa_energy(theta, ham, ansatz, states, weights)
             assert e_sa[i] == one_e_sa
             assert tuple(energies[i].tolist()) == one_energies
@@ -151,8 +164,10 @@ class TestSaEnergy:
                 chain = reference
                 for excitation, angle in zip(spec.excitations, theta):
                     chain = apply_excitation(chain, excitation, float(angle))
-                assert np.array_equal(state.amplitudes, chain.amplitudes)
-                assert energy == expectation(chain, ham)
+                # the Givens sets and the Pauli-word chain are different exact
+                # factorisations of U(theta): equal to rounding, not bitwise
+                assert np.max(np.abs(state.amplitudes - chain.amplitudes)) < 1e-12
+                assert abs(energy - expectation(chain, ham)) < 1e-12
             assert one_e_sa == weights[0] * one_energies[0] + weights[1] * one_energies[1]
 
 

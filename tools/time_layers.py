@@ -1,32 +1,38 @@
 #!/usr/bin/env python3
 """Milliseconds per objective evaluation of the SA-VQE energy, point by point
-and in blocks, and the DE driver's own cost per evaluation.
+and in blocks, the per-macro-iteration layers of SA-OO-VQE, and the DE
+driver's own cost per evaluation.
 
 Run from the repository root:
 
     python tools/time_layers.py                      # all cases, all systems
     python tools/time_layers.py --cases point        # one point only
+    python tools/time_layers.py --cases macro        # the per-macro layers only
     python tools/time_layers.py --cases de_driver    # the DE driver only
-    python tools/time_layers.py --sweep 1024,4096,8192,16384
 
 Systems: H2 (4 qubits), H4 (8), LiH with a frozen core (10) and full LiH (12),
-each with its default ansatz and the two SA-VQE references.  Cases:
+each with its default ansatz and the two SA-VQE references.  For each system
+the header line gives the active basis size S and the number of Givens sets
+of its Sector.  Cases:
 
 - point:   one sa_energy call on one theta (a line-search step);
 - stencil: the 2D points of one central-difference gradient as one block
            (what fd_gradient hands to the batch protocol);
 - de_gen:  one DE generation of max(15, 5D) random thetas as one block;
+- macro:   the layers every SA-OO-VQE macro iteration rebuilds, in ms per
+           call: jordan_wigner, compile_hamiltonian plus Sector.build,
+           minimize_orbitals on the RDMs of the theta = 0.05 states (with the
+           number of rotate_integrals calls it makes), and rotate_integrals;
 - de_driver: microseconds per evaluation of whole de_minimize runs of
            DE_DRIVER_EVALS evaluations on bench.sphere, whose batch form makes
            the objective nearly free: the de_sphere benchmark's three variants
            (D=5, np=20) and the DE methods of h2_compare (D=2, np=15, box of
            half-width pi, clamp repair).  No molecule is involved.
 
-A block case also times the same points evaluated one at a time, and prints
+The sa_energy cases evaluate on a Sector built once, as run_sa_vqe does.  A
+block case also times the same points evaluated one at a time, and prints
 the ratio.  Every figure is the median over repeats of ms per evaluation (one
-evaluation = one theta).  --sweep re-times the block cases with
-savqe.BLOCK_AMPLITUDES set to each given value; that sweep is what the
-module constant was chosen from.  BLAS runs on one thread.
+evaluation = one theta) or per call.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -45,14 +51,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from devqe import bench, de, savqe  # noqa: E402
+from devqe import bench, de, orbitals, savqe  # noqa: E402
 from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
 from devqe.jw import jordan_wigner  # noqa: E402
-from devqe.statevector import compile_ansatz, compile_hamiltonian  # noqa: E402
+from devqe.statevector import compile_hamiltonian, measure_rdms  # noqa: E402
 
-CASES = ("point", "stencil", "de_gen", "de_driver")
-SA_ENERGY_CASES = ("point", "stencil", "de_gen")
+CASES = ("point", "stencil", "de_gen", "macro", "de_driver")
 DE_DRIVER_EVALS = 6000
 # (workload, D, np, box half-width, strategy, crossover, boundary)
 DE_DRIVER_RUNS = (
@@ -64,6 +69,7 @@ DE_DRIVER_RUNS = (
     ("h2_compare", 2, 15, np.pi, "current_to_pbest1", "exponential", "clamp"),
 )
 WEIGHTS = (0.5, 0.5)
+MACRO_THETA = 0.05  # every parameter of the states whose RDMs minimize_orbitals sees
 MIN_REPEAT_S = 0.1  # each repeat runs the case at least this long
 
 
@@ -122,14 +128,46 @@ def time_de_driver(repeats):
               f"{boundary:8s} {us:8.2f}", flush=True)
 
 
+def time_macro_layers(name, integrals, ansatz, states, repeats):
+    """Print ms per call of the layers one macro iteration rebuilds."""
+    hamiltonian = jordan_wigner(integrals)
+    jw_ms = ms_per_eval(lambda: jordan_wigner(integrals), 1, repeats)
+    build_ms = ms_per_eval(
+        lambda: savqe.Sector.build(compile_hamiltonian(hamiltonian), ansatz, states), 1, repeats
+    )
+    theta = np.full(ansatz.parameter_count, MACRO_THETA)
+    _, _, evolved = savqe.sa_energy(theta, hamiltonian, ansatz, states, WEIGHTS)
+    rdms = tuple(measure_rdms(state, integrals.n_orb) for state in evolved)
+
+    rotations = 0
+    rotate = orbitals.rotate_integrals
+
+    def counted_rotate(*args):
+        nonlocal rotations
+        rotations += 1
+        return rotate(*args)
+
+    orbitals.rotate_integrals = counted_rotate
+    try:
+        orbitals.minimize_orbitals(integrals, rdms, WEIGHTS)
+    finally:
+        orbitals.rotate_integrals = rotate
+    oo_ms = ms_per_eval(lambda: orbitals.minimize_orbitals(integrals, rdms, WEIGHTS), 1, repeats)
+    kappa = orbitals.KappaMatrix.from_values(
+        integrals.n_orb, np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
+    )
+    rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
+    print(f"{name:7s} {'macro':8s} jordan_wigner {jw_ms:.3f}, compile + Sector.build "
+          f"{build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
+          f"calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", default=",".join(CASES),
                         help="comma-separated subset of " + ", ".join(CASES))
     parser.add_argument("--systems", default="H2,H4,LiH-fc,LiH")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--sweep", default="",
-                        help="comma-separated BLOCK_AMPLITUDES values for the block cases")
     args = parser.parse_args(argv)
     cases = args.cases.split(",")
     unknown = sorted(set(cases) - set(CASES))
@@ -137,28 +175,31 @@ def main(argv=None) -> int:
         parser.error(f"unknown cases {', '.join(unknown)}; valid: {', '.join(CASES)}")
     if "de_driver" in cases:
         time_de_driver(args.repeats)
-    cases = [case for case in cases if case in SA_ENERGY_CASES]
+    cases = [case for case in cases if case != "de_driver"]
     if not cases:
         return 0
     wanted = args.systems.split(",")
-    caps = [int(v) for v in args.sweep.split(",") if v] or [savqe.BLOCK_AMPLITUDES]
 
-    print(f"BLOCK_AMPLITUDES {savqe.BLOCK_AMPLITUDES}; ms per evaluation, "
-          f"median of {args.repeats} repeats")
-    print(f"{'system':7s} {'case':8s} {'points':>6s} {'cap':>6s} {'block':>9s} "
-          f"{'one by one':>10s} {'ratio':>6s}")
+    print(f"ms per evaluation (macro: per call), median of {args.repeats} repeats")
+    print(f"{'system':7s} {'case':8s} {'points':>6s} {'block':>9s} {'one by one':>10s} "
+          f"{'ratio':>6s}")
     rng = np.random.default_rng(0)
     for name, integrals in systems():
         if name not in wanted:
             continue
-        hamiltonian = compile_hamiltonian(jordan_wigner(integrals))
-        ansatz = compile_ansatz(default_ansatz(integrals.n_orb, integrals.n_elec))
+        ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
         states = savqe.build_initial_states(integrals.n_orb, integrals.n_elec)
+        sector = savqe.Sector.build(jordan_wigner(integrals), ansatz, states)
+        print(f"{name}: {2 * integrals.n_orb} qubits, S = {sector.basis.size}, "
+              f"{len(sector.ansatz.sets)} Givens sets for {ansatz.parameter_count} parameters")
 
-        def evaluate(thetas):
-            return savqe.sa_energy(thetas, hamiltonian, ansatz, states, WEIGHTS)
+        def evaluate(thetas, sector=sector):
+            return savqe.sa_energy(thetas, sector, WEIGHTS)
 
         for case in cases:
+            if case == "macro":
+                time_macro_layers(name, integrals, ansatz, states, args.repeats)
+                continue
             points = case_points(case, ansatz.parameter_count, rng)
 
             def one_by_one(points=points):
@@ -167,17 +208,11 @@ def main(argv=None) -> int:
 
             single = ms_per_eval(one_by_one, len(points), args.repeats)
             if case == "point":
-                print(f"{name:7s} {case:8s} {1:6d} {'-':>6s} {'-':>9s} {single:10.4f} {'-':>6s}")
+                print(f"{name:7s} {case:8s} {1:6d} {'-':>9s} {single:10.4f} {'-':>6s}")
                 continue
-            default_cap = savqe.BLOCK_AMPLITUDES
-            for cap in caps:
-                savqe.BLOCK_AMPLITUDES = cap
-                try:
-                    block = ms_per_eval(lambda: evaluate(points), len(points), args.repeats)
-                finally:
-                    savqe.BLOCK_AMPLITUDES = default_cap
-                print(f"{name:7s} {case:8s} {len(points):6d} {cap:6d} {block:9.4f} "
-                      f"{single:10.4f} {single / block:6.2f}", flush=True)
+            block = ms_per_eval(lambda: evaluate(points), len(points), args.repeats)
+            print(f"{name:7s} {case:8s} {len(points):6d} {block:9.4f} {single:10.4f} "
+                  f"{single / block:6.2f}", flush=True)
     return 0
 
 
