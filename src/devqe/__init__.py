@@ -48,7 +48,6 @@ from .savqe import (
     sa_energy,
 )
 from .statevector import (
-    CompiledAnsatz,
     CompiledHamiltonian,
     RDMPair,
     SectorHamiltonian,
@@ -56,7 +55,6 @@ from .statevector import (
     apply_excitation,
     apply_pauli_rotation,
     basis_state,
-    compile_ansatz,
     compile_hamiltonian,
     expectation,
     measure_rdms,

@@ -3,12 +3,15 @@
 Each Excitation carries its anti-Hermitian generator G = sum_b (tau_b -
 tau_b^dagger) twice: as the ladder strings tau_b of its branches, and as the
 Pauli decomposition (string, c) pairs with G = sum_k i c_k P_k and real c_k.
-The words within one generator mutually commute, so exp(theta G) is applied
-exactly as a product of Pauli rotations; that chain is the dense reference.
+The words within one generator mutually commute, so exp(theta G) is exactly
+a product of Pauli rotations; that chain (statevector.apply_excitation) is the
+test reference.
 
 On a determinant basis each branch pairs determinants one to one with +-1
 signs, so exp(theta G) is a set of real Givens rotations per branch
-(GivensAnsatz), the kernel the SA-VQE objective evaluates.
+(GivensAnsatz).  That is the one ansatz kernel: the SA-VQE objective runs it
+on its sector, and apply_ansatz on an AnsatzSpec builds it on the full basis
+of 2^n determinants.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .pauli import masks_to_string, multiply_sums, strings_commute
 from .jw import jw_ladder
-from .statevector import ShapeError, StateVector, compile_ansatz
+from .statevector import ShapeError, StateVector
 
 DECOMPOSITION_CUTOFF = 1e-14
 REAL_RESIDUE_TOL = 1e-12
@@ -215,8 +218,8 @@ class GivensAnsatz:
 
     @classmethod
     def on_basis(cls, ansatz, basis: np.ndarray) -> "GivensAnsatz":
-        """The Givens sets of an AnsatzSpec (or CompiledAnsatz) on a sorted
-        basis that every generator maps into itself."""
+        """The Givens sets of an AnsatzSpec on a sorted basis that every
+        generator maps into itself."""
         params, sets = [], []
         for k, excitation in enumerate(ansatz.excitations):
             for specs in excitation.ladder_specs:
@@ -264,15 +267,18 @@ class GivensAnsatz:
 
 
 def apply_ansatz(state, ansatz, theta):
-    """U(theta)|psi> for an AnsatzSpec (compiled here), a CompiledAnsatz or a
-    GivensAnsatz.
+    """U(theta)|psi> for an AnsatzSpec or a GivensAnsatz.
 
     `state` is a StateVector with a theta vector (returns a StateVector), or
     an amplitude block with an (R, P) theta block, one state and one theta
-    per row (returns the evolved block).  A block is (R, 2^n), or (R, S) on
-    a GivensAnsatz's basis.
+    per row (returns the evolved block).  A block is (R, S) on a
+    GivensAnsatz's basis; an AnsatzSpec runs as the Givens sets of the full
+    basis of 2^n determinants, so its block is (R, 2^n).
     """
-    kernel = ansatz if isinstance(ansatz, GivensAnsatz) else compile_ansatz(ansatz)
+    if isinstance(ansatz, GivensAnsatz):
+        kernel = ansatz
+    else:
+        kernel = GivensAnsatz.on_basis(ansatz, np.arange(2**ansatz.n_qubits))
     single = isinstance(state, StateVector)
     amplitudes = state.amplitudes[None] if single else state
     thetas = np.asarray(theta, dtype=float)

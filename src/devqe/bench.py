@@ -208,13 +208,25 @@ def build_optimizer(method: str, config: dict, seed: int) -> OptimizerChoice:
         return OptimizerChoice(method)
     if method in DE_METHODS:
         strategy, crossover = DE_METHODS[method]
-        de_config = de_mod.DEConfig(
-            **{"strategy": strategy, "crossover": crossover, **_overrides(config, DE_SETTINGS)},
-            seed=seed,
-            termination=_de_termination(config),
-        )
+        try:
+            de_config = de_mod.DEConfig(
+                **{"strategy": strategy, "crossover": crossover,
+                   **_overrides(config, DE_SETTINGS)},
+                seed=seed,
+                termination=_de_termination(config),
+            )
+        except ValueError as exc:
+            raise UsageError(f"bad DE settings: {exc}")
         return OptimizerChoice("de", de_config=de_config)
     raise method_error(method)
+
+
+def parse_macro_config(config: dict) -> MacroConfig:
+    """The macro-loop settings a config gives; a bad one is a UsageError."""
+    try:
+        return MacroConfig(**_overrides(config, MACRO_SETTINGS))
+    except ValueError as exc:
+        raise UsageError(f"bad macro settings: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +308,7 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
         ansatz,
         weights=weights,
         inner_optimizer=optimizer,
-        macro_config=MacroConfig(**_overrides(config, MACRO_SETTINGS)),
+        macro_config=parse_macro_config(config),
     )
 
 
@@ -327,7 +339,7 @@ class RunSummary:
 
 def _effective_settings(config, methods, n_params) -> dict:
     """The settings the runs use, read back from the objects they are built from."""
-    macro = MacroConfig(**_overrides(config, MACRO_SETTINGS))
+    macro = parse_macro_config(config)
     settings = {
         "macro_tol": macro.macro_tol,
         "max_macro_iters": macro.max_macro_iters,
@@ -441,6 +453,10 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     method = config.get("optimizer", "bfgs")
     seeds = parse_seeds(config.get("seeds", "0"))
+    # settings every point shares: a bad one fails the scan before its first point
+    build_optimizer(method, config, seeds[0])
+    parse_weights(config.get("weights"))
+    parse_macro_config(config)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"scan_{mode}.csv")

@@ -15,6 +15,7 @@ Single points (line searches, steps) are plain calls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,12 @@ class LocalOptConfig:
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if self.grad_step <= 0:
-            raise ValueError("grad_step must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        for name in ("grad_step", "grad_tol", "gd_learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 0:
+            raise ValueError("max_iters must be an integer >= 0")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:

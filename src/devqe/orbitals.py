@@ -11,6 +11,8 @@ change falls below the macro tolerance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,6 +163,13 @@ def minimize_orbitals(base_integrals: MolecularIntegrals, rdms_per_state,
 class MacroConfig:
     macro_tol: float = DEFAULT_MACRO_TOL
     max_macro_iters: int = DEFAULT_MAX_MACRO_ITERS
+
+    def __post_init__(self):
+        if not 0.0 < self.macro_tol < math.inf:
+            raise ValueError("macro_tol must be positive and finite")
+        iters = self.max_macro_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValueError("max_macro_iters must be an integer >= 1")
 
 
 @dataclass

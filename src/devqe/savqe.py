@@ -21,7 +21,6 @@ from . import local as local_mod
 from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz, generator_partners
 from .pauli import QubitHamiltonian
 from .statevector import (
-    CompiledAnsatz,
     CompiledHamiltonian,
     SectorHamiltonian,
     ShapeError,
@@ -49,8 +48,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if any(x < 0 for x in w):
-            raise ValueError("ensemble weights must be nonnegative")
+        if not all(0.0 <= x < math.inf for x in w):
+            raise ValueError("ensemble weights must be nonnegative and finite")
         if abs(sum(w) - 1.0) > WEIGHT_TOL:
             raise ValueError("ensemble weights must sum to 1")
         self.weights = w
@@ -141,9 +140,12 @@ class Sector:
 
     @classmethod
     def build(cls, hamiltonian, ansatz, initial_states) -> "Sector":
-        """The sector of letter-form or compiled operators and the reference
-        StateVectors.  Raises ExpectationError when the Hamiltonian's block
-        is not Hermitian and ValueError when a reference is not real."""
+        """The sector of a letter-form or compiled Hamiltonian, an AnsatzSpec
+        and the reference StateVectors: the Hamiltonian's columns are read
+        off its Pauli masks on the active determinants only, and the ansatz
+        becomes Givens sets on the same basis.  Raises ExpectationError when
+        the Hamiltonian's block is not Hermitian and ValueError when a
+        reference is not real."""
         hamiltonian = compile_hamiltonian(hamiltonian)
         n_qubits = hamiltonian.n_qubits
         if ansatz.n_qubits != n_qubits:
@@ -172,27 +174,16 @@ class Sector:
         return tuple(states)
 
 
-def sa_energy(theta, *operands):
-    """Apply the shared unitary to every reference and average the energies.
+def sa_energy(theta, sector: Sector, weights):
+    """Apply the shared unitary to every reference of a built Sector and
+    average the energies with `weights`.
 
-    Called as sa_energy(theta, sector, weights) with a built Sector, or as
-    sa_energy(theta, hamiltonian, ansatz, initial_states, weights) with
-    letter-form or compiled operators and reference StateVectors, which
-    builds the Sector for this one call.  `theta` is one point (D,) or a
-    block of points (R, D).  One point returns (e_sa, energies, states): a
-    float, a tuple of per-state floats and a tuple of 2^n StateVectors.  A
-    block returns (e_sa, energies, None) with an (R,) and an (R, n_states)
-    array; every row is bitwise what one point gives.  Each point counts as
-    one objective evaluation.
+    `theta` is one point (D,) or a block of points (R, D).  One point returns
+    (e_sa, energies, states): a float, a tuple of per-state floats and a
+    tuple of 2^n StateVectors.  A block returns (e_sa, energies, None) with
+    an (R,) and an (R, n_states) array; every row is bitwise what one point
+    gives.  Each point counts as one objective evaluation.
     """
-    if len(operands) == 2:
-        sector, weights = operands
-    elif len(operands) == 4:
-        *problem, weights = operands
-        sector = Sector.build(*problem)
-    else:
-        raise TypeError("sa_energy takes (theta, sector, weights) or "
-                        "(theta, hamiltonian, ansatz, initial_states, weights)")
     thetas = np.asarray(theta, dtype=float)
     single = thetas.ndim == 1
     thetas = np.atleast_2d(thetas)
@@ -255,7 +246,7 @@ class _CountedObjective:
 
 def run_sa_vqe(
     hamiltonian: QubitHamiltonian | CompiledHamiltonian,
-    ansatz: AnsatzSpec | CompiledAnsatz,
+    ansatz: AnsatzSpec,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
     initial_states=None,

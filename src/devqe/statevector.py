@@ -4,16 +4,17 @@ Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
 significant).  All operations return new StateVector instances; amplitudes
 are never mutated in place.
 
-Operators are compiled once and evaluated many times: CompiledHamiltonian
-and CompiledAnsatz hold gather-index and coefficient arrays built from the
-(x, z) masks of the letter strings, and expectation / apply_ansatz accept
-either form.  Both also take an (R, 2^n) amplitude block, one state per row,
-and every row comes out bitwise equal to evaluating it alone.  The SA-VQE
-objective works on a determinant basis instead: SectorHamiltonian is the
-real (S, S) block of a CompiledHamiltonian on that basis, and expectation
-takes it with an (R, S) block.  apply_pauli and apply_excitation walk the
-letter strings and stay as the reference the compiled kernels are tested
-against.
+Operators are compiled once and evaluated many times.  CompiledHamiltonian
+is the table of a Hamiltonian's Pauli terms, read off the (x, z) masks of
+its letter strings and grouped by X-mask; its columns() evaluates the
+Hamiltonian's entries on any set of determinants.  The SA-VQE objective works
+on a determinant basis: SectorHamiltonian is the real (S, S) block of a
+CompiledHamiltonian on that basis, and expectation takes it with an (R, S)
+block.  The dense expectation takes a StateVector or an (R, 2^n) amplitude
+block, one state per row, and every row comes out bitwise equal to
+evaluating it alone.  The ansatz kernel (GivensAnsatz) lives in ansatz.py.
+apply_pauli and apply_excitation walk the letter strings and stay as the
+reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import numpy as np
 from .pauli import QubitHamiltonian, string_to_masks
 
 IMAG_TOLERANCE = 1e-10
+# determinants per CompiledHamiltonian.columns call of a dense expectation:
+# its (terms, slice) intermediates stay at a few MB
+DENSE_SLICE = 256
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,49 +125,63 @@ def apply_excitation(state: StateVector, excitation, theta: float) -> StateVecto
     return out
 
 
-def _word_gather(n_qubits: int, x_mask: int, z_mask: int):
-    """(gather, factor) with (P psi)[j] = factor[j] * psi[gather[j]] for the
-    letter word P(x, z): the gather form of apply_pauli's scatter."""
-    idx = _index_array(n_qubits)
-    phase = (1j) ** ((x_mask & z_mask).bit_count() % 4)
-    signs = 1.0 - 2.0 * _parity(idx & np.uint64(z_mask))
-    gather = (idx ^ np.uint64(x_mask)).astype(np.intp)
-    return gather, (phase * signs)[gather]
-
-
 @dataclass(frozen=True)
 class CompiledHamiltonian:
-    """H|psi> = sum_x D_x * psi[idx ^ x], one row per distinct X-mask.
+    """H as a table of its Pauli terms, sorted stably by X-mask.
 
-    Each D_x folds in every term with that X-mask: its coefficient, its
-    i^popcount(x & z) phase and its Z-parity signs.
+    A term c P(x, z) sends determinant b to b ^ x with the factor
+    c * (i^popcount(x & z) * (-1)^popcount(b & z)), so H[b ^ x, b] sums that
+    factor over the terms with X-mask x, in term order.  Nothing is stored
+    per determinant: columns() evaluates the entries of the determinants it
+    is given.
     """
 
     n_qubits: int
-    gather: np.ndarray  # (G, 2^n) indices idx ^ x
-    diagonals: np.ndarray  # (G, 2^n) complex D_x
+    x_masks: np.ndarray  # (G,) distinct X-masks, ascending
+    starts: np.ndarray  # (G,) index of each X-mask's first term
+    # ((groups, terms), ...): for each position p >= 1 within an X-mask's
+    # terms, the X-masks with a term at p and the index of that term
+    later: tuple
+    z_masks: np.ndarray  # (T,) Z-mask of each term
+    coefficients: np.ndarray  # (T,) complex coefficient of each term
+    phases: np.ndarray  # (T,) i^popcount(x & z) of each term
 
     @classmethod
     def from_hamiltonian(cls, hamiltonian: QubitHamiltonian) -> "CompiledHamiltonian":
-        groups: dict = {}
-        for term in hamiltonian.terms:
-            x_mask, z_mask = string_to_masks(term.string)
-            gather, factor = _word_gather(hamiltonian.n_qubits, x_mask, z_mask)
-            if x_mask in groups:
-                groups[x_mask][1] += term.coefficient * factor
-            else:
-                groups[x_mask] = [gather, term.coefficient * factor]
-        size = 2**hamiltonian.n_qubits
-        rows = [groups[x] for x in sorted(groups)]
-        gather = np.array([g for g, _ in rows], dtype=np.intp).reshape(-1, size)
-        diagonals = np.array([d for _, d in rows], dtype=complex).reshape(-1, size)
-        return cls(hamiltonian.n_qubits, gather, diagonals)
+        terms = sorted(  # stable: the terms of one X-mask keep their order
+            ((*string_to_masks(term.string), term.coefficient) for term in hamiltonian.terms),
+            key=lambda term: term[0],
+        )
+        x_masks, starts, sizes = np.unique(
+            np.array([x for x, _, _ in terms], dtype=np.intp),
+            return_index=True,
+            return_counts=True,
+        )
+        later = []
+        for position in range(1, int(sizes.max(initial=0))):
+            groups = np.flatnonzero(sizes > position)
+            later.append((groups, starts[groups] + position))
+        return cls(
+            hamiltonian.n_qubits,
+            x_masks,
+            starts,
+            tuple(later),
+            np.array([z for _, z, _ in terms], dtype=np.intp),
+            np.array([c for _, _, c in terms], dtype=complex),
+            np.array([(1j) ** ((x & z).bit_count() % 4) for x, z, _ in terms], dtype=complex),
+        )
 
     def columns(self, bits: np.ndarray):
         """(rows, entries) with H[rows[g, i], bits[i]] = entries[g, i]: the
-        entries of the columns `bits`, one row per X-mask."""
-        rows = self.gather[:, bits]
-        return rows, np.take_along_axis(self.diagonals, rows, axis=1)
+        entries of the columns `bits`, one row per X-mask.  Each entry adds
+        its terms' factors from left to right, one position at a time."""
+        bits = np.asarray(bits, dtype=np.intp)
+        signs = 1.0 - 2.0 * _parity(bits & self.z_masks[:, None])
+        factors = self.coefficients[:, None] * (self.phases[:, None] * signs)
+        entries = factors[self.starts]
+        for groups, terms in self.later:
+            entries[groups] += factors[terms]
+        return bits ^ self.x_masks[:, None], entries
 
 
 @dataclass(frozen=True)
@@ -219,83 +237,21 @@ def expectation(state, hamiltonian):
     block = state.amplitudes[None] if isinstance(state, StateVector) else state
     if block.shape[-1] != 2**compiled.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
+    # (H psi)[j] = sum_x H[j, j ^ x] psi[j ^ x]: the columns of every
+    # determinant, DENSE_SLICE at a time, gathered back onto their rows
+    determinants = np.arange(2**compiled.n_qubits)
+    slices = np.array_split(determinants, max(1, determinants.size // DENSE_SLICE))
+    entries = np.concatenate([compiled.columns(bits)[1] for bits in slices], axis=1)
+    gather = determinants ^ compiled.x_masks[:, None]
+    diagonals = np.take_along_axis(entries, gather, axis=1)
     values = np.empty(len(block))
     for row, psi in enumerate(block):
-        h_psi = (compiled.diagonals * psi[compiled.gather]).sum(axis=0)
+        h_psi = (diagonals * psi[gather]).sum(axis=0)
         total = complex(np.vdot(psi, h_psi))
         if abs(total.imag) > IMAG_TOLERANCE:
             raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
         values[row] = total.real
     return float(values[0]) if isinstance(state, StateVector) else values
-
-
-@dataclass(frozen=True)
-class CompiledAnsatz:
-    """An ansatz as gather kernels, one per generator word in circuit order:
-    the word's parameter index and coefficient, its gather and phase * sign."""
-
-    n_qubits: int
-    parameter_count: int
-    params: np.ndarray  # (W,) parameter index of each word
-    coeffs: np.ndarray  # (W,) coefficient of each word
-    words: tuple  # ((gather, factor), ...)
-    excitations: tuple  # the spec's Excitations, for GivensAnsatz.on_basis
-
-    @property
-    def width(self) -> int:
-        return 2**self.n_qubits
-
-    @classmethod
-    def from_spec(cls, ansatz) -> "CompiledAnsatz":
-        params, coeffs, words = [], [], []
-        gathers: dict = {}  # words with one X-mask share one gather array
-        for k, excitation in enumerate(ansatz.excitations):
-            for string, coeff in excitation.pauli_decomposition:
-                if len(string) != ansatz.n_qubits:
-                    raise ShapeError("excitation decomposition does not match the ansatz")
-                x_mask, z_mask = string_to_masks(string)
-                gather, factor = _word_gather(ansatz.n_qubits, x_mask, z_mask)
-                params.append(k)
-                coeffs.append(coeff)
-                words.append((gathers.setdefault(x_mask, gather), factor))
-        return cls(
-            ansatz.n_qubits,
-            ansatz.parameter_count,
-            np.array(params, dtype=np.intp),
-            np.array(coeffs, dtype=float),
-            tuple(words),
-            tuple(ansatz.excitations),
-        )
-
-    def apply(self, amplitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """U(thetas[r]) applied to row r of an (R, 2^n) block, for every row.
-
-        Each row gets apply_excitation's arithmetic: its cos/sin come from
-        math.cos/math.sin on the same angle expression, and enter as complex
-        columns, as a Python float would.
-        """
-        # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
-        half = (-2.0 * thetas[:, self.params] * self.coeffs / 2.0).T.ravel().tolist()
-        shape = (len(self.words), len(amplitudes), 1)
-        cos = np.array(list(map(math.cos, half)), dtype=complex).reshape(shape)
-        i_sin = (1j * np.array(list(map(math.sin, half)))).reshape(shape)
-        out = amplitudes
-        for (gather, factor), c, s in zip(self.words, cos, i_sin):
-            # cos * out - (1j * sin) * (factor * out[gather]), each product
-            # with its operands in that order, computed in place
-            rotated = out.take(gather, axis=1)
-            np.multiply(factor, rotated, out=rotated)
-            np.multiply(s, rotated, out=rotated)
-            out = c * out
-            out -= rotated
-        return out
-
-
-def compile_ansatz(ansatz) -> CompiledAnsatz:
-    """The compiled form of an AnsatzSpec; compiled input passes."""
-    if isinstance(ansatz, CompiledAnsatz):
-        return ansatz
-    return CompiledAnsatz.from_spec(ansatz)
 
 
 def _annihilate(amplitudes: np.ndarray, mode: int) -> np.ndarray:

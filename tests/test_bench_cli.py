@@ -20,6 +20,7 @@ from devqe.bench import (
     rosenbrock,
     sphere,
 )
+from devqe import bench as bench_mod
 from devqe.cli import main
 from devqe.de import DEConfig
 from devqe.orbitals import MacroConfig
@@ -263,6 +264,23 @@ class TestScan:
         cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"}, str(tmp_path), "savqe")
         assert not os.path.exists(os.path.join(str(tmp_path), "failures.csv"))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"weights": "1 2"}, {"weights": "nan nan"}, {"macro_tol": "nan"},
+         {"max_macro_iters": "0"}, {"optimizer": "de_rand1_bin", "f": "nan"}],
+        ids=["weights", "nan_weights", "macro_tol", "max_macro_iters", "de_f"],
+    )
+    def test_shared_settings_checked_before_the_first_point(self, tmp_path, h2_scan_dir,
+                                                            setting, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        config = {"molecule": h2_scan_dir, "optimizer": "bfgs", **setting}
+        with pytest.raises(UsageError):
+            cmd_scan(config, str(tmp_path / "out"), "savqe")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -312,6 +330,23 @@ class TestCliExitCodes:
                               optimizer="bfgs", seeds="0", weights="0.3,0.3,0.4")
         assert main(["compare", "--config", config, "--out", str(out)]) == 2
         assert not (out / "manifest.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"weights": "nan nan"}, {"macro_tol": "nan"}, {"max_macro_iters": "0"},
+         {"max_macro_iters": "-2"}],
+        ids=["nan_weights", "nan_macro_tol", "zero_macro_iters", "negative_macro_iters"],
+    )
+    def test_bad_saoo_setting_exit_two_before_any_run(self, tmp_path, setting, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the macro loop ran")
+
+        monkeypatch.setattr(bench_mod, "run_sa_oo_vqe", no_run)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer="bfgs", seeds="0", **setting)
+        assert main(["saoo", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "result.csv").exists()
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2

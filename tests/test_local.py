@@ -17,6 +17,37 @@ def rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
+NOT_POSITIVE_OR_FINITE = [0.0, -0.1, float("nan"), float("inf")]
+
+
+class TestLocalOptConfig:
+    @pytest.mark.parametrize("value", NOT_POSITIVE_OR_FINITE)
+    def test_grad_step_rejected(self, value):
+        with pytest.raises(ValueError, match="grad_step"):
+            LocalOptConfig(grad_step=value)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_OR_FINITE)
+    def test_grad_tol_rejected(self, value):
+        with pytest.raises(ValueError, match="grad_tol"):
+            LocalOptConfig(grad_tol=value)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_OR_FINITE)
+    def test_gd_learning_rate_rejected(self, value):
+        # a zero rate never moves; a NaN rate would accept a NaN step
+        with pytest.raises(ValueError, match="gd_learning_rate"):
+            LocalOptConfig(gd_learning_rate=value)
+
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    def test_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            LocalOptConfig(max_iters=value)
+
+    def test_zero_max_iters_returns_the_start(self):
+        result = bfgs_minimize(rosenbrock, np.array([0.3, -0.4]), LocalOptConfig(max_iters=0))
+        assert result.x.tolist() == [0.3, -0.4]
+        assert result.stop_reason == "max_iters"
+
+
 class TestFdGradient:
     def test_quadratic(self):
         grad = fd_gradient(lambda x: float(x @ x), np.array([1.0, 2.0]), 1e-6)
@@ -191,13 +222,6 @@ class TestGradientDescent:
         assert abs(result.x[0]) < 1e-9
         assert result.stop_reason == "grad_tol"
         assert result.iterations <= 2
-
-    def test_zero_learning_rate_never_moves(self):
-        config = LocalOptConfig(gd_learning_rate=0.0, max_iters=15)
-        result = gradient_descent(lambda x: float(x[0] ** 2), np.array([2.0]), config)
-        assert result.x[0] == 2.0
-        assert result.fun == 4.0
-        assert result.stop_reason == "max_iters"
 
     def test_bowl_converges(self):
         config = LocalOptConfig(gd_learning_rate=0.1, max_iters=200)

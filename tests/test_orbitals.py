@@ -18,7 +18,7 @@ from devqe.orbitals import (
     run_sa_oo_vqe,
     sa_oo_energy,
 )
-from devqe.savqe import OptimizerChoice, build_initial_states, run_sa_vqe, sa_energy
+from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
 from devqe.statevector import measure_rdms, rdm_energy
 from devqe.trace import SCOPE_MACRO, SCOPE_STEP
 
@@ -64,7 +64,7 @@ class TestSaOoEnergy:
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
         theta = np.array([0.15, -0.3])
-        e_ref, _, evolved = sa_energy(theta, ham, ansatz, states, (0.5, 0.5))
+        e_ref, _, evolved = sa_energy(theta, Sector.build(ham, ansatz, states), (0.5, 0.5))
         rdms = tuple(measure_rdms(s, 2) for s in evolved)
         e_oo = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (0.5, 0.5))
         assert abs(e_oo - e_ref) < 1e-10
@@ -143,6 +143,20 @@ class TestMinimizeOrbitals:
         result = minimize_orbitals(h4_integrals, rdms, (0.5, 0.5), config)
         assert result.kappa.values.size == 1
         assert result.kappa.pairs == [(2, 1)]
+
+
+class TestMacroConfig:
+    @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_macro_tol_rejected(self, value):
+        # a NaN tolerance never converges: abs(dE) < nan is always False
+        with pytest.raises(ValueError, match="macro_tol"):
+            MacroConfig(macro_tol=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.0, True])
+    def test_max_macro_iters_rejected(self, value):
+        # zero iterations would return e_sa = nan without a macro iteration
+        with pytest.raises(ValueError, match="max_macro_iters"):
+            MacroConfig(max_macro_iters=value)
 
 
 class TestMacroLoop:

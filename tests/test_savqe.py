@@ -12,6 +12,7 @@ from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix
 from devqe.savqe import (
     EnsembleSpec,
     OptimizerChoice,
+    Sector,
     build_initial_states,
     run_sa_vqe,
     sa_energy,
@@ -27,6 +28,14 @@ class TestEnsembleSpec:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec((1.5, -0.5))
+
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"), float("nan")), (float("nan"), 1.0), (float("inf"), 0.0)]
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        # NaN passes both x < 0 and abs(sum - 1) > tol as False
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec(weights)
 
 
 class TestInitialStates:
@@ -94,7 +103,7 @@ class TestSaEnergy:
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
         theta = np.array([0.2, -0.1])
-        e_sa, energies, _ = sa_energy(theta, ham, ansatz, states, (1.0, 0.0))
+        e_sa, energies, _ = sa_energy(theta, Sector.build(ham, ansatz, states), (1.0, 0.0))
         assert e_sa == pytest.approx(energies[0])
 
     def test_zero_theta_gives_reference_energies(self, h2_integrals):
@@ -102,7 +111,7 @@ class TestSaEnergy:
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
         _, energies, _ = sa_energy(
-            np.zeros(ansatz.parameter_count), ham, ansatz, states, (0.5, 0.5)
+            np.zeros(ansatz.parameter_count), Sector.build(ham, ansatz, states), (0.5, 0.5)
         )
         assert energies[0] == pytest.approx(expectation(states[0], ham))
         assert energies[1] == pytest.approx(expectation(states[1], ham))
@@ -114,7 +123,7 @@ class TestSaEnergy:
         from devqe.statevector import basis_state
 
         states = (basis_state(1, []), basis_state(1, [0]))
-        e_sa, energies, _ = sa_energy([], ham, ansatz, states, (0.5, 0.5))
+        e_sa, energies, _ = sa_energy([], Sector.build(ham, ansatz, states), (0.5, 0.5))
         assert energies == (pytest.approx(-1.0), pytest.approx(-2.0))
         assert e_sa == pytest.approx(-1.5)
 
@@ -123,8 +132,7 @@ class TestSaEnergy:
     def test_block_equals_one_point_calls(self, molecule, rows_per_block, request):
         from devqe.ansatz import apply_ansatz
         from devqe.integrals import freeze_core
-        from devqe.savqe import Sector
-        from devqe.statevector import apply_excitation, compile_ansatz, compile_hamiltonian
+        from devqe.statevector import apply_excitation, compile_hamiltonian
 
         if molecule == "lih_frozen_core":
             integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
@@ -132,9 +140,9 @@ class TestSaEnergy:
             integrals = request.getfixturevalue(f"{molecule}_integrals")
         spec = default_ansatz(integrals.n_orb, integrals.n_elec)
         ham = compile_hamiltonian(jordan_wigner(integrals))
-        ansatz = compile_ansatz(spec)
         states = build_initial_states(integrals.n_orb, integrals.n_elec)
-        sector = Sector.build(ham, ansatz, states)
+        sector = Sector.build(ham, spec, states)
+        rebuilt = Sector.build(jordan_wigner(integrals), spec, states)
         weights = (0.375, 0.625)
         n_points = 33  # 66 (point, reference) rows
         thetas = np.random.default_rng(27).uniform(-1.0, 1.0, (n_points, spec.parameter_count))
@@ -156,8 +164,8 @@ class TestSaEnergy:
             ])
             assert np.array_equal(split.reshape(n_points, 2), energies)
         for i, theta in enumerate(thetas):
-            # the letter/compiled form builds its own sector for the one call
-            one_e_sa, one_energies, evolved = sa_energy(theta, ham, ansatz, states, weights)
+            # a sector built again from the letter form gives the same point
+            one_e_sa, one_energies, evolved = sa_energy(theta, rebuilt, weights)
             assert e_sa[i] == one_e_sa
             assert tuple(energies[i].tolist()) == one_energies
             for reference, state, energy in zip(states, evolved, one_energies):
@@ -195,10 +203,11 @@ class TestRunSaVqe:
         ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
+        sector = Sector.build(ham, ansatz, states)
         rng = np.random.default_rng(0)
         for _ in range(25):
             theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-            _, _, evolved = sa_energy(theta, ham, ansatz, states, (0.5, 0.5))
+            _, _, evolved = sa_energy(theta, sector, (0.5, 0.5))
             assert abs(evolved[0].inner(evolved[1])) < 1e-10
             assert abs(evolved[0].norm() - 1.0) < 1e-12
             assert abs(evolved[1].norm() - 1.0) < 1e-12
@@ -207,11 +216,12 @@ class TestRunSaVqe:
         ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
+        sector = Sector.build(ham, ansatz, states)
         floor = fock.ensemble_floor(h2_integrals)
         rng = np.random.default_rng(1)
         for _ in range(60):
             theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-            e_sa, _, _ = sa_energy(theta, ham, ansatz, states, (0.5, 0.5))
+            e_sa, _, _ = sa_energy(theta, sector, (0.5, 0.5))
             assert e_sa >= floor - 1e-10
 
     def test_weighted_sum_consistency_on_trace(self, h2_integrals):
@@ -229,9 +239,10 @@ class TestRunSaVqe:
         ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
+        sector = Sector.build(ham, ansatz, states)
 
         def objective(theta):
-            return sa_energy(theta, ham, ansatz, states, (0.5, 0.5))[0]
+            return sa_energy(theta, sector, (0.5, 0.5))[0]
 
         rng = np.random.default_rng(2)
         theta = rng.uniform(-0.5, 0.5, ansatz.parameter_count)

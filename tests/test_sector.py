@@ -3,6 +3,7 @@ sector of fock.py, the Pauli-word excitation chain and the letter-string
 expectation."""
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -89,6 +90,30 @@ def test_one_qubit_basis_closes_over_both_states():
     assert np.array_equal(sector.hamiltonian.matrix, [[0.5, 0.25], [0.25, -0.5]])
 
 
+# sha256 of the basis and Hamiltonian block bytes of each fixture's sector,
+# as the (G, 2^n) X-mask rows of the compiled Hamiltonian gave them: the
+# per-term table must read the same block off the Pauli masks, bitwise
+SECTOR_PINS = {
+    "h2": ("fe2e3876105e2686557dd746753ebaa67513eac43211b6338c98aafd39291f89",
+           "62032861ea0491702bc34ae2bc5041f73fab1d0bf6f21052ead6e15fdcb43f6e"),
+    "h4": ("5655235b2460f736e122e4267182a0e3d334e7c58541ee2fe7917dee829907a1",
+           "429a84f9e2019a25188a02625acbca91dc52eaee64515913c7453b32d2a3cff0"),
+    "lih_frozen_core": ("5e3b6bb4b2f9a5a8849c08b097f62d6736cfc848e9a9cb09c5a202501053c66c",
+                        "c035b3c2151ad06f4982b9e175b3b8c44c1f8fc59371d48ccdb8b68df50632e6"),
+    "lih": ("d2504e6a33fdcd7f2336362fd665a2bf0188f8b623013414360d911756b6c254",
+            "4e5a4036b7633c82cbb78f8d3541a34d993ba2c247298c03e9e88aa9aace97af"),
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, indirect=True)
+def test_sector_bytes_match_pins(system, request):
+    *_, sector = system
+    basis_pin, matrix_pin = SECTOR_PINS[request.node.callspec.params["system"]]
+    assert sector.basis.dtype == np.int64 and sector.hamiltonian.matrix.dtype == np.float64
+    assert hashlib.sha256(sector.basis.tobytes()).hexdigest() == basis_pin
+    assert hashlib.sha256(sector.hamiltonian.matrix.tobytes()).hexdigest() == matrix_pin
+
+
 @pytest.mark.parametrize("system", SYSTEMS, indirect=True)
 def test_sector_hamiltonian_matches_occupation_basis_matrix(system):
     integrals, _, _, _, sector = system
@@ -143,7 +168,7 @@ def test_non_hermitian_hamiltonian_rejected_when_the_sector_is_built():
     ham = QubitHamiltonian(1, [PauliTerm("X", 1j)])
     states = (basis_state(1, []), basis_state(1, [0]))
     with pytest.raises(ExpectationError, match="not Hermitian"):
-        sa_energy([], ham, AnsatzSpec(n_qubits=1), states, (0.5, 0.5))
+        Sector.build(ham, AnsatzSpec(n_qubits=1), states)
 
 
 def test_complex_references_rejected(h2_integrals):
@@ -151,7 +176,7 @@ def test_complex_references_rejected(h2_integrals):
     hf, excited = build_initial_states(2, 2)
     phased = StateVector(4, 1j * excited.amplitudes)
     with pytest.raises(ValueError, match="real amplitudes"):
-        sa_energy([0.1, 0.2], ham, default_ansatz(2, 2), (hf, phased), (0.5, 0.5))
+        Sector.build(ham, default_ansatz(2, 2), (hf, phased))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from devqe import fock
 from devqe.ansatz import (
+    AnsatzSpec,
     apply_ansatz,
     default_ansatz,
     double_excitation,
@@ -17,7 +18,6 @@ from devqe.jw import jordan_wigner
 from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix, pauli_matrix
 from devqe.savqe import build_initial_states
 from devqe.statevector import (
-    CompiledAnsatz,
     CompiledHamiltonian,
     ExpectationError,
     RDMPair,
@@ -29,7 +29,6 @@ from devqe.statevector import (
     apply_pauli,
     apply_pauli_rotation,
     basis_state,
-    compile_ansatz,
     compile_hamiltonian,
     expectation,
     measure_rdms,
@@ -242,7 +241,45 @@ class TestCompiledHamiltonian:
         for integrals, n_terms, n_rows in ((h4_integrals, 185, 27), (lih_integrals, 631, 84)):
             ham = jordan_wigner(integrals)
             assert len(ham) == n_terms
-            assert compile_hamiltonian(ham).gather.shape == (n_rows, 2**ham.n_qubits)
+            compiled = compile_hamiltonian(ham)
+            assert compiled.x_masks.shape == (n_rows,)
+            rows, entries = compiled.columns(np.array([3, 5, 6]))
+            assert rows.shape == entries.shape == (n_rows, 3)
+
+    def test_no_array_spans_the_full_space(self, lih_integrals):
+        # the table is per term: nothing grows with 2^n
+        compiled = compile_hamiltonian(jordan_wigner(lih_integrals))
+        arrays = [compiled.x_masks, compiled.starts, compiled.z_masks,
+                  compiled.coefficients, compiled.phases]
+        arrays += [a for pair in compiled.later for a in pair]
+        assert max(a.size for a in arrays) == 631
+
+    @pytest.mark.parametrize("molecule", ("h2_integrals", "h4_integrals"))
+    def test_columns_match_dense_matrix(self, molecule, request):
+        ham = jordan_wigner(request.getfixturevalue(molecule))
+        self._check_columns(ham, seed=40)
+
+    def test_columns_match_dense_matrix_on_complex_words(self):
+        # random words with Y letters and complex coefficients, and the
+        # anti-Hermitian iX toy: every phase i^k and both Z-signs occur
+        rng = np.random.default_rng(41)
+        strings = {"".join(rng.choice(list("IXYZ"), 5)) for _ in range(60)}
+        terms = [PauliTerm(s, complex(rng.normal(), rng.normal())) for s in sorted(strings)]
+        self._check_columns(QubitHamiltonian(5, terms), seed=42)
+        self._check_columns(QubitHamiltonian(1, [PauliTerm("X", 1j)]), seed=43)
+
+    @staticmethod
+    def _check_columns(ham, seed):
+        dense = hamiltonian_matrix(ham)
+        compiled = compile_hamiltonian(ham)
+        size = 2**ham.n_qubits
+        rng = np.random.default_rng(seed)
+        for n_bits in (1, 2, size // 2, size):
+            bits = rng.choice(size, n_bits, replace=False)
+            rows, entries = compiled.columns(bits)
+            got = np.zeros((size, n_bits), dtype=complex)
+            got[rows, np.arange(n_bits)] = entries
+            assert np.max(np.abs(got - dense[:, bits])) < 1e-14
 
     def test_letter_and_compiled_forms_agree(self, h2_integrals):
         ham = jordan_wigner(h2_integrals)
@@ -278,60 +315,78 @@ class TestCompiledHamiltonian:
         assert values.tolist() == [expectation(s, compiled) for s in states]
 
 
+def givens_excitation_chain(reference, ansatz, theta):
+    """apply_ansatz one excitation at a time, in circuit order."""
+    out = reference
+    for excitation, angle in zip(ansatz.excitations, theta):
+        out = apply_ansatz(out, AnsatzSpec(ansatz.n_qubits, [excitation]), [angle])
+    return out
+
+
+def pauli_excitation_chain(reference, ansatz, theta):
+    out = reference
+    for excitation, angle in zip(ansatz.excitations, theta):
+        out = apply_excitation(out, excitation, float(angle))
+    return out
+
+
 class TestCompiledAnsatz:
+    """apply_ansatz on an AnsatzSpec, compiled to Givens sets on all 2^n
+    determinants, against the Pauli-word chain of apply_excitation.  The
+    two are different exact factorisations of U(theta), so they agree to
+    rounding; excitation by excitation, the Givens sets compose bitwise."""
+
     @pytest.mark.parametrize("molecule", MOLECULES)
     def test_bit_identical_to_excitation_chain(self, molecule, request):
         integrals = request.getfixturevalue(molecule)
         ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
-        compiled = CompiledAnsatz.from_spec(ansatz)
+        n_qubits = ansatz.n_qubits
+        states = build_initial_states(integrals.n_orb, integrals.n_elec)
+        states += tuple(random_state(n_qubits, 240 + seed) for seed in range(2))
         rng = np.random.default_rng(24)
-        for reference in build_initial_states(integrals.n_orb, integrals.n_elec):
-            for _ in range(3):
+        for state in states:
+            for _ in range(2):
                 theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-                chain = reference
-                for excitation, angle in zip(ansatz.excitations, theta):
-                    chain = apply_excitation(chain, excitation, float(angle))
-                out = apply_ansatz(reference, compiled, theta)
-                assert np.array_equal(out.amplitudes, chain.amplitudes)
+                out = apply_ansatz(state, ansatz, theta).amplitudes
                 assert np.array_equal(
-                    apply_ansatz(reference, ansatz, theta).amplitudes, chain.amplitudes
+                    out, givens_excitation_chain(state, ansatz, theta).amplitudes
                 )
+                chain = pauli_excitation_chain(state, ansatz, theta).amplitudes
+                assert np.max(np.abs(out - chain)) < 1e-12
 
     @pytest.mark.parametrize("molecule", MOLECULES)
     def test_block_rows_bit_identical_to_excitation_chain(self, molecule, request):
         # one block, a different theta and either reference on every row
         integrals = request.getfixturevalue(molecule)
         ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
-        compiled = compile_ansatz(ansatz)
         references = build_initial_states(integrals.n_orb, integrals.n_elec)
         rng = np.random.default_rng(26)
         n_rows = 5
         thetas = rng.uniform(-np.pi, np.pi, (n_rows, ansatz.parameter_count))
         chosen = [references[r % 2] for r in range(n_rows)]
-        block = apply_ansatz(np.array([ref.amplitudes for ref in chosen]), compiled, thetas)
+        block = apply_ansatz(np.array([ref.amplitudes for ref in chosen]), ansatz, thetas)
         assert block.shape == (n_rows, 2**ansatz.n_qubits)
         for row, (reference, theta) in enumerate(zip(chosen, thetas)):
-            chain = reference
-            for excitation, angle in zip(ansatz.excitations, theta):
-                chain = apply_excitation(chain, excitation, float(angle))
-            assert np.array_equal(block[row], chain.amplitudes), row
+            alone = givens_excitation_chain(reference, ansatz, theta).amplitudes
+            assert np.array_equal(block[row], alone), row
+            chain = pauli_excitation_chain(reference, ansatz, theta).amplitudes
+            assert np.max(np.abs(block[row] - chain)) < 1e-12, row
 
     def test_block_rejects_mismatched_rows(self):
-        compiled = compile_ansatz(default_ansatz(2, 2))
+        ansatz = default_ansatz(2, 2)
         block = np.array([basis_state(4, [0, 1]).amplitudes] * 3)
-        assert apply_ansatz(block, compiled, np.zeros((3, 2))).shape == (3, 16)
+        assert apply_ansatz(block, ansatz, np.zeros((3, 2))).shape == (3, 16)
         with pytest.raises(ShapeError):
-            apply_ansatz(block, compiled, np.zeros((2, 2)))
+            apply_ansatz(block, ansatz, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            apply_ansatz(block, compiled, np.zeros((3, 1)))
+            apply_ansatz(block, ansatz, np.zeros((3, 1)))
 
     def test_rejects_bad_theta_and_width(self):
-        compiled = compile_ansatz(default_ansatz(2, 2))
-        assert compile_ansatz(compiled) is compiled
+        ansatz = default_ansatz(2, 2)
         with pytest.raises(ValueError):
-            apply_ansatz(basis_state(4, [0, 1]), compiled, [0.1])
+            apply_ansatz(basis_state(4, [0, 1]), ansatz, [0.1])
         with pytest.raises(ShapeError):
-            apply_ansatz(basis_state(6, [0, 1]), compiled, [0.1, 0.2])
+            apply_ansatz(basis_state(6, [0, 1]), ansatz, [0.1, 0.2])
 
 
 class TestLadderOnStates:

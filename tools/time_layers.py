@@ -20,7 +20,7 @@ of its Sector.  Cases:
            (what fd_gradient hands to the batch protocol);
 - de_gen:  one DE generation of max(15, 5D) random thetas as one block;
 - macro:   the layers every SA-OO-VQE macro iteration rebuilds, in ms per
-           call: jordan_wigner, compile_hamiltonian plus Sector.build,
+           call: jordan_wigner, Sector.build from the letter-form Hamiltonian,
            minimize_orbitals on the RDMs of the theta = 0.05 states (with the
            number of rotate_integrals calls it makes), and rotate_integrals;
 - de_driver: microseconds per evaluation of whole de_minimize runs of
@@ -55,7 +55,7 @@ from devqe import bench, de, orbitals, savqe  # noqa: E402
 from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
 from devqe.jw import jordan_wigner  # noqa: E402
-from devqe.statevector import compile_hamiltonian, measure_rdms  # noqa: E402
+from devqe.statevector import measure_rdms  # noqa: E402
 
 CASES = ("point", "stencil", "de_gen", "macro", "de_driver")
 DE_DRIVER_EVALS = 6000
@@ -132,11 +132,10 @@ def time_macro_layers(name, integrals, ansatz, states, repeats):
     """Print ms per call of the layers one macro iteration rebuilds."""
     hamiltonian = jordan_wigner(integrals)
     jw_ms = ms_per_eval(lambda: jordan_wigner(integrals), 1, repeats)
-    build_ms = ms_per_eval(
-        lambda: savqe.Sector.build(compile_hamiltonian(hamiltonian), ansatz, states), 1, repeats
-    )
+    build_ms = ms_per_eval(lambda: savqe.Sector.build(hamiltonian, ansatz, states), 1, repeats)
     theta = np.full(ansatz.parameter_count, MACRO_THETA)
-    _, _, evolved = savqe.sa_energy(theta, hamiltonian, ansatz, states, WEIGHTS)
+    sector = savqe.Sector.build(hamiltonian, ansatz, states)
+    _, _, evolved = savqe.sa_energy(theta, sector, WEIGHTS)
     rdms = tuple(measure_rdms(state, integrals.n_orb) for state in evolved)
 
     rotations = 0
@@ -157,7 +156,7 @@ def time_macro_layers(name, integrals, ansatz, states, repeats):
         integrals.n_orb, np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
     )
     rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
-    print(f"{name:7s} {'macro':8s} jordan_wigner {jw_ms:.3f}, compile + Sector.build "
+    print(f"{name:7s} {'macro':8s} jordan_wigner {jw_ms:.3f}, Sector.build "
           f"{build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
           f"calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
 
