@@ -182,22 +182,6 @@ def _ladder_action(specs):
     return mask, value, flip, lower, parity
 
 
-def generator_partners(ansatz, bits: np.ndarray) -> np.ndarray:
-    """Every determinant that one generator branch, tau_b or tau_b^dagger,
-    sends a determinant of `bits` to, repeats included."""
-    actions = [
-        action
-        for excitation in ansatz.excitations
-        for specs in excitation.ladder_specs
-        for ladder in (specs, _adjoint(specs))
-        if (action := _ladder_action(ladder)) is not None
-    ]
-    if not actions:
-        return np.empty(0, dtype=bits.dtype)
-    mask, value, flip = (np.array([a[i] for a in actions])[:, None] for i in range(3))
-    return (bits ^ flip)[(bits & mask) == value]
-
-
 @dataclass(frozen=True)
 class GivensAnsatz:
     """An ansatz on a determinant basis as real Givens rotations.

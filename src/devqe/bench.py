@@ -138,9 +138,12 @@ def parse_seeds(text) -> list:
     if text is None or str(text).strip() == "":
         return list(range(10))
     try:
-        return [int(tok) for tok in str(text).replace(",", " ").split()]
+        seeds = [int(tok) for tok in str(text).replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"could not parse seed list {text!r}")
+    if not seeds:
+        raise UsageError(f"seed list {text!r} names no seed")
+    return seeds
 
 
 def _is_set(config: dict, key) -> bool:
@@ -383,6 +386,8 @@ def cmd_compare(config: dict, out_dir) -> str:
         raise UsageError("compare requires molecule=<fcidump path> in the config")
     integrals = load_fcidump(fcidump_path)
     methods = str(config.get("optimizer", "bfgs")).replace(",", " ").split()
+    if not methods:
+        raise UsageError(f"optimizer list {config.get('optimizer')!r} names no optimizer")
     for method in methods:
         if method not in LOCAL_METHODS and method not in DE_METHODS:
             raise method_error(method)

@@ -22,7 +22,7 @@ from . import local as local_mod
 from .de import ObjectiveError
 from .integrals import MolecularIntegrals
 from .jw import jordan_wigner
-from .savqe import OptimizerChoice, build_initial_states, run_sa_vqe
+from .savqe import OptimizerChoice, run_sa_vqe
 from .statevector import ExpectationError, rdm_energy
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
 
@@ -212,6 +212,12 @@ def run_sa_oo_vqe(
     then visible in the per-step trace) but adopts the previous optimum when
     the fresh search fails to beat it, so the post-OO energy sequence is
     non-increasing for deterministic inner optimizers.
+
+    A VQE stage that returns has its events appended to the run trace, shifted
+    by the evaluations so far and stamped with the macro index, and its
+    evaluations charged before the orbital stage runs; a stage that raises
+    leaves nothing and charges nothing.  A numerical failure of either stage
+    is retried once in place.  RuntimeError when no macro iteration completes.
     """
     inner_optimizer = inner_optimizer or OptimizerChoice("bfgs")
     oo_config = oo_config or OOConfig()
@@ -226,14 +232,12 @@ def run_sa_oo_vqe(
     e_oo_prev = None
     converged = False
     consecutive_failures = 0
+    last_failure = None
     final_energies = ()
-    final_theta = np.zeros(ansatz.parameter_count)
-    final_e_sa = np.nan
 
     for attempt in range(1, macro_config.max_macro_iters + 1):
         macro_index = len(macro_trace) + 1  # failed attempts are retried in place
         hamiltonian = jordan_wigner(current)
-        initial_states = build_initial_states(current.n_orb, current.n_elec)
         stage_optimizer = inner_optimizer
         if inner_optimizer.kind == "de":
             seed = _child_seed(inner_optimizer.de_config.seed, attempt)
@@ -244,12 +248,13 @@ def run_sa_oo_vqe(
                 ansatz,
                 weights=weights,
                 optimizer=stage_optimizer,
-                initial_states=initial_states,
-                trace=trace,
-                macro_index=macro_index,
-                eval_offset=evals,
+                n_orb=current.n_orb,
+                n_elec=current.n_elec,
                 incumbent=theta_prev,
             )
+            for event in vqe.trace.events:
+                trace.append(replace(event, cum_evals=evals + event.cum_evals,
+                                     macro_index=macro_index))
             evals += vqe.evaluations
             theta_star, e_vqe = vqe.theta, vqe.e_sa
             oo = minimize_orbitals(current, vqe.rdms, weights, oo_config)
@@ -257,6 +262,7 @@ def run_sa_oo_vqe(
             if isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES):
                 raise exc.__cause__ from None  # a programming error in a DE objective
             consecutive_failures += 1
+            last_failure = exc
             inner_failures.append((macro_index, str(exc)))
             if consecutive_failures >= 2:
                 raise RuntimeError(
@@ -284,8 +290,6 @@ def run_sa_oo_vqe(
         )
 
         final_energies = oo.state_energies
-        final_theta = theta_star
-        final_e_sa = oo.e_sa
         current = oo.integrals
         theta_prev = theta_star
 
@@ -294,10 +298,12 @@ def run_sa_oo_vqe(
             break
         e_oo_prev = oo.e_sa
 
+    if not macro_trace:  # the only attempt failed
+        raise RuntimeError("no macro iteration completed") from last_failure
     return SAOOVQEResult(
-        e_sa=final_e_sa,
+        e_sa=macro_trace[-1].e_sa_oo,
         state_energies=final_energies,
-        theta=np.asarray(final_theta, dtype=float),
+        theta=np.asarray(theta_prev, dtype=float),
         integrals=current,
         macro_trace=macro_trace,
         trace=trace,

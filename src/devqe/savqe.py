@@ -3,10 +3,15 @@ orthogonal reference states, with the weighted ensemble energy minimized by a
 pluggable classical optimizer (DE, gradient descent, or BFGS).
 
 The objective never touches the 2^n statevector.  The references, the
-Hamiltonian and the generators meet on the references' active determinant
-basis (for molecules, the (N, S_z) sector), where every amplitude stays
-real: a Sector holds that basis with the Hamiltonian's real block and the
-ansatz as Givens rotations.  Only final states go back to 2^n, for the RDMs.
+Hamiltonian and the generators meet on the references' (N, S_z) sectors: every
+determinant with the particle number and S_z of a determinant the references
+occupy.  There every amplitude stays real: a Sector holds that basis with the
+Hamiltonian's real block and the ansatz as Givens rotations.  Only final
+states go back to 2^n, for the RDMs.
+
+A stage is self-contained: run_sa_vqe returns its trace in its own
+coordinates (evaluations counted from its first one, macro index 0), and a
+caller that runs several stages composes their traces.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import de as de_mod
 from . import local as local_mod
-from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz, generator_partners
+from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz
 from .pauli import QubitHamiltonian
 from .statevector import (
     CompiledHamiltonian,
@@ -36,10 +41,6 @@ from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
 
 WEIGHT_TOL = 1e-12
 DEFAULT_THETA_BOUND = math.pi
-# Hamiltonian entries at or below this connect no determinants of the active
-# basis: the compiled X-mask rows carry round-off residues of ~1e-17 between
-# sectors, which would otherwise close the basis over the whole space
-SECTOR_CUTOFF = 1e-14
 
 
 @dataclass
@@ -109,28 +110,12 @@ def build_initial_states(n_orb: int, n_elec: int):
     return hf, excited
 
 
-def _active_basis(hamiltonian: CompiledHamiltonian, ansatz, references) -> np.ndarray:
-    """The references' support closed under the Hamiltonian's entries above
-    SECTOR_CUTOFF and the generators' ladder partners, sorted."""
-    inside = np.any(references != 0, axis=0)  # over all 2^n determinants
-    new = np.flatnonzero(inside)
-    while new.size:  # every determinant's H column is read once, when it is new
-        rows, entries = hamiltonian.columns(new)
-        reached = np.zeros_like(inside)
-        reached[rows[np.abs(entries) > SECTOR_CUTOFF]] = True
-        if not (reached & ~inside).any():  # closed under H: try the generators
-            reached[generator_partners(ansatz, np.flatnonzero(inside))] = True
-        new = np.flatnonzero(reached & ~inside)
-        inside |= reached
-    return np.flatnonzero(inside)
-
-
 @dataclass(frozen=True)
 class Sector:
-    """An SA-VQE problem on its active determinant basis, in real arithmetic:
-    the Hamiltonian's block, the ansatz as Givens rotations and the real
-    references, all on one sorted basis of determinants (bit j of a basis
-    entry is the occupation of mode j, as in a statevector index)."""
+    """An SA-VQE problem on its references' (N, S_z) sectors, in real
+    arithmetic: the Hamiltonian's block, the ansatz as Givens rotations and
+    the real references, all on one sorted basis of determinants (bit j of a
+    basis entry is the occupation of mode j, as in a statevector index)."""
 
     n_qubits: int
     basis: np.ndarray  # (S,) sorted determinant indices
@@ -141,11 +126,15 @@ class Sector:
     @classmethod
     def build(cls, hamiltonian, ansatz, initial_states) -> "Sector":
         """The sector of a letter-form or compiled Hamiltonian, an AnsatzSpec
-        and the reference StateVectors: the Hamiltonian's columns are read
-        off its Pauli masks on the active determinants only, and the ansatz
-        becomes Givens sets on the same basis.  Raises ExpectationError when
-        the Hamiltonian's block is not Hermitian and ValueError when a
-        reference is not real."""
+        and the reference StateVectors.  The basis is every determinant whose
+        particle number and S_z (even modes spin up) match those of some
+        determinant in the references' support; the Hamiltonian's columns are
+        read off its Pauli masks on that basis only, once each, and the
+        ansatz becomes Givens sets on it.  Raises ValueError when a
+        reference is not real, or when a Hamiltonian entry above
+        SECTOR_CUTOFF or a generator leads out of the basis (N or S_z is not
+        conserved), and ExpectationError when the Hamiltonian's block is not
+        Hermitian."""
         hamiltonian = compile_hamiltonian(hamiltonian)
         n_qubits = hamiltonian.n_qubits
         if ansatz.n_qubits != n_qubits:
@@ -155,7 +144,13 @@ class Sector:
             raise ShapeError("references and Hamiltonian qubit counts differ")
         if np.any(references.imag != 0.0):
             raise ValueError("SA-VQE references must have real amplitudes")
-        basis = _active_basis(hamiltonian, ansatz, references)
+        up = sum(1 << mode for mode in range(0, n_qubits, 2))
+        determinants = np.arange(2**n_qubits)
+        # one label per (N, S_z): (spin-up count) * (n + 1) + spin-down count
+        sectors = (np.bitwise_count(determinants & up).astype(np.intp) * (n_qubits + 1)
+                   + np.bitwise_count(determinants & (up << 1)))
+        occupied = np.any(references != 0, axis=0)
+        basis = np.flatnonzero(np.isin(sectors, sectors[occupied]))
         return cls(
             n_qubits,
             basis,
@@ -208,16 +203,11 @@ class _CountedObjective:
     that call kept.  `batch` evaluates a block of points in one sa_energy
     call and charges one evaluation per row, as calling once per row would."""
 
-    def __init__(self, sector, weights, offset=0):
+    def __init__(self, sector, weights):
         self.sector = sector
         self.weights = weights
         self.calls = 0
-        self.offset = offset
         self._components = {}
-
-    @property
-    def cum_evals(self) -> int:
-        return self.offset + self.calls
 
     def __call__(self, theta):
         return float(self.batch(np.asarray(theta, dtype=float)[None])[0])
@@ -231,12 +221,9 @@ class _CountedObjective:
         return e_sa
 
     def components(self, theta):
-        key = np.asarray(theta, dtype=float).tobytes()
-        if key in self._components:
-            return self._components[key]
-        # cache miss: a genuine sa_energy invocation, so it is counted
-        e_sa = self(theta)
-        return e_sa, self._components[key][1]
+        """(e_sa, energies) of a point evaluated since the last `retain` or
+        kept by it."""
+        return self._components[np.asarray(theta, dtype=float).tobytes()]
 
     def retain(self, thetas=()):
         """Drop every cached point except `thetas`."""
@@ -249,20 +236,19 @@ def run_sa_vqe(
     ansatz: AnsatzSpec,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
-    initial_states=None,
-    n_orb: int | None = None,
-    n_elec: int | None = None,
-    trace: OptimizationTrace | None = None,
-    macro_index: int = 0,
-    eval_offset: int = 0,
+    *,
+    n_orb: int,
+    n_elec: int,
     incumbent: np.ndarray | None = None,
 ) -> SAVQEResult:
-    """Minimize the ensemble energy over the circuit parameters.
+    """Minimize the ensemble energy over the circuit parameters, from the
+    references build_initial_states(n_orb, n_elec).
 
-    The trace receives one optimizer_step event for the starting point and one
-    after every internal optimizer step (for DE: every generation), each at
-    exact cumulative-evaluation coordinates.  The Sector is built here, once,
-    before the first evaluation, and is freed when the run returns.
+    The returned trace holds one optimizer_step event for the starting point
+    and one after every internal optimizer step (for DE: every generation),
+    each at the exact count of evaluations since the run's first, with
+    macro_index 0.  The Sector is built here, once, before the first
+    evaluation, and is freed when the run returns.
     `incumbent` is a point from an earlier stage (in SA-OO-VQE, the previous
     macro iteration's optimum): it is evaluated once after the search, and
     the run returns it instead of the search's optimum when its ensemble
@@ -271,28 +257,25 @@ def run_sa_vqe(
     optimizer = optimizer or OptimizerChoice("bfgs")
     ensemble = EnsembleSpec(weights)
     weights = ensemble.weights
-    if initial_states is None:
-        if n_orb is None or n_elec is None:
-            raise ValueError("provide initial_states or (n_orb, n_elec)")
-        initial_states = build_initial_states(n_orb, n_elec)
+    initial_states = build_initial_states(n_orb, n_elec)
     if ensemble.n_states != len(initial_states):
         raise ValueError(
             f"{ensemble.n_states} weights given for {len(initial_states)} states"
         )
-    trace = OptimizationTrace() if trace is None else trace
+    trace = OptimizationTrace()
 
     dim = ansatz.parameter_count
     theta0 = np.zeros(dim)  # gd and bfgs start from the bare references
     sector = Sector.build(hamiltonian, ansatz, initial_states)
-    objective = _CountedObjective(sector, weights, offset=eval_offset)
+    objective = _CountedObjective(sector, weights)
 
     def record(theta):
         e_sa, energies = objective.components(theta)
         trace.append(
             TraceEvent(
-                cum_evals=objective.cum_evals,
+                cum_evals=objective.calls,
                 scope=SCOPE_STEP,
-                macro_index=macro_index,
+                macro_index=0,
                 e_sa=e_sa,
                 e_states=tuple(energies),
             )

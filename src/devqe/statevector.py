@@ -28,6 +28,9 @@ import numpy as np
 from .pauli import QubitHamiltonian, string_to_masks
 
 IMAG_TOLERANCE = 1e-10
+# a Hamiltonian entry at or below this may leave a sector basis: the compiled
+# X-mask rows carry round-off residues of ~1e-17 between sectors
+SECTOR_CUTOFF = 1e-14
 # determinants per CompiledHamiltonian.columns call of a dense expectation:
 # its (terms, slice) intermediates stay at a few MB
 DENSE_SLICE = 256
@@ -194,13 +197,22 @@ class SectorHamiltonian:
 
     @classmethod
     def from_compiled(cls, compiled: CompiledHamiltonian, basis: np.ndarray):
-        """The block of `compiled` on a sorted basis; ExpectationError when
-        the block is not Hermitian within IMAG_TOLERANCE."""
-        rows, entries = compiled.columns(basis)
+        """The block of `compiled` on a sorted basis, from one columns() call
+        on it.  ValueError, naming the largest, when an entry above
+        SECTOR_CUTOFF leads out of the basis; ExpectationError when the block
+        is not Hermitian within IMAG_TOLERANCE."""
+        targets, entries = compiled.columns(basis)
         position = np.full(2**compiled.n_qubits, -1, dtype=np.intp)
         position[basis] = np.arange(basis.size)
-        rows = position[rows]
+        rows = position[targets]
         inside = rows >= 0
+        leaving = np.where(inside, 0.0, np.abs(entries))
+        if leaving.max(initial=0.0) > SECTOR_CUTOFF:
+            g, i = np.unravel_index(np.argmax(leaving), leaving.shape)
+            raise ValueError(
+                f"Hamiltonian entry H[{targets[g, i]}, {basis[i]}] = {entries[g, i]:.3e} "
+                f"leads out of the sector basis"
+            )
         cols = np.broadcast_to(np.arange(basis.size), rows.shape)
         block = np.zeros((basis.size, basis.size), dtype=complex)
         block[rows[inside], cols[inside]] = entries[inside]

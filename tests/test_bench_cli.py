@@ -348,6 +348,22 @@ class TestCliExitCodes:
         assert main(["saoo", "--config", config, "--out", str(out)]) == 2
         assert not (out / "result.csv").exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
+    def test_empty_seed_list_exit_two_before_any_run(self, tmp_path, h2_scan_dir, command):
+        molecule = h2_scan_dir if command == "scan" else fixture_path("h2_sto3g.fcidump")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=molecule, function="sphere",
+                              optimizer="bfgs", seeds=",")
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_empty_optimizer_list_exit_two_before_any_run(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer=",", seeds="0")
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2
 

@@ -401,3 +401,75 @@ class TestMacroLoop:
         ]
         assert calls["run"] == 2  # the failed attempt and its retry
         assert result.macro_iterations == 1  # the failed attempt used up one of the two
+
+    def test_failure_inside_a_stage_retried_after_it_recorded_steps(
+        self, h2_integrals, monkeypatch
+    ):
+        # the 6th sa_energy call raises: the first stage has recorded steps by
+        # then, and none of them may reach the run trace or its count
+        import devqe.orbitals as orbitals_mod
+        import devqe.savqe as savqe_mod
+        from devqe.statevector import ExpectationError
+
+        real_run = orbitals_mod.run_sa_vqe
+        real_energy = savqe_mod.sa_energy
+        stages = []  # the results of the stages that returned
+        calls = {"energy": 0}
+
+        def recorded(*args, **kwargs):
+            stages.append(real_run(*args, **kwargs))
+            return stages[-1]
+
+        def glitch_sixth(*args, **kwargs):
+            calls["energy"] += 1
+            if calls["energy"] == 6:
+                raise ExpectationError("imaginary residue 1e-3 in expectation")
+            return real_energy(*args, **kwargs)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", recorded)
+        monkeypatch.setattr(savqe_mod, "sa_energy", glitch_sixth)
+        result = run_sa_oo_vqe(
+            h2_integrals, default_ansatz(2, 2), inner_optimizer=OptimizerChoice("bfgs")
+        )
+        assert result.inner_failures == [(1, "imaginary residue 1e-3 in expectation")]
+        assert result.macro_iterations == len(stages) >= 2
+        cums = [e.cum_evals for e in result.trace.events]
+        assert cums == sorted(cums)
+        assert result.evaluations == sum(stage.evaluations for stage in stages)
+        # the step events are the returned stages' own, shifted and stamped
+        expected, offset = [], 0
+        for macro_index, stage in enumerate(stages, start=1):
+            expected += [(offset + e.cum_evals, macro_index, e.e_sa) for e in stage.trace.events]
+            offset += stage.evaluations
+        assert [(e.cum_evals, e.macro_index, e.e_sa)
+                for e in result.trace.filter(SCOPE_STEP)] == expected
+
+    def test_only_attempt_failing_raises_instead_of_nan(self, h2_integrals, monkeypatch):
+        import devqe.orbitals as orbitals_mod
+
+        def failing(*args, **kwargs):
+            raise GradientError("non-finite stencil value at coordinate 0", 0)
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", failing)
+        with pytest.raises(RuntimeError, match="no macro iteration completed") as excinfo:
+            run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2),
+                          macro_config=MacroConfig(max_macro_iters=1))
+        assert isinstance(excinfo.value.__cause__, GradientError)
+
+    def test_leaving_hamiltonian_raised_unretried(self, h2_integrals, monkeypatch):
+        # bad input, not a numerical failure: the macro loop does not retry it
+        import devqe.orbitals as orbitals_mod
+        from devqe.pauli import PauliTerm, QubitHamiltonian
+
+        real_jw = orbitals_mod.jordan_wigner
+        calls = {"n": 0}
+
+        def leaky(integrals):
+            calls["n"] += 1
+            ham = real_jw(integrals)
+            return QubitHamiltonian(4, [*ham.terms, PauliTerm("XIII", 0.1)])
+
+        monkeypatch.setattr(orbitals_mod, "jordan_wigner", leaky)
+        with pytest.raises(ValueError, match="leads out of the sector basis"):
+            run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2))
+        assert calls["n"] == 1

@@ -15,9 +15,12 @@ from devqe.de import DEConfig, TerminationCriteria
 from devqe.integrals import freeze_core
 from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
+from devqe.orbitals import KappaMatrix, rotate_integrals
 from devqe.pauli import PauliTerm, QubitHamiltonian
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
 from devqe.statevector import (
+    SECTOR_CUTOFF,
+    CompiledHamiltonian,
     ExpectationError,
     StateVector,
     apply_excitation,
@@ -79,15 +82,62 @@ def test_ladder_action_matches_occupation_basis_rule():
 
 
 def test_one_qubit_basis_closes_over_both_states():
-    # the toy Hamiltonian of test_weighting_arithmetic: both references given
+    # the toy Hamiltonian of test_weighting_arithmetic: two references in two
+    # sectors, (N, S_z) = (0, 0) and (1, 1/2)
     ham = QubitHamiltonian(1, [PauliTerm("I", -1.5), PauliTerm("Z", 0.5)])
     states = (basis_state(1, []), basis_state(1, [0]))
     assert Sector.build(ham, AnsatzSpec(n_qubits=1), states).basis.tolist() == [0, 1]
-    # one reference: the X entry of the Hamiltonian reaches |1>
+
+
+def test_hamiltonian_leaving_the_references_sectors_rejected(h2_integrals, monkeypatch):
+    # one reference: the X entry of the Hamiltonian leads from |0> to |1>
     ham = QubitHamiltonian(1, [PauliTerm("Z", 0.5), PauliTerm("X", 0.25)])
-    sector = Sector.build(ham, AnsatzSpec(n_qubits=1), (basis_state(1, []),))
-    assert sector.basis.tolist() == [0, 1]
-    assert np.array_equal(sector.hamiltonian.matrix, [[0.5, 0.25], [0.25, -0.5]])
+    with pytest.raises(ValueError, match=r"entry H\[1, 0\] = 2.500e-01"):
+        Sector.build(ham, AnsatzSpec(n_qubits=1), (basis_state(1, []),))
+    # a particle-number-changing term on H2 stops the run before its first evaluation
+    import devqe.savqe as savqe_mod
+
+    def no_evaluation(*args):
+        raise AssertionError("an evaluation ran")
+
+    monkeypatch.setattr(savqe_mod, "sa_energy", no_evaluation)
+    leaky = jordan_wigner(h2_integrals)
+    leaky = QubitHamiltonian(4, [*leaky.terms, PauliTerm("XIII", 0.1)])
+    with pytest.raises(ValueError, match="leads out of the sector basis"):
+        run_sa_vqe(leaky, default_ansatz(2, 2), n_orb=2, n_elec=2)
+
+
+@pytest.mark.parametrize("system", ["h4", "lih"], indirect=True)
+def test_columns_read_once_per_basis_determinant(system, monkeypatch):
+    _, ham, ansatz, states, sector = system
+    columns = CompiledHamiltonian.columns
+    asked = []
+
+    def counted(self, bits):
+        asked.extend(np.asarray(bits).tolist())
+        return columns(self, bits)
+
+    monkeypatch.setattr(CompiledHamiltonian, "columns", counted)
+    rebuilt = Sector.build(ham, ansatz, states)
+    assert sorted(asked) == sector.basis.tolist() == rebuilt.basis.tolist()
+
+
+def test_rotated_lih_keeps_the_cutoff_headroom(lih_integrals):
+    # random orbital rotations smear the integrals over every index, so the
+    # compiled rows carry their largest residues between sectors; the build
+    # must still see none of them above SECTOR_CUTOFF
+    rng = np.random.default_rng(45)
+    for _ in range(2):
+        kappa = KappaMatrix.from_values(6, rng.normal(0.0, 0.3, 15))
+        rotated = rotate_integrals(lih_integrals, kappa)
+        ham = compile_hamiltonian(jordan_wigner(rotated))
+        sector = Sector.build(ham, default_ansatz(6, 4), build_initial_states(6, 4))
+        assert sector.basis.tolist() == fock.sector_basis(12, 4, 0)
+        targets, entries = ham.columns(sector.basis)
+        leaving = np.abs(entries[~np.isin(targets, sector.basis)])
+        assert leaving.max() < SECTOR_CUTOFF / 10
+        reference = fock.hamiltonian_matrix(rotated, sector.basis.tolist())
+        assert np.max(np.abs(sector.hamiltonian.matrix - reference)) < 1e-12
 
 
 # sha256 of the basis and Hamiltonian block bytes of each fixture's sector,
