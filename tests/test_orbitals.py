@@ -213,6 +213,26 @@ class TestMacroLoop:
         macro_cums = [rec.cum_evals for rec in result.macro_trace]
         assert all(b > a for a, b in zip(macro_cums, macro_cums[1:]))
 
+    # BFGS SA-OO with default settings on LiH, pinned from the code before the
+    # sector Hamiltonian was built from the integrals: (frozen core orbitals,
+    # evaluations, macro iterations, E_SA).  Both runs stop at max_macro_iters.
+    @pytest.mark.parametrize(
+        "n_frozen, evaluations, macro_iterations, e_sa",
+        [(1, 3065, 20, -7.800965372174901), (0, 10855, 20, -7.801163902023339)],
+        ids=["frozen_core", "full"],
+    )
+    def test_lih_bfgs_saoo_pins(self, lih_integrals, n_frozen, evaluations,
+                                macro_iterations, e_sa):
+        from devqe.integrals import freeze_core
+
+        integrals = freeze_core(lih_integrals, n_frozen) if n_frozen else lih_integrals
+        result = run_sa_oo_vqe(integrals, default_ansatz(integrals.n_orb, integrals.n_elec))
+        assert result.evaluations == evaluations
+        assert result.macro_iterations == macro_iterations
+        assert not result.converged
+        assert abs(result.e_sa - e_sa) < 1e-9
+        assert result.e_sa >= fock.ensemble_floor(integrals)
+
     def test_rotation_dimension_mismatch(self, h2_integrals):
         with pytest.raises(ValueError):
             rotate_integrals(h2_integrals, KappaMatrix.zero(3))
