@@ -12,14 +12,12 @@ from devqe import (
     OptimizerChoice,
     TerminationCriteria,
     default_ansatz,
-    jordan_wigner,
     load_fcidump,
     run_sa_vqe,
 )
 from devqe import fock
 
 integrals = load_fcidump("fixtures/h2_sto3g.fcidump")
-hamiltonian = jordan_wigner(integrals)
 ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
 floor = fock.ensemble_floor(integrals)
 
@@ -38,13 +36,7 @@ for label, optimizer in (
         ),
     ),
 ):
-    result = run_sa_vqe(
-        hamiltonian,
-        ansatz,
-        optimizer=optimizer,
-        n_orb=integrals.n_orb,
-        n_elec=integrals.n_elec,
-    )
+    result = run_sa_vqe(integrals, ansatz, optimizer=optimizer)
     gap = result.e_sa - floor
     overlap = abs(result.final_states[0].inner(result.final_states[1]))
     print(f"{label}:")
@@ -57,9 +49,6 @@ for label, optimizer in (
           f"E_SA {first.e_sa:.6f} -> {last.e_sa:.6f}\n")
 
 print("per-state 1-RDM traces (electron counts):")
-result = run_sa_vqe(
-    hamiltonian, ansatz, optimizer=OptimizerChoice("bfgs"),
-    n_orb=integrals.n_orb, n_elec=integrals.n_elec,
-)
+result = run_sa_vqe(integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
 for k, rdms in enumerate(result.rdms):
     print(f"  state {k}: tr(D) = {np.trace(rdms.one_rdm):.10f}")

@@ -31,13 +31,7 @@ ansatz = default_ansatz(frozen.n_orb, frozen.n_elec)
 print(f"\nqubit Hamiltonian: {len(hamiltonian)} Pauli terms, "
       f"{ansatz.parameter_count}-parameter ansatz")
 
-result = run_sa_vqe(
-    hamiltonian,
-    ansatz,
-    optimizer=OptimizerChoice("bfgs"),
-    n_orb=frozen.n_orb,
-    n_elec=frozen.n_elec,
-)
+result = run_sa_vqe(frozen, ansatz, optimizer=OptimizerChoice("bfgs"))
 floor = fock.ensemble_floor(frozen)
 print(f"\nensemble VQE (BFGS, {result.evaluations} evaluations):")
 print(f"  E_0  = {result.state_energies[0]:.8f} Ha "

@@ -48,14 +48,12 @@ from .savqe import (
     sa_energy,
 )
 from .statevector import (
-    CompiledHamiltonian,
     RDMPair,
     SectorHamiltonian,
     StateVector,
     apply_excitation,
     apply_pauli_rotation,
     basis_state,
-    compile_hamiltonian,
     expectation,
     measure_rdms,
     rdm_energy,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .pauli import masks_to_string, multiply_sums, strings_commute
 from .jw import jw_ladder
-from .statevector import ShapeError, StateVector
+from .statevector import ShapeError, StateVector, ladder_on_basis
 
 DECOMPOSITION_CUTOFF = 1e-14
 REAL_RESIDUE_TOL = 1e-12
@@ -160,28 +160,6 @@ def default_ansatz(n_orb: int, n_elec: int) -> AnsatzSpec:
     return AnsatzSpec(n_qubits=2 * n_orb, excitations=excitations)
 
 
-def _ladder_action(specs):
-    """(mask, value, flip, lower, parity) of a ladder string tau (leftmost
-    first), or None when tau is zero: tau|b> is nonzero exactly when
-    b & mask == value, and is then (-1)^(parity + popcount(b & lower))
-    |b ^ flip>.  This is the sign rule of fock._apply_ops: an operator on mode
-    m contributes (-1)^(occupied modes below m), counted on b with the flips
-    of the operators to its right applied, and parities of ANDs with b add
-    up as one AND with the XOR of their masks."""
-    mask = value = flip = lower = parity = 0
-    for mode, dagger in reversed(specs):
-        bit = 1 << mode
-        if not mask & bit:  # first operator on this mode: b must allow it
-            mask |= bit
-            value |= 0 if dagger else bit
-        if bool((value ^ flip) & bit) == dagger:
-            return None
-        lower ^= bit - 1
-        parity ^= (flip & (bit - 1)).bit_count() & 1
-        flip ^= bit
-    return mask, value, flip, lower, parity
-
-
 @dataclass(frozen=True)
 class GivensAnsatz:
     """An ansatz on a determinant basis as real Givens rotations.
@@ -207,20 +185,11 @@ class GivensAnsatz:
         params, sets = [], []
         for k, excitation in enumerate(ansatz.excitations):
             for specs in excitation.ladder_specs:
-                action = _ladder_action(specs)
-                if action is None or action[2] == 0:  # tau = 0, or tau_jj - tau_jj
+                src, dst, sign = ladder_on_basis(specs, basis)
+                if np.array_equal(src, dst):  # tau = 0, or diagonal: tau - tau^dagger = 0
                     continue
-                mask, value, flip, lower, parity = action
-                src = np.flatnonzero((basis & mask) == value)
-                out = basis[src] ^ flip
-                sign = 1.0 - 2.0 * ((np.bitwise_count(basis[src] & lower) + parity) & 1)
-                dst = np.searchsorted(basis, out)
-                if np.any(dst == basis.size) or np.any(basis[dst] != out):
-                    raise ValueError("basis is not closed under the ansatz generators")
-                if not src.size:
-                    continue
-                # src and dst are disjoint: flip is a nonzero part of mask, so
-                # b & mask == value fails for b ^ flip
+                # src and dst are disjoint: tau flips a mode it needs set or
+                # unset, so it annihilates every determinant it produces
                 params.append(k)
                 coeffs = np.concatenate([-sign, sign])[:, None]
                 sets.append((np.concatenate([src, dst]), np.concatenate([dst, src]), coeffs))

@@ -16,7 +16,6 @@ from . import de as de_mod
 from . import local as local_mod
 from .ansatz import default_ansatz
 from .integrals import load_fcidump
-from .jw import jordan_wigner
 from .orbitals import MacroConfig, run_sa_oo_vqe
 from .savqe import EnsembleSpec, OptimizerChoice, run_sa_vqe
 
@@ -146,6 +145,23 @@ def parse_seeds(text) -> list:
     return seeds
 
 
+def parse_seed(text) -> int:
+    """The seed of a single-run command (vqe, saoo, scan); 0 when unset."""
+    unset = text is None or str(text).strip() == ""
+    seeds = parse_seeds("0" if unset else text)
+    if len(seeds) > 1:
+        raise UsageError(f"this command runs one seed; seed list {text!r} names {len(seeds)}")
+    return seeds[0]
+
+
+def parse_dimension(text) -> int:
+    """The dimension of optimize's test function: an integer >= 1."""
+    dim = int(text) if str(text).strip().isdecimal() else 0
+    if dim < 1:
+        raise UsageError(f"dimension must be an integer >= 1, not {text!r}")
+    return dim
+
+
 def _is_set(config: dict, key) -> bool:
     return config.get(key) not in (None, "")
 
@@ -243,7 +259,7 @@ def cmd_optimize(config: dict, out_dir) -> str:
             f"unknown function {function_name!r}; valid: {', '.join(sorted(TEST_FUNCTIONS))}"
         )
     objective, (lo, hi) = TEST_FUNCTIONS[function_name]
-    dim = int(config.get("dimension", 2))
+    dim = parse_dimension(config.get("dimension", "2"))
     method = config.get("optimizer", "bfgs")
     if method not in LOCAL_METHODS and method not in DE_METHODS:
         raise method_error(method)
@@ -298,14 +314,7 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
 
     if mode == "savqe":
-        return run_sa_vqe(
-            jordan_wigner(integrals),
-            ansatz,
-            weights=weights,
-            optimizer=optimizer,
-            n_orb=integrals.n_orb,
-            n_elec=integrals.n_elec,
-        )
+        return run_sa_vqe(integrals, ansatz, weights=weights, optimizer=optimizer)
     return run_sa_oo_vqe(
         integrals,
         ansatz,
@@ -457,9 +466,9 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
     if mode not in ("savqe", "saoo"):
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     method = config.get("optimizer", "bfgs")
-    seeds = parse_seeds(config.get("seeds", "0"))
+    seed = parse_seed(config.get("seeds"))
     # settings every point shares: a bad one fails the scan before its first point
-    build_optimizer(method, config, seeds[0])
+    build_optimizer(method, config, seed)
     parse_weights(config.get("weights"))
     parse_macro_config(config)
 
@@ -473,7 +482,7 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
             label = os.path.splitext(name)[0]
             try:
                 integrals = load_fcidump(os.path.join(scan_dir, name))
-                run = run_molecule(integrals, method, seeds[0], config, mode)
+                run = run_molecule(integrals, method, seed, config, mode)
             except Exception as exc:
                 failures.append((label, str(exc)))
                 writer.writerow([label, "", "", "", mode, "failed"])
@@ -497,11 +506,11 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
         raise UsageError(f"{mode} requires molecule=<fcidump path> in the config")
     integrals = load_fcidump(fcidump_path)
     method = config.get("optimizer", "bfgs")
-    seeds = parse_seeds(config.get("seeds", "0"))
+    seed = parse_seed(config.get("seeds"))
     os.makedirs(out_dir, exist_ok=True)
 
-    run = run_molecule(integrals, method, seeds[0], config, mode)
-    run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seeds[0]}.csv"))
+    run = run_molecule(integrals, method, seed, config, mode)
+    run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
     sorted_energies = sorted(run.state_energies)
     path = os.path.join(out_dir, "result.csv")
     with open(path, "w", newline="") as fh:
@@ -510,7 +519,7 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
             ["method", "seed", "e0", "e1", "e_lo", "e_hi", "e_sa", "evaluations", "mode"]
         )
         writer.writerow(
-            [method, seeds[0], repr(run.state_energies[0]), repr(run.state_energies[1]),
+            [method, seed, repr(run.state_energies[0]), repr(run.state_energies[1]),
              repr(sorted_energies[0]), repr(sorted_energies[1]),
              repr(run.e_sa), run.evaluations, mode]
         )

@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--seeds", default=None, help="comma-separated seed list")
+        seeds_help = "one seed" if name in ("vqe", "saoo", "scan") else "comma-separated seed list"
+        cmd.add_argument("--seeds", default=None, help=seeds_help)
         if name == "scan":
             cmd.add_argument("--mode", choices=("savqe", "saoo"), default=None)
     return parser

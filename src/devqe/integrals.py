@@ -43,6 +43,7 @@ class MolecularIntegrals:
     ms2: int = 0
 
     def __post_init__(self):
+        self.core_energy = float(self.core_energy)
         self.h = np.asarray(self.h, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         if self.h.shape != (self.n_orb, self.n_orb):

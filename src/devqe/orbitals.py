@@ -21,7 +21,6 @@ from scipy.linalg import expm
 from . import local as local_mod
 from .de import ObjectiveError
 from .integrals import MolecularIntegrals
-from .jw import jordan_wigner
 from .savqe import OptimizerChoice, run_sa_vqe
 from .statevector import ExpectationError, rdm_energy
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
@@ -237,19 +236,16 @@ def run_sa_oo_vqe(
 
     for attempt in range(1, macro_config.max_macro_iters + 1):
         macro_index = len(macro_trace) + 1  # failed attempts are retried in place
-        hamiltonian = jordan_wigner(current)
         stage_optimizer = inner_optimizer
         if inner_optimizer.kind == "de":
             seed = _child_seed(inner_optimizer.de_config.seed, attempt)
             stage_optimizer = OptimizerChoice("de", replace(inner_optimizer.de_config, seed=seed))
         try:
             vqe = run_sa_vqe(
-                hamiltonian,
+                current,
                 ansatz,
                 weights=weights,
                 optimizer=stage_optimizer,
-                n_orb=current.n_orb,
-                n_elec=current.n_elec,
                 incumbent=theta_prev,
             )
             for event in vqe.trace.events:

@@ -2,12 +2,13 @@
 orthogonal reference states, with the weighted ensemble energy minimized by a
 pluggable classical optimizer (DE, gradient descent, or BFGS).
 
-The objective never touches the 2^n statevector.  The references, the
-Hamiltonian and the generators meet on the references' (N, S_z) sectors: every
+The molecular integrals are the stage's only Hamiltonian input, and the
+objective never touches the 2^n statevector.  The references, the Hamiltonian
+and the generators meet on the references' (N, S_z) sectors: every
 determinant with the particle number and S_z of a determinant the references
 occupy.  There every amplitude stays real: a Sector holds that basis with the
-Hamiltonian's real block and the ansatz as Givens rotations.  Only final
-states go back to 2^n, for the RDMs.
+Hamiltonian's real block, built from the integrals, and the ansatz as Givens
+rotations.  Only final states go back to 2^n, for the RDMs.
 
 A stage is self-contained: run_sa_vqe returns its trace in its own
 coordinates (evaluations counted from its first one, macro index 0), and a
@@ -24,16 +25,14 @@ import numpy as np
 from . import de as de_mod
 from . import local as local_mod
 from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz
-from .pauli import QubitHamiltonian
+from .integrals import MolecularIntegrals
 from .statevector import (
-    CompiledHamiltonian,
     SectorHamiltonian,
     ShapeError,
     StateVector,
     apply_annihilation,
     apply_creation,
     basis_state,
-    compile_hamiltonian,
     expectation,
     measure_rdms,
 )
@@ -124,26 +123,20 @@ class Sector:
     references: np.ndarray  # (n_states, S) real
 
     @classmethod
-    def build(cls, hamiltonian, ansatz, initial_states) -> "Sector":
-        """The sector of a letter-form or compiled Hamiltonian, an AnsatzSpec
-        and the reference StateVectors.  The basis is every determinant whose
-        particle number and S_z (even modes spin up) match those of some
-        determinant in the references' support; the Hamiltonian's columns are
-        read off its Pauli masks on that basis only, once each, and the
-        ansatz becomes Givens sets on it.  Raises ValueError when a
-        reference is not real, or when a Hamiltonian entry above
-        SECTOR_CUTOFF or a generator leads out of the basis (N or S_z is not
-        conserved), and ExpectationError when the Hamiltonian's block is not
-        Hermitian."""
-        hamiltonian = compile_hamiltonian(hamiltonian)
-        n_qubits = hamiltonian.n_qubits
+    def build(cls, integrals: MolecularIntegrals, ansatz) -> "Sector":
+        """The sector of a molecule's integrals, an AnsatzSpec and the
+        references build_initial_states(n_orb, n_elec).  The basis is every
+        determinant whose particle number and S_z (even modes spin up) match
+        those of some determinant in the references' support; the
+        Hamiltonian's block is built from the integrals on that basis, and
+        the ansatz becomes Givens sets on it.  Raises ShapeError when the
+        ansatz does not act on 2 * n_orb modes, and ValueError when a
+        generator leads out of the basis (N or S_z is not conserved)."""
+        n_qubits = 2 * integrals.n_orb
         if ansatz.n_qubits != n_qubits:
-            raise ShapeError("ansatz and Hamiltonian qubit counts differ")
-        references = np.array([state.amplitudes for state in initial_states])
-        if references.ndim != 2 or references.shape[1] != 2**n_qubits:
-            raise ShapeError("references and Hamiltonian qubit counts differ")
-        if np.any(references.imag != 0.0):
-            raise ValueError("SA-VQE references must have real amplitudes")
+            raise ShapeError("ansatz and integrals qubit counts differ")
+        references = np.array([state.amplitudes.real for state in
+                               build_initial_states(integrals.n_orb, integrals.n_elec)])
         up = sum(1 << mode for mode in range(0, n_qubits, 2))
         determinants = np.arange(2**n_qubits)
         # one label per (N, S_z): (spin-up count) * (n + 1) + spin-down count
@@ -154,9 +147,9 @@ class Sector:
         return cls(
             n_qubits,
             basis,
-            SectorHamiltonian.from_compiled(hamiltonian, basis),
+            SectorHamiltonian.from_integrals(integrals, basis),
             GivensAnsatz.on_basis(ansatz, basis),
-            references.real[:, basis],
+            references[:, basis],
         )
 
     def scatter(self, block: np.ndarray) -> tuple:
@@ -232,17 +225,16 @@ class _CountedObjective:
 
 
 def run_sa_vqe(
-    hamiltonian: QubitHamiltonian | CompiledHamiltonian,
+    integrals: MolecularIntegrals,
     ansatz: AnsatzSpec,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
     *,
-    n_orb: int,
-    n_elec: int,
     incumbent: np.ndarray | None = None,
 ) -> SAVQEResult:
-    """Minimize the ensemble energy over the circuit parameters, from the
-    references build_initial_states(n_orb, n_elec).
+    """Minimize the ensemble energy of a molecule's integrals over the
+    circuit parameters, from the references build_initial_states(n_orb,
+    n_elec).
 
     The returned trace holds one optimizer_step event for the starting point
     and one after every internal optimizer step (for DE: every generation),
@@ -257,16 +249,15 @@ def run_sa_vqe(
     optimizer = optimizer or OptimizerChoice("bfgs")
     ensemble = EnsembleSpec(weights)
     weights = ensemble.weights
-    initial_states = build_initial_states(n_orb, n_elec)
-    if ensemble.n_states != len(initial_states):
+    sector = Sector.build(integrals, ansatz)
+    if ensemble.n_states != len(sector.references):
         raise ValueError(
-            f"{ensemble.n_states} weights given for {len(initial_states)} states"
+            f"{ensemble.n_states} weights given for {len(sector.references)} states"
         )
     trace = OptimizationTrace()
 
     dim = ansatz.parameter_count
     theta0 = np.zeros(dim)  # gd and bfgs start from the bare references
-    sector = Sector.build(hamiltonian, ansatz, initial_states)
     objective = _CountedObjective(sector, weights)
 
     def record(theta):

@@ -4,36 +4,30 @@ Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
 significant).  All operations return new StateVector instances; amplitudes
 are never mutated in place.
 
-Operators are compiled once and evaluated many times.  CompiledHamiltonian
-is the table of a Hamiltonian's Pauli terms, read off the (x, z) masks of
-its letter strings and grouped by X-mask; its columns() evaluates the
-Hamiltonian's entries on any set of determinants.  The SA-VQE objective works
-on a determinant basis: SectorHamiltonian is the real (S, S) block of a
-CompiledHamiltonian on that basis, and expectation takes it with an (R, S)
-block.  The dense expectation takes a StateVector or an (R, 2^n) amplitude
-block, one state per row, and every row comes out bitwise equal to
-evaluating it alone.  The ansatz kernel (GivensAnsatz) lives in ansatz.py.
-apply_pauli and apply_excitation walk the letter strings and stay as the
-reference the kernels are tested against.
+The SA-VQE objective works on a determinant basis: ladder_on_basis applies
+a ladder string to a sorted basis as one-to-one replacement lists, and
+SectorHamiltonian is the real (S, S) block of the electronic Hamiltonian on
+that basis, built from the integrals with the replacement lists of the
+spin-free excitation operators E_pr.  expectation takes it with an (R, S)
+block.  The dense expectation of a letter-form QubitHamiltonian takes a
+StateVector or an (R, 2^n) amplitude block, one state per row, and sums the
+terms through apply_pauli; it stays with apply_excitation as the reference
+the sector path is tested against.  The ansatz kernel (GivensAnsatz) lives
+in ansatz.py.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import QubitHamiltonian, string_to_masks
+from .pauli import string_to_masks
 
 IMAG_TOLERANCE = 1e-10
-# a Hamiltonian entry at or below this may leave a sector basis: the compiled
-# X-mask rows carry round-off residues of ~1e-17 between sectors
-SECTOR_CUTOFF = 1e-14
-# determinants per CompiledHamiltonian.columns call of a dense expectation:
-# its (terms, slice) intermediates stay at a few MB
-DENSE_SLICE = 256
 
 
 @functools.lru_cache(maxsize=8)
@@ -48,8 +42,7 @@ class ShapeError(ValueError):
 
 
 class ExpectationError(ValueError):
-    """Expectation value kept an imaginary residue above tolerance, or a
-    Hamiltonian block is not Hermitian within it."""
+    """Expectation value kept an imaginary residue above tolerance."""
 
 
 @dataclass
@@ -128,115 +121,101 @@ def apply_excitation(state: StateVector, excitation, theta: float) -> StateVecto
     return out
 
 
-@dataclass(frozen=True)
-class CompiledHamiltonian:
-    """H as a table of its Pauli terms, sorted stably by X-mask.
+def ladder_on_basis(specs, basis: np.ndarray):
+    """(src, dst, sign) of a ladder string tau, ((mode, dagger), ...)
+    leftmost first, on a sorted basis of determinants: tau|basis[src]> =
+    sign |basis[dst]>, src ascending, for every determinant tau does not
+    annihilate.  ValueError when tau leads out of the basis.
 
-    A term c P(x, z) sends determinant b to b ^ x with the factor
-    c * (i^popcount(x & z) * (-1)^popcount(b & z)), so H[b ^ x, b] sums that
-    factor over the terms with X-mask x, in term order.  Nothing is stored
-    per determinant: columns() evaluates the entries of the determinants it
-    is given.
+    tau|b> is nonzero exactly when b & mask == value, and is then
+    (-1)^(parity + popcount(b & lower)) |b ^ flip>: the sign rule of
+    fock._apply_ops, where an operator on mode m contributes (-1)^(occupied
+    modes below m) counted on b with the flips to its right applied, and
+    parities of ANDs with b add up as one AND with the XOR of their masks.
     """
-
-    n_qubits: int
-    x_masks: np.ndarray  # (G,) distinct X-masks, ascending
-    starts: np.ndarray  # (G,) index of each X-mask's first term
-    # ((groups, terms), ...): for each position p >= 1 within an X-mask's
-    # terms, the X-masks with a term at p and the index of that term
-    later: tuple
-    z_masks: np.ndarray  # (T,) Z-mask of each term
-    coefficients: np.ndarray  # (T,) complex coefficient of each term
-    phases: np.ndarray  # (T,) i^popcount(x & z) of each term
-
-    @classmethod
-    def from_hamiltonian(cls, hamiltonian: QubitHamiltonian) -> "CompiledHamiltonian":
-        terms = sorted(  # stable: the terms of one X-mask keep their order
-            ((*string_to_masks(term.string), term.coefficient) for term in hamiltonian.terms),
-            key=lambda term: term[0],
-        )
-        x_masks, starts, sizes = np.unique(
-            np.array([x for x, _, _ in terms], dtype=np.intp),
-            return_index=True,
-            return_counts=True,
-        )
-        later = []
-        for position in range(1, int(sizes.max(initial=0))):
-            groups = np.flatnonzero(sizes > position)
-            later.append((groups, starts[groups] + position))
-        return cls(
-            hamiltonian.n_qubits,
-            x_masks,
-            starts,
-            tuple(later),
-            np.array([z for _, z, _ in terms], dtype=np.intp),
-            np.array([c for _, _, c in terms], dtype=complex),
-            np.array([(1j) ** ((x & z).bit_count() % 4) for x, z, _ in terms], dtype=complex),
-        )
-
-    def columns(self, bits: np.ndarray):
-        """(rows, entries) with H[rows[g, i], bits[i]] = entries[g, i]: the
-        entries of the columns `bits`, one row per X-mask.  Each entry adds
-        its terms' factors from left to right, one position at a time."""
-        bits = np.asarray(bits, dtype=np.intp)
-        signs = 1.0 - 2.0 * _parity(bits & self.z_masks[:, None])
-        factors = self.coefficients[:, None] * (self.phases[:, None] * signs)
-        entries = factors[self.starts]
-        for groups, terms in self.later:
-            entries[groups] += factors[terms]
-        return bits ^ self.x_masks[:, None], entries
+    mask = value = flip = lower = parity = 0
+    for mode, dagger in reversed(specs):
+        bit = 1 << mode
+        if not mask & bit:  # first operator on this mode: b must allow it
+            mask |= bit
+            value |= 0 if dagger else bit
+        if bool((value ^ flip) & bit) == dagger:  # tau = 0
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty, np.zeros(0)
+        lower ^= bit - 1
+        parity ^= (flip & (bit - 1)).bit_count() & 1
+        flip ^= bit
+    src = np.flatnonzero((basis & mask) == value)
+    out = basis[src] ^ flip
+    dst = np.searchsorted(basis, out)
+    if np.any(dst == basis.size) or np.any(basis[dst] != out):
+        raise ValueError(f"basis is not closed under the ladder string {tuple(specs)}")
+    sign = 1.0 - 2.0 * ((np.bitwise_count(basis[src] & lower) + parity) & 1)
+    return src, dst, sign
 
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """A Hamiltonian on a determinant basis: the real part of its Hermitian
-    (S, S) block.  On real states the imaginary part, which is
-    antisymmetric, adds nothing to an expectation value."""
+    """The electronic Hamiltonian's real (S, S) block on a determinant basis."""
 
-    matrix: np.ndarray  # (S, S) real
+    matrix: np.ndarray
 
     @classmethod
-    def from_compiled(cls, compiled: CompiledHamiltonian, basis: np.ndarray):
-        """The block of `compiled` on a sorted basis, from one columns() call
-        on it.  ValueError, naming the largest, when an entry above
-        SECTOR_CUTOFF leads out of the basis; ExpectationError when the block
-        is not Hermitian within IMAG_TOLERANCE."""
-        targets, entries = compiled.columns(basis)
-        position = np.full(2**compiled.n_qubits, -1, dtype=np.intp)
-        position[basis] = np.arange(basis.size)
-        rows = position[targets]
-        inside = rows >= 0
-        leaving = np.where(inside, 0.0, np.abs(entries))
-        if leaving.max(initial=0.0) > SECTOR_CUTOFF:
-            g, i = np.unravel_index(np.argmax(leaving), leaving.shape)
-            raise ValueError(
-                f"Hamiltonian entry H[{targets[g, i]}, {basis[i]}] = {entries[g, i]:.3e} "
-                f"leads out of the sector basis"
-            )
-        cols = np.broadcast_to(np.arange(basis.size), rows.shape)
-        block = np.zeros((basis.size, basis.size), dtype=complex)
-        block[rows[inside], cols[inside]] = entries[inside]
-        residue = float(np.max(np.abs(block - block.conj().T), initial=0.0))
-        if residue > IMAG_TOLERANCE:
-            raise ExpectationError(f"Hamiltonian block is not Hermitian: residue {residue:.3e}")
-        return cls(block.real.copy())
+    def from_integrals(cls, integrals, basis: np.ndarray) -> "SectorHamiltonian":
+        """The block on a sorted basis that is a union of (N, S_z) sectors,
+        from the spin-free form (Helgaker, Jorgensen and Olsen, ch. 2)
 
+            H = core + sum_pr k_pr E_pr + 1/2 sum_pqrs g[p,q,r,s] E_pr E_qs,
 
-def compile_hamiltonian(hamiltonian) -> CompiledHamiltonian:
-    """The compiled form of a letter-form Hamiltonian; compiled input passes."""
-    if isinstance(hamiltonian, CompiledHamiltonian):
-        return hamiltonian
-    return CompiledHamiltonian.from_hamiltonian(hamiltonian)
+        with E_pr = sum_sigma a+_(p sigma) a_(r sigma), k_pr = h_pr -
+        1/2 sum_q g[p,q,q,r] and g the physicist tensor.  E_pr conserves N
+        and S_z, so it never leads out of the basis, and
+        <i|E_pr E_qs|j> = sum_m <i|E_pr|m><j|E_sq|m>: every pair of entries
+        in the replacement lists out of a determinant m adds one term
+        (Knowles and Handy, Chem. Phys. Lett. 111, 315, 1984).
+        """
+        n_orb, size = integrals.n_orb, basis.size
+        lists = []
+        for p, r, spin in itertools.product(range(n_orb), range(n_orb), (0, 1)):
+            src, dst, sign = ladder_on_basis(((2 * p + spin, True), (2 * r + spin, False)), basis)
+            lists.append((np.full(src.size, p * n_orb + r), src, dst, sign))
+        ops, src, dst, sign = map(np.concatenate, zip(*lists))
+        # row m: the entries out of determinant m, padded with zero signs to
+        # the longest row (in one (N, S_z) sector all rows are as long)
+        order = np.argsort(src, kind="stable")
+        counts = np.bincount(src, minlength=size)
+        at = (src[order], np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts))
+
+        def by_source(values):
+            out = np.zeros((size, counts.max(initial=0)), dtype=values.dtype)
+            out[at] = values[order]
+            return out
+
+        ops, dst, sign = by_source(ops), by_source(dst), by_source(sign)
+        g = integrals.g
+        k = integrals.h - 0.5 * np.einsum("pqqr->pr", g)
+        pair = g.transpose(0, 2, 3, 1).reshape(n_orb**2, n_orb**2)  # [pr, sq] = g[p,q,r,s]
+        # entry a (E_pr) out of m adds sign_a k_pr to H[dst_a, m]; with entry
+        # b (E_sq) it adds sign_a sign_b g[p,q,r,s] / 2 to H[dst_a, dst_b]
+        one = sign * k.ravel()[ops]
+        two = 0.5 * sign[:, :, None] * sign[:, None, :] * pair[ops[:, :, None], ops[:, None, :]]
+        index = np.concatenate([(dst * size + np.arange(size)[:, None]).ravel(),
+                                (dst[:, :, None] * size + dst[:, None, :]).ravel()])
+        entries = np.bincount(index, np.concatenate([one.ravel(), two.ravel()]),
+                              minlength=size * size).reshape(size, size)
+        return cls(entries + integrals.core_energy * np.eye(size))
 
 
 def expectation(state, hamiltonian):
-    """<psi|H|psi> for a QubitHamiltonian (compiled here), a
-    CompiledHamiltonian or a SectorHamiltonian.
+    """<psi|H|psi> for a letter-form QubitHamiltonian or a
+    SectorHamiltonian.
 
-    `state` is a StateVector (returns a float) or an (R, 2^n) amplitude block
-    (returns the R values); with a SectorHamiltonian it is a real (R, S)
-    block on its basis.  Each row is reduced on its own, with the same
-    arithmetic as a single state.
+    With a QubitHamiltonian, `state` is a StateVector (returns a float) or an
+    (R, 2^n) amplitude block (returns the R values), and the terms add up as
+    sum_k c_k <psi|P_k psi>, one row at a time; ExpectationError when a value
+    keeps an imaginary residue above IMAG_TOLERANCE.  With a
+    SectorHamiltonian, `state` is a real (R, S) block on its basis, and each
+    row is reduced with the same arithmetic as a single state.
     """
     if isinstance(hamiltonian, SectorHamiltonian):
         if np.ndim(state) != 2 or state.shape[1] != len(hamiltonian.matrix):
@@ -245,21 +224,14 @@ def expectation(state, hamiltonian):
         # row differently depending on the rows around it
         h_psi = state[:, None, :] @ hamiltonian.matrix
         return (h_psi @ state[:, :, None])[:, 0, 0]
-    compiled = compile_hamiltonian(hamiltonian)
     block = state.amplitudes[None] if isinstance(state, StateVector) else state
-    if block.shape[-1] != 2**compiled.n_qubits:
+    if block.shape[-1] != 2**hamiltonian.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    # (H psi)[j] = sum_x H[j, j ^ x] psi[j ^ x]: the columns of every
-    # determinant, DENSE_SLICE at a time, gathered back onto their rows
-    determinants = np.arange(2**compiled.n_qubits)
-    slices = np.array_split(determinants, max(1, determinants.size // DENSE_SLICE))
-    entries = np.concatenate([compiled.columns(bits)[1] for bits in slices], axis=1)
-    gather = determinants ^ compiled.x_masks[:, None]
-    diagonals = np.take_along_axis(entries, gather, axis=1)
     values = np.empty(len(block))
     for row, psi in enumerate(block):
-        h_psi = (diagonals * psi[gather]).sum(axis=0)
-        total = complex(np.vdot(psi, h_psi))
+        ket = StateVector(hamiltonian.n_qubits, psi)
+        total = sum(term.coefficient * ket.inner(apply_pauli(ket, term.string))
+                    for term in hamiltonian.terms)
         if abs(total.imag) > IMAG_TOLERANCE:
             raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
         values[row] = total.real

@@ -67,11 +67,8 @@ def test_01_jw_spectrum(h2_integrals):
 @criterion(2, "BFGS ensemble VQE reaches the sector-exact ensemble minimum")
 def test_02_savqe_exactness(h2_integrals):
     start = time.time()
-    ham = jordan_wigner(h2_integrals)
     ansatz = default_ansatz(2, 2)
-    result = run_sa_vqe(
-        ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-    )
+    result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
     floor = fock.ensemble_floor(h2_integrals)  # (lambda0 + lambda1) / 2, singlets
     assert abs(result.e_sa - floor) < 1e-6
     assert time.time() - start < 10.0

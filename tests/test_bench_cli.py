@@ -357,6 +357,29 @@ class TestCliExitCodes:
         assert main([command, "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["vqe", "saoo", "scan"])
+    def test_several_seeds_exit_two_before_any_run(self, tmp_path, h2_scan_dir, command,
+                                                   monkeypatch):
+        # a single-run command would run the first seed only
+        def no_run(*args, **kwargs):
+            raise AssertionError("a molecule ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        molecule = h2_scan_dir if command == "scan" else fixture_path("h2_sto3g.fcidump")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=molecule, optimizer="bfgs")
+        argv = [command, "--config", config, "--out", str(out), "--seeds", "3,4,5"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dimension", ["abc", "0", "-1", "1.5", ""])
+    def test_bad_dimension_exit_two_before_any_run(self, tmp_path, dimension):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, function="sphere", dimension=dimension,
+                              optimizer="de_rand1_bin", seeds="0")
+        assert main(["optimize", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_empty_optimizer_list_exit_two_before_any_run(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),

@@ -313,11 +313,9 @@ def test_batch_exception_aborts_with_whole_block_counted():
 
 def test_sa_vqe_objective_batch_gives_the_point_by_point_run(h2_integrals):
     from devqe.ansatz import default_ansatz
-    from devqe.jw import jordan_wigner
-    from devqe.savqe import Sector, _CountedObjective, build_initial_states
+    from devqe.savqe import Sector, _CountedObjective
 
-    sector = Sector.build(jordan_wigner(h2_integrals), default_ansatz(2, 2),
-                          build_initial_states(2, 2))
+    sector = Sector.build(h2_integrals, default_ansatz(2, 2))
     batched, plain = _CountedObjective(sector, (0.5, 0.5)), _CountedObjective(sector, (0.5, 0.5))
     config = DEConfig(seed=6, strategy="best2", termination=TerminationCriteria(max_evals=450))
     bounds = Bounds.box(-np.pi, np.pi, 2)

@@ -146,12 +146,9 @@ class TestFdGradientBatch:
 
     def test_sa_energy_objective_batch_matches_point_by_point(self, h4_integrals):
         from devqe.ansatz import default_ansatz
-        from devqe.jw import jordan_wigner
-        from devqe.savqe import Sector, _CountedObjective, build_initial_states
+        from devqe.savqe import Sector, _CountedObjective
 
-        sector = Sector.build(
-            jordan_wigner(h4_integrals), default_ansatz(4, 4), build_initial_states(4, 4)
-        )
+        sector = Sector.build(h4_integrals, default_ansatz(4, 4))
         batched, plain = _CountedObjective(sector, (0.5, 0.5)), _CountedObjective(sector, (0.5, 0.5))
         x = np.random.default_rng(32).uniform(-0.5, 0.5, 8)
         grad = fd_gradient(batched, x, 1e-6)

@@ -7,7 +7,6 @@ from devqe import fock
 from devqe.ansatz import default_ansatz
 from devqe.de import ConfigurationError, DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals
-from devqe.jw import jordan_wigner
 from devqe.local import GradientError, fd_gradient
 from devqe.orbitals import (
     KappaMatrix,
@@ -18,7 +17,7 @@ from devqe.orbitals import (
     run_sa_oo_vqe,
     sa_oo_energy,
 )
-from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
+from devqe.savqe import OptimizerChoice, Sector, run_sa_vqe, sa_energy
 from devqe.statevector import measure_rdms, rdm_energy
 from devqe.trace import SCOPE_MACRO, SCOPE_STEP
 
@@ -60,11 +59,9 @@ class TestKappa:
 
 class TestSaOoEnergy:
     def test_kappa_zero_matches_statevector_path(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        states = build_initial_states(2, 2)
         theta = np.array([0.15, -0.3])
-        e_ref, _, evolved = sa_energy(theta, Sector.build(ham, ansatz, states), (0.5, 0.5))
+        e_ref, _, evolved = sa_energy(theta, Sector.build(h2_integrals, ansatz), (0.5, 0.5))
         rdms = tuple(measure_rdms(s, 2) for s in evolved)
         e_oo = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (0.5, 0.5))
         assert abs(e_oo - e_ref) < 1e-10
@@ -90,11 +87,8 @@ class TestSaOoEnergy:
 class TestMinimizeOrbitals:
     def test_exact_state_rdms_leave_no_room(self, h2_integrals):
         # FCI-quality ensemble states: the variational floor blocks improvement
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        vqe = run_sa_vqe(
-            ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-        )
+        vqe = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
         floor = fock.ensemble_floor(h2_integrals)
         result = minimize_orbitals(h2_integrals, vqe.rdms, (0.5, 0.5))
         assert result.e_sa >= floor - 1e-10
@@ -171,10 +165,7 @@ class TestMacroLoop:
             oo_config=config,
             macro_config=macro,
         )
-        ham = jordan_wigner(h2_integrals)
-        plain = run_sa_vqe(
-            ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-        )
+        plain = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
         assert abs(result.e_sa - plain.e_sa) < 1e-12
         assert result.evaluations == plain.evaluations
         step_events = result.trace.filter(SCOPE_STEP)
@@ -475,21 +466,3 @@ class TestMacroLoop:
             run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2),
                           macro_config=MacroConfig(max_macro_iters=1))
         assert isinstance(excinfo.value.__cause__, GradientError)
-
-    def test_leaving_hamiltonian_raised_unretried(self, h2_integrals, monkeypatch):
-        # bad input, not a numerical failure: the macro loop does not retry it
-        import devqe.orbitals as orbitals_mod
-        from devqe.pauli import PauliTerm, QubitHamiltonian
-
-        real_jw = orbitals_mod.jordan_wigner
-        calls = {"n": 0}
-
-        def leaky(integrals):
-            calls["n"] += 1
-            ham = real_jw(integrals)
-            return QubitHamiltonian(4, [*ham.terms, PauliTerm("XIII", 0.1)])
-
-        monkeypatch.setattr(orbitals_mod, "jordan_wigner", leaky)
-        with pytest.raises(ValueError, match="leads out of the sector basis"):
-            run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2))
-        assert calls["n"] == 1

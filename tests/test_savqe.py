@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from devqe import fock
-from devqe.ansatz import AnsatzSpec, default_ansatz
+from devqe.ansatz import default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
 from devqe.jw import jordan_wigner, number_operator
 from devqe.local import LocalOptConfig, fd_gradient
-from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix
+from devqe.pauli import hamiltonian_matrix
 from devqe.savqe import (
     EnsembleSpec,
     OptimizerChoice,
@@ -99,11 +99,9 @@ class TestAnsatzSymmetries:
 
 class TestSaEnergy:
     def test_degenerate_weighting_returns_first_state(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        states = build_initial_states(2, 2)
         theta = np.array([0.2, -0.1])
-        e_sa, energies, _ = sa_energy(theta, Sector.build(ham, ansatz, states), (1.0, 0.0))
+        e_sa, energies, _ = sa_energy(theta, Sector.build(h2_integrals, ansatz), (1.0, 0.0))
         assert e_sa == pytest.approx(energies[0])
 
     def test_zero_theta_gives_reference_energies(self, h2_integrals):
@@ -111,38 +109,41 @@ class TestSaEnergy:
         ansatz = default_ansatz(2, 2)
         states = build_initial_states(2, 2)
         _, energies, _ = sa_energy(
-            np.zeros(ansatz.parameter_count), Sector.build(ham, ansatz, states), (0.5, 0.5)
+            np.zeros(ansatz.parameter_count), Sector.build(h2_integrals, ansatz), (0.5, 0.5)
         )
         assert energies[0] == pytest.approx(expectation(states[0], ham))
         assert energies[1] == pytest.approx(expectation(states[1], ham))
 
-    def test_weighting_arithmetic(self):
-        # one qubit, H = -1.5 I + 0.5 Z gives <0|H|0> = -1, <1|H|1> = -2
-        ham = QubitHamiltonian(1, [PauliTerm("I", -1.5), PauliTerm("Z", 0.5)])
-        ansatz = AnsatzSpec(n_qubits=1, excitations=[])
-        from devqe.statevector import basis_state
+    def test_weighting_arithmetic(self, h2_integrals):
+        # unequal weights on H2: at theta = 0 the states are the references,
+        # whose energies differ, and e_sa is their weighted sum
+        from devqe.integrals import hf_determinant_energy
 
-        states = (basis_state(1, []), basis_state(1, [0]))
-        e_sa, energies, _ = sa_energy([], Sector.build(ham, ansatz, states), (0.5, 0.5))
-        assert energies == (pytest.approx(-1.0), pytest.approx(-2.0))
-        assert e_sa == pytest.approx(-1.5)
+        ham = jordan_wigner(h2_integrals)
+        excited = build_initial_states(2, 2)[1]
+        sector = Sector.build(h2_integrals, default_ansatz(2, 2))
+        e_sa, energies, _ = sa_energy(np.zeros(2), sector, (0.25, 0.75))
+        assert abs(energies[0] - hf_determinant_energy(h2_integrals)) < 1e-12
+        assert abs(energies[1] - expectation(excited, ham)) < 1e-12
+        assert energies[1] - energies[0] > 0.5
+        assert e_sa == 0.25 * energies[0] + 0.75 * energies[1]
 
     @pytest.mark.parametrize("molecule", ["h2", "h4", "lih_frozen_core"])
     @pytest.mark.parametrize("rows_per_block", [None, 3], ids=["default_blocks", "3_rows"])
     def test_block_equals_one_point_calls(self, molecule, rows_per_block, request):
         from devqe.ansatz import apply_ansatz
         from devqe.integrals import freeze_core
-        from devqe.statevector import apply_excitation, compile_hamiltonian
+        from devqe.statevector import apply_excitation
 
         if molecule == "lih_frozen_core":
             integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
         else:
             integrals = request.getfixturevalue(f"{molecule}_integrals")
         spec = default_ansatz(integrals.n_orb, integrals.n_elec)
-        ham = compile_hamiltonian(jordan_wigner(integrals))
+        ham = jordan_wigner(integrals)
         states = build_initial_states(integrals.n_orb, integrals.n_elec)
-        sector = Sector.build(ham, spec, states)
-        rebuilt = Sector.build(jordan_wigner(integrals), spec, states)
+        sector = Sector.build(integrals, spec)
+        rebuilt = Sector.build(integrals, spec)
         weights = (0.375, 0.625)
         n_points = 33  # 66 (point, reference) rows
         thetas = np.random.default_rng(27).uniform(-1.0, 1.0, (n_points, spec.parameter_count))
@@ -164,7 +165,7 @@ class TestSaEnergy:
             ])
             assert np.array_equal(split.reshape(n_points, 2), energies)
         for i, theta in enumerate(thetas):
-            # a sector built again from the letter form gives the same point
+            # a sector built again gives the same point
             one_e_sa, one_energies, evolved = sa_energy(theta, rebuilt, weights)
             assert e_sa[i] == one_e_sa
             assert tuple(energies[i].tolist()) == one_energies
@@ -181,29 +182,21 @@ class TestSaEnergy:
 
 class TestRunSaVqe:
     def test_bfgs_reaches_ensemble_floor(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(
-            ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-        )
+        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
         floor = fock.ensemble_floor(h2_integrals)
         assert abs(result.e_sa - floor) < 1e-6
 
     def test_final_states_stay_orthogonal(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(
-            ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-        )
+        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
         a, b = result.final_states
         assert abs(a.inner(b)) < 1e-10
         assert abs(a.norm() - 1.0) < 1e-12
 
     def test_orthonormality_preserved_at_random_theta(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        states = build_initial_states(2, 2)
-        sector = Sector.build(ham, ansatz, states)
+        sector = Sector.build(h2_integrals, ansatz)
         rng = np.random.default_rng(0)
         for _ in range(25):
             theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
@@ -213,10 +206,8 @@ class TestRunSaVqe:
             assert abs(evolved[1].norm() - 1.0) < 1e-12
 
     def test_variational_floor_holds_for_random_theta(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        states = build_initial_states(2, 2)
-        sector = Sector.build(ham, ansatz, states)
+        sector = Sector.build(h2_integrals, ansatz)
         floor = fock.ensemble_floor(h2_integrals)
         rng = np.random.default_rng(1)
         for _ in range(60):
@@ -225,21 +216,16 @@ class TestRunSaVqe:
             assert e_sa >= floor - 1e-10
 
     def test_weighted_sum_consistency_on_trace(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(
-            ham, ansatz, optimizer=OptimizerChoice("bfgs"), n_orb=2, n_elec=2
-        )
+        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
         for event in result.trace.events:
             if event.e_states:
                 combo = 0.5 * event.e_states[0] + 0.5 * event.e_states[1]
                 assert abs(event.e_sa - combo) < 1e-12
 
     def test_fd_gradient_matches_directional_secant(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
-        states = build_initial_states(2, 2)
-        sector = Sector.build(ham, ansatz, states)
+        sector = Sector.build(h2_integrals, ansatz)
 
         def objective(theta):
             return sa_energy(theta, sector, (0.5, 0.5))[0]
@@ -256,7 +242,6 @@ class TestRunSaVqe:
         assert abs(grad @ direction - secant) < 1e-6
 
     def test_de_deterministic_traces(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
         choice = OptimizerChoice(
             "de",
@@ -266,17 +251,18 @@ class TestRunSaVqe:
                 termination=TerminationCriteria(max_generations=15),
             ),
         )
-        r1 = run_sa_vqe(ham, ansatz, optimizer=choice, n_orb=2, n_elec=2)
-        r2 = run_sa_vqe(ham, ansatz, optimizer=choice, n_orb=2, n_elec=2)
+        r1 = run_sa_vqe(
+h2_integrals, ansatz, optimizer=choice)
+        r2 = run_sa_vqe(
+h2_integrals, ansatz, optimizer=choice)
         assert r1.theta.tobytes() == r2.theta.tobytes()
         assert [e.e_sa for e in r1.trace.events] == [e.e_sa for e in r2.trace.events]
         assert r1.evaluations == r2.evaluations
 
     def test_weight_count_must_match_state_count(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         with pytest.raises(ValueError, match="3 weights given for 2 states"):
             run_sa_vqe(
-                ham, default_ansatz(2, 2), weights=(0.2, 0.3, 0.5), n_orb=2, n_elec=2
+                h2_integrals, default_ansatz(2, 2), weights=(0.2, 0.3, 0.5)
             )
 
     def test_component_cache_bounded_by_population(self, h2_integrals, monkeypatch):
@@ -298,8 +284,8 @@ class TestRunSaVqe:
             de_config=DEConfig(seed=0, termination=TerminationCriteria(max_evals=3000)),
         )
         result = run_sa_vqe(
-            jordan_wigner(h2_integrals), default_ansatz(2, 2),
-            optimizer=choice, n_orb=2, n_elec=2,
+            h2_integrals, default_ansatz(2, 2),
+            optimizer=choice
         )
         # 3000 DE evaluations plus the final reconstruction: no cache miss was charged
         assert result.evaluations == 3001
@@ -332,8 +318,8 @@ class TestRunSaVqe:
         for choice in choices:
             rows.clear()
             result = run_sa_vqe(
-                jordan_wigner(h2_integrals), default_ansatz(2, 2),
-                optimizer=choice, n_orb=2, n_elec=2,
+                h2_integrals, default_ansatz(2, 2),
+                optimizer=choice
             )
             assert result.evaluations == sum(rows), choice.kind
             assert len(rows) < sum(rows)  # stencils or generations went as blocks
@@ -342,30 +328,20 @@ class TestRunSaVqe:
         from devqe.integrals import freeze_core, hf_determinant_energy
 
         frozen = freeze_core(lih_integrals, 1)
-        ham = jordan_wigner(frozen)
         ansatz = default_ansatz(frozen.n_orb, frozen.n_elec)
-        assert ham.n_qubits == 10
-        result = run_sa_vqe(
-            ham,
-            ansatz,
-            optimizer=OptimizerChoice("bfgs"),
-            n_orb=frozen.n_orb,
-            n_elec=frozen.n_elec,
-        )
+        assert ansatz.n_qubits == 10
+        result = run_sa_vqe(frozen, ansatz, optimizer=OptimizerChoice("bfgs"))
         # ground state gains correlation energy below the determinant reference
         assert result.state_energies[0] < hf_determinant_energy(lih_integrals) - 1e-4
         assert result.e_sa >= fock.ensemble_floor(frozen) - 1e-10
         assert abs(result.final_states[0].inner(result.final_states[1])) < 1e-10
 
     def test_gd_records_every_step(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
         ansatz = default_ansatz(2, 2)
         result = run_sa_vqe(
-            ham,
+            h2_integrals,
             ansatz,
-            optimizer=OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=40)),
-            n_orb=2,
-            n_elec=2,
+            optimizer=OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=40))
         )
         events = result.trace.events
         assert len(events) >= 2

@@ -1,5 +1,5 @@
 """The SA-VQE sector path against the dense oracles: the occupation-basis
-sector of fock.py, the Pauli-word excitation chain and the letter-string
+Hamiltonian of fock.py, the Pauli-word excitation chain and the letter-string
 expectation."""
 
 import gc
@@ -10,40 +10,29 @@ import numpy as np
 import pytest
 
 from devqe import fock
-from devqe.ansatz import AnsatzSpec, apply_ansatz, default_ansatz
+from devqe.ansatz import apply_ansatz, default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
 from devqe.integrals import freeze_core
 from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
 from devqe.orbitals import KappaMatrix, rotate_integrals
-from devqe.pauli import PauliTerm, QubitHamiltonian
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
-from devqe.statevector import (
-    SECTOR_CUTOFF,
-    CompiledHamiltonian,
-    ExpectationError,
-    StateVector,
-    apply_excitation,
-    basis_state,
-    compile_hamiltonian,
-    expectation,
-)
+from devqe.statevector import apply_excitation, expectation, ladder_on_basis
 
 SYSTEMS = ("h2", "h4", "lih_frozen_core", "lih")
 
 
 @pytest.fixture
 def system(request):
-    """(integrals, compiled Hamiltonian, ansatz, references, sector)."""
+    """(integrals, letter-form Hamiltonian, ansatz, references, sector)."""
     name = request.param
     if name == "lih_frozen_core":
         integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
     else:
         integrals = request.getfixturevalue(f"{name}_integrals")
-    ham = compile_hamiltonian(jordan_wigner(integrals))
     ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
     states = build_initial_states(integrals.n_orb, integrals.n_elec)
-    return integrals, ham, ansatz, states, Sector.build(ham, ansatz, states)
+    return integrals, jordan_wigner(integrals), ansatz, states, Sector.build(integrals, ansatz)
 
 
 def excitation_chain(reference, ansatz, theta):
@@ -63,105 +52,43 @@ def test_basis_is_the_particle_and_spin_sector(system):
 def test_ladder_action_matches_occupation_basis_rule():
     # random ladder strings of 1-4 operators on 5 modes, repeated modes and
     # strings that vanish included, on every bitstring
-    from devqe.ansatz import _ladder_action
-
     rng = np.random.default_rng(44)
-    bits = np.arange(32)
+    basis = np.arange(32)
     for _ in range(300):
         specs = [(int(m), bool(d)) for m, d in zip(rng.integers(0, 5, rng.integers(1, 5)),
                                                    rng.integers(0, 2, 4))]
-        action = _ladder_action(specs)
-        for b in bits.tolist():
-            sign, out = fock._apply_ops(b, specs)
-            if action is None or (b & action[0]) != action[1]:
-                assert out is None, (specs, b)
-                continue
-            mask, value, flip, lower, parity = action
-            assert out == b ^ flip, (specs, b)
-            assert sign == (-1) ** (parity + (b & lower).bit_count()), (specs, b)
+        src, dst, sign = ladder_on_basis(specs, basis)
+        assert np.all(np.diff(src) > 0), specs
+        acted = dict(zip(src.tolist(), zip(dst.tolist(), sign.tolist())))
+        for b in basis.tolist():
+            expected_sign, out = fock._apply_ops(b, specs)
+            if out is None:
+                assert b not in acted, (specs, b)
+            else:
+                assert acted[b] == (out, expected_sign), (specs, b)
 
 
-def test_one_qubit_basis_closes_over_both_states():
-    # the toy Hamiltonian of test_weighting_arithmetic: two references in two
-    # sectors, (N, S_z) = (0, 0) and (1, 1/2)
-    ham = QubitHamiltonian(1, [PauliTerm("I", -1.5), PauliTerm("Z", 0.5)])
-    states = (basis_state(1, []), basis_state(1, [0]))
-    assert Sector.build(ham, AnsatzSpec(n_qubits=1), states).basis.tolist() == [0, 1]
+def test_ladder_leading_out_of_the_basis_rejected():
+    # a^+_2 a_0 takes |0b011> out of the one-determinant basis
+    with pytest.raises(ValueError, match="not closed"):
+        ladder_on_basis(((2, True), (0, False)), np.array([0b011]))
 
 
-def test_hamiltonian_leaving_the_references_sectors_rejected(h2_integrals, monkeypatch):
-    # one reference: the X entry of the Hamiltonian leads from |0> to |1>
-    ham = QubitHamiltonian(1, [PauliTerm("Z", 0.5), PauliTerm("X", 0.25)])
-    with pytest.raises(ValueError, match=r"entry H\[1, 0\] = 2.500e-01"):
-        Sector.build(ham, AnsatzSpec(n_qubits=1), (basis_state(1, []),))
-    # a particle-number-changing term on H2 stops the run before its first evaluation
-    import devqe.savqe as savqe_mod
-
-    def no_evaluation(*args):
-        raise AssertionError("an evaluation ran")
-
-    monkeypatch.setattr(savqe_mod, "sa_energy", no_evaluation)
-    leaky = jordan_wigner(h2_integrals)
-    leaky = QubitHamiltonian(4, [*leaky.terms, PauliTerm("XIII", 0.1)])
-    with pytest.raises(ValueError, match="leads out of the sector basis"):
-        run_sa_vqe(leaky, default_ansatz(2, 2), n_orb=2, n_elec=2)
-
-
-@pytest.mark.parametrize("system", ["h4", "lih"], indirect=True)
-def test_columns_read_once_per_basis_determinant(system, monkeypatch):
-    _, ham, ansatz, states, sector = system
-    columns = CompiledHamiltonian.columns
-    asked = []
-
-    def counted(self, bits):
-        asked.extend(np.asarray(bits).tolist())
-        return columns(self, bits)
-
-    monkeypatch.setattr(CompiledHamiltonian, "columns", counted)
-    rebuilt = Sector.build(ham, ansatz, states)
-    assert sorted(asked) == sector.basis.tolist() == rebuilt.basis.tolist()
-
-
-def test_rotated_lih_keeps_the_cutoff_headroom(lih_integrals):
-    # random orbital rotations smear the integrals over every index, so the
-    # compiled rows carry their largest residues between sectors; the build
-    # must still see none of them above SECTOR_CUTOFF
-    rng = np.random.default_rng(45)
-    for _ in range(2):
-        kappa = KappaMatrix.from_values(6, rng.normal(0.0, 0.3, 15))
-        rotated = rotate_integrals(lih_integrals, kappa)
-        ham = compile_hamiltonian(jordan_wigner(rotated))
-        sector = Sector.build(ham, default_ansatz(6, 4), build_initial_states(6, 4))
-        assert sector.basis.tolist() == fock.sector_basis(12, 4, 0)
-        targets, entries = ham.columns(sector.basis)
-        leaving = np.abs(entries[~np.isin(targets, sector.basis)])
-        assert leaving.max() < SECTOR_CUTOFF / 10
-        reference = fock.hamiltonian_matrix(rotated, sector.basis.tolist())
-        assert np.max(np.abs(sector.hamiltonian.matrix - reference)) < 1e-12
-
-
-# sha256 of the basis and Hamiltonian block bytes of each fixture's sector,
-# as the (G, 2^n) X-mask rows of the compiled Hamiltonian gave them: the
-# per-term table must read the same block off the Pauli masks, bitwise
+# sha256 of the basis bytes of each fixture's sector
 SECTOR_PINS = {
-    "h2": ("fe2e3876105e2686557dd746753ebaa67513eac43211b6338c98aafd39291f89",
-           "62032861ea0491702bc34ae2bc5041f73fab1d0bf6f21052ead6e15fdcb43f6e"),
-    "h4": ("5655235b2460f736e122e4267182a0e3d334e7c58541ee2fe7917dee829907a1",
-           "429a84f9e2019a25188a02625acbca91dc52eaee64515913c7453b32d2a3cff0"),
-    "lih_frozen_core": ("5e3b6bb4b2f9a5a8849c08b097f62d6736cfc848e9a9cb09c5a202501053c66c",
-                        "c035b3c2151ad06f4982b9e175b3b8c44c1f8fc59371d48ccdb8b68df50632e6"),
-    "lih": ("d2504e6a33fdcd7f2336362fd665a2bf0188f8b623013414360d911756b6c254",
-            "4e5a4036b7633c82cbb78f8d3541a34d993ba2c247298c03e9e88aa9aace97af"),
+    "h2": "fe2e3876105e2686557dd746753ebaa67513eac43211b6338c98aafd39291f89",
+    "h4": "5655235b2460f736e122e4267182a0e3d334e7c58541ee2fe7917dee829907a1",
+    "lih_frozen_core": "5e3b6bb4b2f9a5a8849c08b097f62d6736cfc848e9a9cb09c5a202501053c66c",
+    "lih": "d2504e6a33fdcd7f2336362fd665a2bf0188f8b623013414360d911756b6c254",
 }
 
 
 @pytest.mark.parametrize("system", SYSTEMS, indirect=True)
 def test_sector_bytes_match_pins(system, request):
     *_, sector = system
-    basis_pin, matrix_pin = SECTOR_PINS[request.node.callspec.params["system"]]
     assert sector.basis.dtype == np.int64 and sector.hamiltonian.matrix.dtype == np.float64
-    assert hashlib.sha256(sector.basis.tobytes()).hexdigest() == basis_pin
-    assert hashlib.sha256(sector.hamiltonian.matrix.tobytes()).hexdigest() == matrix_pin
+    pin = SECTOR_PINS[request.node.callspec.params["system"]]
+    assert hashlib.sha256(sector.basis.tobytes()).hexdigest() == pin
 
 
 @pytest.mark.parametrize("system", SYSTEMS, indirect=True)
@@ -169,6 +96,21 @@ def test_sector_hamiltonian_matches_occupation_basis_matrix(system):
     integrals, _, _, _, sector = system
     reference = fock.hamiltonian_matrix(integrals, sector.basis.tolist())
     assert np.max(np.abs(sector.hamiltonian.matrix - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("system", ["h4", "lih"], indirect=True)
+def test_rotated_integrals_block_matches_occupation_basis_matrix(system):
+    # the macro loop builds every sector after the first from rotated
+    # integrals, which carry weight on every index
+    integrals, _, ansatz, _, sector = system
+    n_orb = integrals.n_orb
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
+        rotated = rotate_integrals(integrals, kappa)
+        block = Sector.build(rotated, ansatz).hamiltonian.matrix
+        reference = fock.hamiltonian_matrix(rotated, sector.basis.tolist())
+        assert np.max(np.abs(block - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("system", SYSTEMS, indirect=True)
@@ -181,6 +123,8 @@ def test_scattered_states_match_excitation_chain(system):
         for reference, state, energy in zip(states, evolved, energies):
             chain = excitation_chain(reference, ansatz, theta)
             assert np.max(np.abs(state.amplitudes - chain.amplitudes)) < 1e-12
+            # the sector energy against the letter form, on the scattered state
+            assert abs(energy - expectation(state, ham)) < 1e-12
             assert abs(energy - expectation(chain, ham)) < 1e-12
 
 
@@ -213,22 +157,6 @@ def test_sa_energy_points_bitwise_equal_to_one_point(system, n_points):
         assert tuple(energies[i].tolist()) == one_energies
 
 
-def test_non_hermitian_hamiltonian_rejected_when_the_sector_is_built():
-    # iX is anti-Hermitian: its block [[0, i], [i, 0]] is not Hermitian
-    ham = QubitHamiltonian(1, [PauliTerm("X", 1j)])
-    states = (basis_state(1, []), basis_state(1, [0]))
-    with pytest.raises(ExpectationError, match="not Hermitian"):
-        Sector.build(ham, AnsatzSpec(n_qubits=1), states)
-
-
-def test_complex_references_rejected(h2_integrals):
-    ham = jordan_wigner(h2_integrals)
-    hf, excited = build_initial_states(2, 2)
-    phased = StateVector(4, 1j * excited.amplitudes)
-    with pytest.raises(ValueError, match="real amplitudes"):
-        Sector.build(ham, default_ansatz(2, 2), (hf, phased))
-
-
 @pytest.mark.parametrize(
     "optimizer",
     [
@@ -253,8 +181,8 @@ def test_sector_freed_with_its_run_without_garbage_collection(h2_integrals, opti
     monkeypatch.setattr(Sector, "build", classmethod(watched))
     gc.disable()
     try:
-        result = run_sa_vqe(jordan_wigner(h2_integrals), default_ansatz(2, 2),
-                            optimizer=optimizer, n_orb=2, n_elec=2, incumbent=[0.1, 0.0])
+        result = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=optimizer,
+                            incumbent=[0.1, 0.0])
         assert len(built) == 1
         assert built[0]() is None
         assert result.evaluations > 2
@@ -263,13 +191,12 @@ def test_sector_freed_with_its_run_without_garbage_collection(h2_integrals, opti
 
 
 def test_incumbent_adopted_only_when_lower(h2_integrals):
-    ham = jordan_wigner(h2_integrals)
     short = OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=1))
-    plain = run_sa_vqe(ham, default_ansatz(2, 2), optimizer=short, n_orb=2, n_elec=2)
-    best = run_sa_vqe(ham, default_ansatz(2, 2), n_orb=2, n_elec=2)
-    adopted = run_sa_vqe(ham, default_ansatz(2, 2), optimizer=short, n_orb=2, n_elec=2,
+    plain = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=short)
+    best = run_sa_vqe(h2_integrals, default_ansatz(2, 2))
+    adopted = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=short,
                          incumbent=best.theta)
     assert adopted.evaluations == plain.evaluations + 1
     assert np.array_equal(adopted.theta, best.theta) and adopted.e_sa == best.e_sa
-    kept = run_sa_vqe(ham, default_ansatz(2, 2), n_orb=2, n_elec=2, incumbent=plain.theta)
+    kept = run_sa_vqe(h2_integrals, default_ansatz(2, 2), incumbent=plain.theta)
     assert np.array_equal(kept.theta, best.theta) and kept.e_sa == best.e_sa

@@ -18,7 +18,6 @@ from devqe.jw import jordan_wigner
 from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix, pauli_matrix
 from devqe.savqe import build_initial_states
 from devqe.statevector import (
-    CompiledHamiltonian,
     ExpectationError,
     RDMPair,
     ShapeError,
@@ -28,8 +27,8 @@ from devqe.statevector import (
     apply_excitation,
     apply_pauli,
     apply_pauli_rotation,
+    SectorHamiltonian,
     basis_state,
-    compile_hamiltonian,
     expectation,
     measure_rdms,
     rdm_energy,
@@ -212,7 +211,7 @@ class TestExpectation:
             expectation(random_state(3, 17), ham)
 
     def test_matches_term_by_term_sum(self, h2_integrals):
-        # the compiled path must agree with the naive sum
+        # the row reduction must agree with the naive sum
         ham = jordan_wigner(h2_integrals)
         for seed in range(10):
             state = random_state(4, 100 + seed)
@@ -220,99 +219,67 @@ class TestExpectation:
             assert expectation(state, ham) == pytest.approx(naive, abs=1e-12)
 
 
+def sector_sum_expectation(state, integrals):
+    """<psi|H|psi> as the sum over the (N, S_z) sectors of the state's
+    components, each with the sector block built from the integrals."""
+    n_qubits = 2 * integrals.n_orb
+    determinants = np.arange(2**n_qubits)
+    up = sum(1 << mode for mode in range(0, n_qubits, 2))
+    labels = (np.bitwise_count(determinants & up).astype(np.intp) * (n_qubits + 1)
+              + np.bitwise_count(determinants & (up << 1)))
+    total = 0.0
+    for label in np.unique(labels):
+        basis = np.flatnonzero(labels == label)
+        block = SectorHamiltonian.from_integrals(integrals, basis).matrix
+        psi = state.amplitudes[basis]
+        total += np.vdot(psi, block @ psi).real
+    return total
+
+
 class TestCompiledHamiltonian:
+    """The dense expectation of a letter-form Hamiltonian, the oracle of the
+    sector path."""
+
     @pytest.mark.parametrize("molecule", MOLECULES)
     def test_matches_oracle_on_random_states(self, molecule, request):
         integrals = request.getfixturevalue(molecule)
         ham = jordan_wigner(integrals)
-        compiled = CompiledHamiltonian.from_hamiltonian(ham)
         # the dense matrix up to 8 qubits; at 12 qubits it would take 268 MB,
-        # so LiH is checked against the term-by-term letter-string sum
+        # so LiH is checked against the sector blocks of its integrals
         dense = hamiltonian_matrix(ham) if ham.n_qubits <= 8 else None
         for seed in range(20):
             state = random_state(ham.n_qubits, 200 + seed)
             if dense is not None:
                 ref = np.vdot(state.amplitudes, dense @ state.amplitudes).real
             else:
-                ref = pauli_sum_expectation(state, ham)
-            assert abs(expectation(state, compiled) - ref) < 1e-12
-
-    def test_one_row_per_x_mask(self, h4_integrals, lih_integrals):
-        for integrals, n_terms, n_rows in ((h4_integrals, 185, 27), (lih_integrals, 631, 84)):
-            ham = jordan_wigner(integrals)
-            assert len(ham) == n_terms
-            compiled = compile_hamiltonian(ham)
-            assert compiled.x_masks.shape == (n_rows,)
-            rows, entries = compiled.columns(np.array([3, 5, 6]))
-            assert rows.shape == entries.shape == (n_rows, 3)
-
-    def test_no_array_spans_the_full_space(self, lih_integrals):
-        # the table is per term: nothing grows with 2^n
-        compiled = compile_hamiltonian(jordan_wigner(lih_integrals))
-        arrays = [compiled.x_masks, compiled.starts, compiled.z_masks,
-                  compiled.coefficients, compiled.phases]
-        arrays += [a for pair in compiled.later for a in pair]
-        assert max(a.size for a in arrays) == 631
-
-    @pytest.mark.parametrize("molecule", ("h2_integrals", "h4_integrals"))
-    def test_columns_match_dense_matrix(self, molecule, request):
-        ham = jordan_wigner(request.getfixturevalue(molecule))
-        self._check_columns(ham, seed=40)
-
-    def test_columns_match_dense_matrix_on_complex_words(self):
-        # random words with Y letters and complex coefficients, and the
-        # anti-Hermitian iX toy: every phase i^k and both Z-signs occur
-        rng = np.random.default_rng(41)
-        strings = {"".join(rng.choice(list("IXYZ"), 5)) for _ in range(60)}
-        terms = [PauliTerm(s, complex(rng.normal(), rng.normal())) for s in sorted(strings)]
-        self._check_columns(QubitHamiltonian(5, terms), seed=42)
-        self._check_columns(QubitHamiltonian(1, [PauliTerm("X", 1j)]), seed=43)
-
-    @staticmethod
-    def _check_columns(ham, seed):
-        dense = hamiltonian_matrix(ham)
-        compiled = compile_hamiltonian(ham)
-        size = 2**ham.n_qubits
-        rng = np.random.default_rng(seed)
-        for n_bits in (1, 2, size // 2, size):
-            bits = rng.choice(size, n_bits, replace=False)
-            rows, entries = compiled.columns(bits)
-            got = np.zeros((size, n_bits), dtype=complex)
-            got[rows, np.arange(n_bits)] = entries
-            assert np.max(np.abs(got - dense[:, bits])) < 1e-14
-
-    def test_letter_and_compiled_forms_agree(self, h2_integrals):
-        ham = jordan_wigner(h2_integrals)
-        compiled = compile_hamiltonian(ham)
-        assert compile_hamiltonian(compiled) is compiled
-        state = random_state(4, 21)
-        assert expectation(state, ham) == expectation(state, compiled)
+                ref = sector_sum_expectation(state, integrals)
+            assert abs(expectation(state, ham) - ref) < 1e-12
 
     def test_wrong_width_rejected(self, h2_integrals):
-        compiled = compile_hamiltonian(jordan_wigner(h2_integrals))
+        ham = jordan_wigner(h2_integrals)
         with pytest.raises(ShapeError):
-            expectation(random_state(3, 22), compiled)
+            expectation(random_state(3, 22), ham)
         with pytest.raises(ShapeError):
-            expectation(random_state(5, 23), compiled)
+            expectation(random_state(5, 23), ham)
 
     def test_imaginary_residue_rejected(self):
         # iX is anti-Hermitian: <+|iX|+> = i
-        compiled = compile_hamiltonian(QubitHamiltonian(1, [PauliTerm("X", 1j)]))
+        ham = QubitHamiltonian(1, [PauliTerm("X", 1j)])
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(ExpectationError):
-            expectation(plus, compiled)
+            expectation(plus, ham)
         with pytest.raises(ExpectationError):
-            expectation(np.array([[1.0, 0.0], plus.amplitudes]), compiled)
+            expectation(np.array([[1.0, 0.0], plus.amplitudes]), ham)
 
     @pytest.mark.parametrize("molecule", MOLECULES)
     def test_block_rows_equal_single_states(self, molecule, request):
         integrals = request.getfixturevalue(molecule)
-        compiled = compile_hamiltonian(jordan_wigner(integrals))
+        ham = jordan_wigner(integrals)
         n_qubits = 2 * integrals.n_orb
         states = [random_state(n_qubits, 300 + seed) for seed in range(4)]
-        values = expectation(np.array([s.amplitudes for s in states]), compiled)
+        values = expectation(np.array([s.amplitudes for s in states]), ham)
         assert values.shape == (4,)
-        assert values.tolist() == [expectation(s, compiled) for s in states]
+        assert values.tolist() == [expectation(s, ham) for s in states]
 
 
 def givens_excitation_chain(reference, ansatz, theta):

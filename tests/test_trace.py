@@ -34,3 +34,25 @@ def test_every_state_energy_is_written(tmp_path):
     assert list(rows[0]) == ["cum_evals", "scope", "macro_index", "e_sa", "e0", "e1", "e2"]
     assert tuple(float(rows[0][f"e{k}"]) for k in range(3)) == energies
     assert [rows[1][f"e{k}"] for k in range(3)] == ["", "", ""]
+
+
+def test_frozen_core_saoo_trace_cells_parse_as_numbers(tmp_path, lih_integrals):
+    # freeze_core sums numpy scalars into the core energy, which reaches the
+    # macro rows' state energies through rdm_energy
+    from devqe.ansatz import default_ansatz
+    from devqe.integrals import freeze_core
+    from devqe.orbitals import MacroConfig, run_sa_oo_vqe
+
+    frozen = freeze_core(lih_integrals, 1)
+    assert type(frozen.core_energy) is float
+    result = run_sa_oo_vqe(frozen, default_ansatz(frozen.n_orb, frozen.n_elec),
+                           macro_config=MacroConfig(max_macro_iters=1))
+    path = tmp_path / "trace.csv"
+    result.trace.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["scope"] for row in rows} == {SCOPE_STEP, SCOPE_MACRO}
+    for row in rows:
+        for column, cell in row.items():
+            if column != "scope":
+                float(cell)

@@ -20,9 +20,9 @@ of its Sector.  Cases:
            (what fd_gradient hands to the batch protocol);
 - de_gen:  one DE generation of max(15, 5D) random thetas as one block;
 - macro:   the layers every SA-OO-VQE macro iteration rebuilds, in ms per
-           call: jordan_wigner, Sector.build from the letter-form Hamiltonian,
-           minimize_orbitals on the RDMs of the theta = 0.05 states (with the
-           number of rotate_integrals calls it makes), and rotate_integrals;
+           call: Sector.build from the integrals, minimize_orbitals on the
+           RDMs of the theta = 0.05 states (with the number of
+           rotate_integrals calls it makes), and rotate_integrals;
 - de_driver: microseconds per evaluation of whole de_minimize runs of
            DE_DRIVER_EVALS evaluations on bench.sphere, whose batch form makes
            the objective nearly free: the de_sphere benchmark's three variants
@@ -54,7 +54,6 @@ import numpy as np  # noqa: E402
 from devqe import bench, de, orbitals, savqe  # noqa: E402
 from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
-from devqe.jw import jordan_wigner  # noqa: E402
 from devqe.statevector import measure_rdms  # noqa: E402
 
 CASES = ("point", "stencil", "de_gen", "macro", "de_driver")
@@ -128,13 +127,10 @@ def time_de_driver(repeats):
               f"{boundary:8s} {us:8.2f}", flush=True)
 
 
-def time_macro_layers(name, integrals, ansatz, states, repeats):
+def time_macro_layers(name, integrals, ansatz, sector, repeats):
     """Print ms per call of the layers one macro iteration rebuilds."""
-    hamiltonian = jordan_wigner(integrals)
-    jw_ms = ms_per_eval(lambda: jordan_wigner(integrals), 1, repeats)
-    build_ms = ms_per_eval(lambda: savqe.Sector.build(hamiltonian, ansatz, states), 1, repeats)
+    build_ms = ms_per_eval(lambda: savqe.Sector.build(integrals, ansatz), 1, repeats)
     theta = np.full(ansatz.parameter_count, MACRO_THETA)
-    sector = savqe.Sector.build(hamiltonian, ansatz, states)
     _, _, evolved = savqe.sa_energy(theta, sector, WEIGHTS)
     rdms = tuple(measure_rdms(state, integrals.n_orb) for state in evolved)
 
@@ -156,8 +152,7 @@ def time_macro_layers(name, integrals, ansatz, states, repeats):
         integrals.n_orb, np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
     )
     rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
-    print(f"{name:7s} {'macro':8s} jordan_wigner {jw_ms:.3f}, Sector.build "
-          f"{build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
+    print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
           f"calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
 
 
@@ -187,8 +182,7 @@ def main(argv=None) -> int:
         if name not in wanted:
             continue
         ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
-        states = savqe.build_initial_states(integrals.n_orb, integrals.n_elec)
-        sector = savqe.Sector.build(jordan_wigner(integrals), ansatz, states)
+        sector = savqe.Sector.build(integrals, ansatz)
         print(f"{name}: {2 * integrals.n_orb} qubits, S = {sector.basis.size}, "
               f"{len(sector.ansatz.sets)} Givens sets for {ansatz.parameter_count} parameters")
 
@@ -197,7 +191,7 @@ def main(argv=None) -> int:
 
         for case in cases:
             if case == "macro":
-                time_macro_layers(name, integrals, ansatz, states, args.repeats)
+                time_macro_layers(name, integrals, ansatz, sector, args.repeats)
                 continue
             points = case_points(case, ansatz.parameter_count, rng)
 
