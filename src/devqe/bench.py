@@ -142,6 +142,8 @@ def parse_seeds(text) -> list:
         raise UsageError(f"could not parse seed list {text!r}")
     if not seeds:
         raise UsageError(f"seed list {text!r} names no seed")
+    if min(seeds) < 0:
+        raise UsageError(f"seed list {text!r} names a negative seed")
     return seeds
 
 

@@ -20,7 +20,10 @@ numpy's algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`,
 and `Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low
 half first, the high half kept for the next 32-bit draw) with numpy's
 rejection threshold `(2**32 - n) % n`.  A serial pass makes the draws whose
-count depends on the data; donors, masks and repairs are row-block operations.
+count depends on the data; donors, masks and all three repairs are row-block
+operations.  Reinit redraws depend on the trial rows, so under reinit the pass
+keeps each member's draw state: the first member whose trial leaves the box
+rewinds to it, draws its redraws, and the pass is redone from the next member.
 Every run is bitwise the classic per-member run (donor, crossover, repair, one
 member at a time on a `Generator`), which tests/de_oracle.py keeps as the
 oracle.  Two tests in tests/test_de_minimize.py guard this: the draw oracle
@@ -269,7 +272,7 @@ def should_terminate(history, criteria: TerminationCriteria) -> str | None:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, in __post_init__
 class DEConfig:
     np_size: int | None = None  # population size; default max(15, 5*D)
     f: float = 0.5
@@ -294,6 +297,13 @@ class DEConfig:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; valid: {', '.join(STRATEGIES)}"
             )
+        if self.np_size is not None:
+            smallest = _smallest_population(self.strategy)
+            if self.np_size < smallest:
+                raise ConfigurationError(
+                    f"population of {self.np_size} too small for {self.strategy}; "
+                    f"it needs {smallest}"
+                )
         if self.crossover not in CROSSOVERS:
             raise ConfigurationError(
                 f"unknown crossover {self.crossover!r}; valid: {', '.join(CROSSOVERS)}"
@@ -372,6 +382,16 @@ class _PhiloxDraws:
     def mark(self):
         """Start a block: positions from `take` count from the next word."""
         self._mark = self._pos
+
+    def state(self):
+        """Where the draws stand: the position from the mark (a refill re-bases
+        the words on the mark) and the pending 32-bit half."""
+        return self._pos - self._mark, self._half
+
+    def restore(self, state):
+        """Go back to a `state()` taken since the last `mark`."""
+        offset, self._half = state
+        self._pos = self._mark + offset
 
     def _refill(self, count):
         """Read ahead so that `count` words follow the current position."""
@@ -512,10 +532,13 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     `draws` replays.
 
     A serial pass makes only the draws whose count depends on the data:
-    distinct indices with rejection, the p-best pick, the exponential window
-    length and reinit redraws.  The redraws need their member's trial row, so
-    reinit builds each row in the pass; otherwise donors, crossover masks and
-    the repair are row-block operations.
+    distinct indices with rejection, the p-best pick and the exponential window
+    length.  Donors, crossover masks and the repair are row-block operations.
+    A member's reinit redraws come between its crossover draws and the next
+    member's picks, so under reinit the pass keeps each member's draw state.
+    The first member whose trial leaves the box rewinds to that state and
+    draws its redraws; the pass and the block are then redone from the next
+    member on, until no later row leaves the box.
     """
     x = pop.members
     n, dim = x.shape
@@ -533,61 +556,62 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     integers, random = draws.integers, draws.random
     draws.mark()
 
-    # per member: the rows its donor reads (_donors' order), then its crossover draws
-    picks, starts, firsts, lengths = [], [], [], []
+    # per member: the rows its donor reads (_donors' order), its crossover
+    # draws and, under reinit, the draw state after them
+    picks, starts, firsts, lengths, states = [], [], [], [], []
     need = 1 + p_best + n_picks
-    if reinit:
-        trials = np.empty_like(x)
-        width = hi - lo
-    for i in range(n):
-        taken = [i]
-        if p_best:
-            candidates = top
-            if i in top:
-                candidates = [c for c in top if c != i] or order[1:2]
-            taken.append(candidates[integers(len(candidates))])
-        while len(taken) < need:
-            r = integers(n)
-            if r not in taken:
-                taken.append(r)
-        if binomial:
-            start = draws.take(dim)
-            first = integers(dim)
-        else:
-            first = integers(dim)
-            length = 1
-            while length < dim and random() <= cr:
-                length += 1
-        if not reinit:
+    trials = np.empty_like(x)
+    begin = 0  # the pass and the block start at this member
+    while True:
+        for i in range(begin, n):
+            taken = [i]
+            if p_best:
+                candidates = top
+                if i in top:
+                    candidates = [c for c in top if c != i] or order[1:2]
+                taken.append(candidates[integers(len(candidates))])
+            while len(taken) < need:
+                r = integers(n)
+                if r not in taken:
+                    taken.append(r)
             picks.append(taken)
-            firsts.append(first)
             if binomial:
-                starts.append(start)
+                starts.append(draws.take(dim))
+                firsts.append(integers(dim))
             else:
+                firsts.append(integers(dim))
+                length = 1
+                while length < dim and random() <= cr:
+                    length += 1
                 lengths.append(length)
-            continue
-        if binomial:
-            from_donor = draws.uniforms(start, dim) <= cr
-            from_donor[first] = True
-        else:
-            from_donor = (columns - first) % dim < length
-        trial = np.where(from_donor, _donors(strategy, [x[j] for j in taken], best, f), x[i])
-        outside = (trial < lo) | (trial > hi)
-        redraws = np.count_nonzero(outside)
-        if redraws:
-            values = np.array([random() for _ in range(redraws)])
-            trial[outside] = values * width[outside] + lo[outside]
-        trials[i] = trial
-    if reinit:
-        return trials
+            if reinit:
+                states.append(draws.state())
 
-    firsts = np.array(firsts)
-    if binomial:
-        from_donor = draws.uniforms(np.array(starts), dim) <= cr
-        from_donor[np.arange(n), firsts] = True
-    else:
-        from_donor = (columns - firsts[:, None]) % dim < np.array(lengths)[:, None]
-    trials = np.where(from_donor, _donors(strategy, x[picks].swapaxes(0, 1), best, f), x)
+        j_rand = np.array(firsts[begin:])
+        if binomial:
+            from_donor = draws.uniforms(np.array(starts[begin:]), dim) <= cr
+            from_donor[np.arange(n - begin), j_rand] = True
+        else:
+            from_donor = (columns - j_rand[:, None]) % dim < np.array(lengths[begin:])[:, None]
+        donors = _donors(strategy, x[picks[begin:]].swapaxes(0, 1), best, f)
+        trials[begin:] = np.where(from_donor, donors, x[begin:])
+        if not reinit:
+            break
+        outside = (trials[begin:] < lo) | (trials[begin:] > hi)
+        leaving = np.flatnonzero(outside.any(axis=1))
+        if not len(leaving):
+            return trials
+        member, out = begin + int(leaving[0]), outside[leaving[0]]
+        draws.restore(states[member])
+        count = int(np.count_nonzero(out))
+        redraws = draws.uniforms(draws.take(count), count)
+        trials[member, out] = redraws * (hi - lo)[out] + lo[out]
+        begin = member + 1
+        if begin == n:
+            return trials
+        for kept in (picks, starts, firsts, lengths, states):
+            del kept[begin:]
+
     if config.boundary == "clamp":
         return np.minimum(np.maximum(trials, lo), hi)
     return _toroidal_block(trials, bounds)
@@ -620,11 +644,6 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
     after every completed generation.
     """
     np_size = config.population_size(bounds.dim)
-    smallest = _smallest_population(config.strategy)
-    if np_size < smallest:
-        raise ConfigurationError(
-            f"population of {np_size} too small for {config.strategy}; it needs {smallest}"
-        )
     if config.boundary in ("toroidal", "reinit"):  # both repair with the box width
         with np.errstate(over="ignore"):
             widths = bounds.upper - bounds.lower

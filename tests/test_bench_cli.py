@@ -203,14 +203,21 @@ class TestCompare:
         assert float(manifest["macro_tol"]) == MacroConfig().macro_tol
         assert manifest["weights"] == "0.5 0.5"
 
-    def test_per_run_failures_recorded_and_rest_continue(self, tmp_path):
-        # np=4 is too small for rand/2 index draws, so every de_rand2_bin run
-        # fails while bfgs still completes and reaches the summary
+    def test_per_run_failures_recorded_and_rest_continue(self, tmp_path, monkeypatch):
+        # every de_rand2_bin run fails at run time, while bfgs still completes
+        # and reaches the summary
+        real_run = bench_mod.run_molecule
+
+        def failing_de(integrals, method, seed, config, mode):
+            if method == "de_rand2_bin":
+                raise RuntimeError("numerical failure")
+            return real_run(integrals, method, seed, config, mode)
+
+        monkeypatch.setattr(bench_mod, "run_molecule", failing_de)
         config = {
             "molecule": fixture_path("h2_sto3g.fcidump"),
             "optimizer": "bfgs,de_rand2_bin",
             "seeds": "0,1",
-            "np": "4",
         }
         summary = cmd_compare(config, str(tmp_path))
         rows = read_rows(summary)[1:]
@@ -377,6 +384,24 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         config = write_config(tmp_path, function="sphere", dimension=dimension,
                               optimizer="de_rand1_bin", seeds="0")
+        assert main(["optimize", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "vqe", "compare"])
+    def test_negative_seed_exit_two_before_any_run(self, tmp_path, command):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              function="sphere", optimizer="de_rand1_bin", max_evals="40")
+        argv = [command, "--config", config, "--out", str(out), "--seeds=-1"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("np_size", ["2", "0", "-5"])
+    def test_population_too_small_for_strategy_exit_two_before_any_run(self, tmp_path,
+                                                                       np_size):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, function="sphere", optimizer="de_rand1_bin",
+                              np=np_size, seeds="0")
         assert main(["optimize", "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
 

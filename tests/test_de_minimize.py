@@ -1,6 +1,6 @@
 """End-to-end DE runs on analytic objectives."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from devqe.de import (
     make_rng,
 )
 from devqe.trace import SCOPE_STEP, TraceEvent
+import tests.de_oracle as oracle
 from tests.de_oracle import reference_de_minimize
 
 
@@ -396,6 +397,67 @@ def test_p_best_ties_follow_the_stable_order(crossover):
     assert_matches_reference(Batched(coarse_sphere), Bounds.box(-1.0, 1.0, 3), config)
 
 
+def reinit_redraws(bounds, config, monkeypatch):
+    """(generation, member) of every trial the oracle's run repairs by reinit,
+    on shifted_sphere."""
+    real, leaves = oracle.handle_bounds, []
+
+    def watched(vector, box, mode, rng=None):  # called once per member, in order
+        leaves.append(bool(((vector < box.lower) | (vector > box.upper)).any()))
+        return real(vector, box, mode, rng)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "handle_bounds", watched)
+        oracle.reference_de_minimize(
+            lambda x: float(shifted_sphere(x)), bounds, config, lambda pop, evals: None)
+    n = config.population_size(bounds.dim)
+    return [(k // n + 1, k % n) for k, out in enumerate(leaves) if out]
+
+
+def reinit_case(dim, np_size, f, cr, strategy, seed, generations):
+    config = DEConfig(np_size=np_size, f=f, cr=cr, seed=seed, strategy=strategy,
+                      boundary="reinit",
+                      termination=TerminationCriteria(max_generations=generations))
+    return Bounds.box(-1.0, 1.0, dim), config
+
+
+# (dim, np, F, Cr, strategy, seed, generations) of a reinit run, and the
+# redraws it makes; each redraw rewinds to its member's draws and redoes the
+# rest of the pass
+NO_REDRAW = (3, 8, 0.3, 0.5, "current_to_best1", 1, 6)
+REDO_CASES = {
+    "first_member_only": ((3, 8, 0.3, 0.5, "current_to_best1", 9, 6), [(1, 0)]),
+    "last_member_only": ((3, 8, 0.5, 0.5, "rand1", 6, 4), [(1, 7)]),
+    # Cr = 1 takes all 12 components from the donor, so most trials leave
+    "every_member": ((12, 10, 0.9, 1.0, "rand1", 4, 4),
+                     [(g, m) for g in range(1, 5) for m in range(10)]),
+    "none": (NO_REDRAW, []),
+}
+
+
+@pytest.mark.parametrize("name", list(REDO_CASES))
+def test_reinit_redo_matches_the_per_member_loop(name, monkeypatch):
+    settings, expected = REDO_CASES[name]
+    bounds, config = reinit_case(*settings)
+    assert reinit_redraws(bounds, config, monkeypatch) == expected
+    assert_matches_reference(Batched(shifted_sphere), bounds, config)
+
+
+def test_reinit_without_redraws_is_the_clamp_run(monkeypatch):
+    # holds only if reinit makes no draw of its own while no trial leaves the box
+    bounds, config = reinit_case(*NO_REDRAW)
+    assert reinit_redraws(bounds, config, monkeypatch) == []
+    seen = {"reinit": [], "clamp": []}
+    results = {}
+    for boundary in seen:
+        results[boundary] = de_minimize(
+            Batched(shifted_sphere), bounds, replace(config, boundary=boundary),
+            callback=lambda pop, evals, key=boundary: seen[key].append(
+                (pop.members.tobytes(), pop.fitnesses.tobytes(), evals)))
+    assert_same_result(results["reinit"], results["clamp"])
+    assert seen["reinit"] == seen["clamp"]
+
+
 @pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, 0.0])
 def test_scale_factor_must_be_positive_and_finite(f):
     with pytest.raises(ConfigurationError):
@@ -410,14 +472,16 @@ def test_too_small_population_rejected_before_any_evaluation():
         return 0.0
 
     for strategy, np_size in (("rand2", 4), ("rand2", 5), ("best2", 4)):
-        config = DEConfig(np_size=np_size, strategy=strategy,
-                          termination=TerminationCriteria(max_generations=3))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="too small"):
+            config = DEConfig(np_size=np_size, strategy=strategy,
+                              termination=TerminationCriteria(max_generations=3))
             de_minimize(objective, Bounds.box(-1, 1, 2), config)
     assert calls["n"] == 0
     config = DEConfig(np_size=6, strategy="rand2",
                       termination=TerminationCriteria(max_generations=3))
     assert de_minimize(objective, Bounds.box(-1, 1, 2), config).evaluations == 24
+    with pytest.raises(FrozenInstanceError):  # a checked config stays checked
+        config.np_size = 4
 
 
 def test_toroidal_rejects_infinite_widths_before_any_evaluation():
@@ -507,6 +571,14 @@ def test_draw_replay_matches_the_generator(start, chunk):
         else:
             count = int(choose.integers(1, 9))
             taken.append((draws.take(count), generator.random(count)))
+        if step % 50 == 1:
+            # just after a mark, rewind over a read-ahead (which re-bases the
+            # words on the mark) and a pending half, as a reinit redo does
+            saved, generator_saved = draws.state(), generator.bit_generator.state
+            draws.take(12), generator.random(12)
+            assert draws.integers(9) == generator.integers(9)
+            draws.restore(saved)
+            generator.bit_generator.state = generator_saved
         if step % 50 == 0:  # a generation ends: check its blocks, start the next
             for start, expected in taken:
                 assert draws.uniforms(start, len(expected)).tobytes() == expected.tobytes()

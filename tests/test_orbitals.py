@@ -293,24 +293,17 @@ class TestMacroLoop:
     def test_configuration_error_raised_unretried(self, h2_integrals, monkeypatch):
         import devqe.orbitals as orbitals_mod
 
-        real_run = orbitals_mod.run_sa_vqe
         calls = {"n": 0}
 
-        def counted(*args, **kwargs):
+        def misconfigured(*args, **kwargs):
             calls["n"] += 1
-            return real_run(*args, **kwargs)
+            raise ConfigurationError("boundary mode 'reinit' needs finite bound widths")
 
-        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", counted)
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", misconfigured)
         ansatz = default_ansatz(2, 2)
         choice = OptimizerChoice(
-            "de",
-            de_config=DEConfig(
-                np_size=4,
-                strategy="rand2",  # needs 5 distinct indices, population too small
-                termination=TerminationCriteria(max_generations=3),
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="too small"):
+            "de", de_config=DEConfig(termination=TerminationCriteria(max_generations=3)))
+        with pytest.raises(ConfigurationError, match="finite bound widths"):
             run_sa_oo_vqe(h2_integrals, ansatz, inner_optimizer=choice)
         assert calls["n"] == 1
 
