@@ -19,16 +19,23 @@ initial population, `_PhiloxDraws` reads the raw Philox words and replays
 numpy's algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`,
 and `Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low
 half first, the high half kept for the next 32-bit draw) with numpy's
-rejection threshold `(2**32 - n) % n`.  A serial pass makes the draws whose
-count depends on the data; donors, masks and all three repairs are row-block
-operations.  Reinit redraws depend on the trial rows, so under reinit the pass
-keeps each member's draw state: the first member whose trial leaves the box
-rewinds to it, draws its redraws, and the pass is redone from the next member.
-Every run is bitwise the classic per-member run (donor, crossover, repair, one
-member at a time on a `Generator`), which tests/de_oracle.py keeps as the
-oracle.  Two tests in tests/test_de_minimize.py guard this: the draw oracle
-compares the replay with the Generator over interleaved draws, and the run
-oracle compares whole runs with the per-member loop.
+rejection threshold `(2**32 - n) % n`.  One serial pass makes the draws whose
+count depends on the data, inline on the read-ahead words with a local
+position and pending half: the distinct picks, the p-best pick, j_rand, the
+binomial random(D) (a position bump) and the exponential window length.  Only
+rare paths go back to `_PhiloxDraws`' scalar code: a Lemire product in the
+rejection zone is redone by `integers`, and a member that runs past the
+read-ahead is refilled and redone.  Donors, masks and all three repairs are
+row-block operations.  Reinit redraws depend on the trial rows, so under
+reinit the pass keeps each member's draw state: the first member whose trial
+leaves the box rewinds to it, draws its redraws, and the pass is redone from
+the next member.  Every run is bitwise the classic per-member run (donor,
+crossover, repair, one member at a time on a `Generator`), which
+tests/de_oracle.py keeps as the oracle.  Tests in tests/test_de_minimize.py
+guard this: the draw oracle compares the scalar replay with the Generator
+over interleaved draws, the run oracle compares whole runs with the
+per-member loop (also with read-aheads of 3 words), and scripted words force
+each rare path of the pass inside one generation.
 """
 
 from __future__ import annotations
@@ -355,17 +362,20 @@ _RAW_CHUNK = 1024  # Philox words read ahead at a time (8 KB)
 
 
 class _PhiloxDraws:
-    """`Generator.integers(n)` and `Generator.random()` replayed from the raw
-    Philox words of the same stream.
+    """`Generator.integers(n)` and `Generator.random(count)` replayed from the
+    raw Philox words of the same stream.
 
     Takes over a Generator: from then on every draw of the run comes from
     here, with the values and in the order the Generator calls would give.
-    `random()` is the top 53 bits of the next 64-bit word.  `integers(n)` is
-    numpy's bounded 32-bit Lemire method with its rejection threshold
-    `(2**32 - n) % n`, on 32-bit halves taken low half first; the high half
-    waits for the next 32-bit draw (Philox's `has_uint32` buffer), and
-    `random()` leaves it waiting.  `integers(1)` consumes nothing.  Words are
+    A uniform is the top 53 bits of a 64-bit word, `(word >> 11) * 2**-53`.
+    `integers(n)` is numpy's bounded 32-bit Lemire method with its rejection
+    threshold `(2**32 - n) % n`, on 32-bit halves taken low half first; the
+    high half waits for the next 32-bit draw (Philox's `has_uint32` buffer),
+    and uniforms leave it waiting.  `integers(1)` consumes nothing.  Words are
     read ahead in chunks, so the Generator itself must not be drawn from again.
+
+    `_generation_trials` reads the words of `_values` itself, from `_pos` with
+    the pending half `_half`, and calls back in here only on its rare paths.
     """
 
     def __init__(self, rng, chunk=_RAW_CHUNK):
@@ -375,21 +385,18 @@ class _PhiloxDraws:
         self._chunk = chunk
         self._half = state["uinteger"] if state["has_uint32"] else None
         self._values = []  # the words, as Python ints
-        self._uniforms = np.empty(0)  # random() of each word
+        self._uniforms = np.empty(0)  # the uniform of each word
         self._pos = 0  # next unread word
-        self._mark = 0  # words from here on are kept; `take` counts from here
+        self._mark = 0  # words from here on are kept; positions count from here
 
     def mark(self):
-        """Start a block: positions from `take` count from the next word."""
+        """Start a block: positions count from the next word."""
         self._mark = self._pos
 
-    def state(self):
-        """Where the draws stand: the position from the mark (a refill re-bases
-        the words on the mark) and the pending 32-bit half."""
-        return self._pos - self._mark, self._half
-
     def restore(self, state):
-        """Go back to a `state()` taken since the last `mark`."""
+        """Go to `state` = (position from the mark, pending 32-bit half), as
+        it stood at some point since the last `mark`.  A refill re-bases the
+        words on the mark, so positions from the mark stay valid."""
         offset, self._half = state
         self._pos = self._mark + offset
 
@@ -402,45 +409,40 @@ class _PhiloxDraws:
         self._pos -= self._mark
         self._mark = 0
 
-    def _word(self):
-        if self._pos == len(self._values):
-            self._refill(1)
-        self._pos += 1
-        return self._values[self._pos - 1]
-
     def _uint32(self):
         half = self._half
         if half is not None:
             self._half = None
             return half
-        word = self._word()
+        if self._pos == len(self._values):
+            self._refill(1)
+        word = self._values[self._pos]
+        self._pos += 1
         self._half = word >> 32
         return word & _U32_MASK
-
-    def random(self) -> float:
-        return (self._word() >> 11) * _DOUBLE_SCALE
 
     def integers(self, n: int) -> int:
         """One draw from [0, n), for 1 <= n < 2**32."""
         if n == 1:
             return 0
-        # _uint32(), inlined: this is the hottest call of a DE run
-        half = self._half
-        if half is None:
-            if self._pos == len(self._values):
-                self._refill(1)
-            word = self._values[self._pos]
-            self._pos += 1
-            self._half = word >> 32
-            m = (word & _U32_MASK) * n
-        else:
-            self._half = None
-            m = half * n
+        m = self._uint32() * n
         if m & _U32_MASK < n:
             threshold = (0x100000000 - n) % n
             while m & _U32_MASK < threshold:
                 m = self._uint32() * n
         return m >> 32
+
+    def redo_integers(self, pos, half, m, n):
+        """`integers(n)` for a caller that read the words itself and, at
+        (pos, half), has just drawn the product m = u * n of a 32-bit value u
+        in Lemire's rejection zone.  Gives u back and redraws from the scalar
+        code; returns the draw and the new (pos, half)."""
+        if half is None:  # u was the pending half
+            self._pos, self._half = pos, m // n
+        else:  # u was the low half of the word before pos
+            self._pos, self._half = pos - 1, None
+        r = self.integers(n)
+        return r, self._pos, self._half
 
     def take(self, count: int) -> int:
         """Consume the words of `random(count)`; returns their position from
@@ -452,8 +454,8 @@ class _PhiloxDraws:
         return start
 
     def uniforms(self, starts, count: int) -> np.ndarray:
-        """The `random(count)` whose words `take(count)` consumed at position
-        `starts`, or one such row per entry of an array of positions."""
+        """The `random(count)` whose `count` words start at position `starts`
+        from the mark, or one such row per entry of an array of positions."""
         if isinstance(starts, np.ndarray):
             return self._uniforms[self._mark + starts[:, None] + np.arange(count)]
         first = self._mark + starts
@@ -532,8 +534,13 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     `draws` replays.
 
     A serial pass makes only the draws whose count depends on the data:
-    distinct indices with rejection, the p-best pick and the exponential window
-    length.  Donors, crossover masks and the repair are row-block operations.
+    distinct indices with rejection, the p-best pick, j_rand and the
+    exponential window length.  It reads the Philox words itself, with a
+    local position and pending half, and computes every draw inline; only a
+    Lemire rejection calls back into `draws.integers`, and a read-ahead that
+    runs out inside a member is refilled and the member redone.  Donors,
+    crossover masks and the repair are row-block operations.
+
     A member's reinit redraws come between its crossover draws and the next
     member's picks, so under reinit the pass keeps each member's draw state.
     The first member whose trial leaves the box rewinds to that state and
@@ -545,56 +552,126 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     strategy, f, cr = config.strategy, config.f, config.cr
     binomial = config.crossover == "binomial"
     reinit = config.boundary == "reinit"
-    n_picks = _DISTINCT_DRAWS[strategy]
     p_best = strategy == "current_to_pbest1"
+    need = 1 + p_best + _DISTINCT_DRAWS[strategy]  # rows of a donor
     if p_best:  # the top p*100% block, from one stable sort per generation
         order = np.argsort(pop.fitnesses, kind="stable").tolist()
         top = order[: max(1, int(round(config.p_best_fraction * n)))]
     best = x[pop.best_index()]
     lo, hi = bounds.lower, bounds.upper
-    columns = np.arange(dim)
-    integers, random = draws.integers, draws.random
+    # random() <= cr is (word >> 11) * 2**-53 <= cr, so word < this on the integers
+    window_goes_on = (math.floor(cr * 2.0**53) + 1) << 11
+    mask = _U32_MASK
     draws.mark()
 
-    # per member: the rows its donor reads (_donors' order), its crossover
-    # draws and, under reinit, the draw state after them
-    picks, starts, firsts, lengths, states = [], [], [], [], []
-    need = 1 + p_best + n_picks
-    trials = np.empty_like(x)
+    # per member: the rows its donor reads (_donors' order, `need` of them),
+    # its crossover draws and, under reinit, the draw state after them
+    flat, firsts, crossing, states = [], [0] * n, [0] * n, [None] * n
+    trials = x.copy()
     begin = 0  # the pass and the block start at this member
     while True:
-        for i in range(begin, n):
-            taken = [i]
-            if p_best:
-                candidates = top
-                if i in top:
-                    candidates = [c for c in top if c != i] or order[1:2]
-                taken.append(candidates[integers(len(candidates))])
-            while len(taken) < need:
-                r = integers(n)
-                if r not in taken:
-                    taken.append(r)
-            picks.append(taken)
-            if binomial:
-                starts.append(draws.take(dim))
-                firsts.append(integers(dim))
-            else:
-                firsts.append(integers(dim))
-                length = 1
-                while length < dim and random() <= cr:
-                    length += 1
-                lengths.append(length)
+        values, mark, pos, half = draws._values, draws._mark, draws._pos, draws._half
+        i = begin
+        while i < n:
+            member_offset, member_half = pos - mark, half
+            try:
+                # each bounded draw below is `integers(bound)` inline: a
+                # 32-bit value u (the pending half, else the low half of the
+                # next word), r = u * bound >> 32 unless u * bound falls in
+                # Lemire's rejection zone
+                taken = [i] * need  # slots past k repeat the target, never a pick
+                k = 1
+                if p_best:
+                    candidates = top
+                    if i in top:
+                        candidates = [c for c in top if c != i] or order[1:2]
+                    bound = len(candidates)
+                    r = 0
+                    if bound > 1:
+                        if half is None:
+                            word = values[pos]
+                            pos += 1
+                            half = word >> 32
+                            m = (word & mask) * bound
+                        else:
+                            m = half * bound
+                            half = None
+                        if m & mask < bound:
+                            r, pos, half = draws.redo_integers(pos, half, m, bound)
+                            values, mark = draws._values, draws._mark
+                        else:
+                            r = m >> 32
+                    taken[1] = candidates[r]
+                    k = 2
+                while k < need:
+                    if half is None:
+                        word = values[pos]
+                        pos += 1
+                        half = word >> 32
+                        m = (word & mask) * n
+                    else:
+                        m = half * n
+                        half = None
+                    if m & mask < n:
+                        r, pos, half = draws.redo_integers(pos, half, m, n)
+                        values, mark = draws._values, draws._mark
+                    else:
+                        r = m >> 32
+                    if r not in taken:
+                        taken[k] = r
+                        k += 1
+                if binomial:  # random(dim): only its position is kept
+                    crossing[i] = pos - mark
+                    pos += dim
+                    if pos > len(values):
+                        raise IndexError("read-ahead ran out")
+                j_rand = 0
+                if dim > 1:
+                    if half is None:
+                        word = values[pos]
+                        pos += 1
+                        half = word >> 32
+                        m = (word & mask) * dim
+                    else:
+                        m = half * dim
+                        half = None
+                    if m & mask < dim:
+                        j_rand, pos, half = draws.redo_integers(pos, half, m, dim)
+                        values, mark = draws._values, draws._mark
+                    else:
+                        j_rand = m >> 32
+                if not binomial:  # the window grows while random() <= cr
+                    length = 1
+                    while length < dim:
+                        word = values[pos]
+                        pos += 1
+                        if word >= window_goes_on:
+                            break
+                        length += 1
+                    crossing[i] = length
+            except IndexError:  # the read-ahead ran out inside this member
+                draws.restore((member_offset, member_half))
+                draws._refill(1)
+                values, mark, pos, half = draws._values, draws._mark, draws._pos, draws._half
+                continue
+            flat += taken
+            firsts[i] = j_rand
             if reinit:
-                states.append(draws.state())
+                states[i] = pos - mark, half
+            i += 1
+        draws._pos, draws._half = pos, half
 
+        count = n - begin
         j_rand = np.array(firsts[begin:])
+        crossed = np.array(crossing[begin:])
         if binomial:
-            from_donor = draws.uniforms(np.array(starts[begin:]), dim) <= cr
-            from_donor[np.arange(n - begin), j_rand] = True
+            from_donor = draws.uniforms(crossed, dim) <= cr
+            from_donor[np.arange(count), j_rand] = True
         else:
-            from_donor = (columns - j_rand[:, None]) % dim < np.array(lengths[begin:])[:, None]
-        donors = _donors(strategy, x[picks[begin:]].swapaxes(0, 1), best, f)
-        trials[begin:] = np.where(from_donor, donors, x[begin:])
+            from_donor = (np.arange(dim) - j_rand[:, None]) % dim < crossed[:, None]
+        rows = x.take(flat[begin * need :], axis=0).reshape(count, need, dim)
+        np.copyto(trials[begin:], _donors(strategy, rows.swapaxes(0, 1), best, f),
+                  where=from_donor)
         if not reinit:
             break
         outside = (trials[begin:] < lo) | (trials[begin:] > hi)
@@ -603,17 +680,18 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
             return trials
         member, out = begin + int(leaving[0]), outside[leaving[0]]
         draws.restore(states[member])
-        count = int(np.count_nonzero(out))
-        redraws = draws.uniforms(draws.take(count), count)
-        trials[member, out] = redraws * (hi - lo)[out] + lo[out]
+        redraws = int(np.count_nonzero(out))
+        uniforms = draws.uniforms(draws.take(redraws), redraws)
+        trials[member, out] = uniforms * (hi - lo)[out] + lo[out]
         begin = member + 1
         if begin == n:
             return trials
-        for kept in (picks, starts, firsts, lengths, states):
-            del kept[begin:]
+        trials[begin:] = x[begin:]
+        del flat[begin * need :]
 
     if config.boundary == "clamp":
-        return np.minimum(np.maximum(trials, lo), hi)
+        np.maximum(trials, lo, out=trials)
+        return np.minimum(trials, hi, out=trials)
     return _toroidal_block(trials, bounds)
 
 

@@ -1,18 +1,23 @@
 """End-to-end DE runs on analytic objectives."""
 
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from devqe import de
 from devqe.bench import sphere
 from devqe.de import (
+    _RAW_CHUNK,
     Bounds,
     ConfigurationError,
     DEConfig,
     DegenerateRangeError,
     ObjectiveError,
+    Population,
     TerminationCriteria,
+    _generation_trials,
     _PhiloxDraws,
     de_minimize,
     initialize_population,
@@ -458,6 +463,38 @@ def test_reinit_without_redraws_is_the_clamp_run(monkeypatch):
     assert seen["reinit"] == seen["clamp"]
 
 
+def noting_landings(landings):
+    """_PhiloxDraws that notes in `landings` where each read-ahead lands:
+    "inside" when words of the current member are still unread, "between"
+    when none are."""
+
+    class Noting(_PhiloxDraws):
+        def _refill(self, count):
+            landings.add("inside" if self._pos < len(self._values) else "between")
+            super()._refill(count)
+
+    return Noting
+
+
+@pytest.mark.parametrize("boundary", ["clamp", "toroidal", "reinit"])
+@pytest.mark.parametrize("crossover", ["binomial", "exponential"])
+def test_short_read_ahead_matches_the_per_member_loop(crossover, boundary, monkeypatch):
+    # de_minimize builds its draws with the default chunk, which is bound when
+    # __init__ is defined, so the class itself is swapped for one with 3-word
+    # read-aheads: the pass then runs out of words every member or two
+    landings = set()
+    monkeypatch.setattr(de, "_PhiloxDraws", partial(noting_landings(landings), chunk=3))
+    runs = 0
+    for strategy in ("rand2", "current_to_pbest1"):
+        for dim in (1, 4):
+            config = DEConfig(np_size=7, f=0.9, cr=0.6, p_best_fraction=0.4, seed=300 + runs,
+                              strategy=strategy, crossover=crossover, boundary=boundary,
+                              termination=TerminationCriteria(max_generations=6))
+            assert_matches_reference(Batched(shifted_sphere), Bounds.box(-1.0, 1.0, dim), config)
+            runs += 1
+    assert landings == {"inside", "between"}
+
+
 @pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, 0.0])
 def test_scale_factor_must_be_positive_and_finite(f):
     with pytest.raises(ConfigurationError):
@@ -556,6 +593,13 @@ def test_draw_replay_matches_the_generator(start, chunk):
             rng.integers(9)
         return rng
 
+    def handed_back(n):
+        # integers(n) as the inline pass of _generation_trials makes it on a
+        # Lemire rejection: read a 32-bit value, give it back, redo the draw
+        m = draws._uint32() * n
+        r, draws._pos, draws._half = draws.redo_integers(draws._pos, draws._half, m, n)
+        return r
+
     generator, draws = stream(), _PhiloxDraws(stream(), chunk)
     choose = np.random.default_rng(2024)
     sizes = [1, 2, 3, 5, 7, 20, 1000, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]
@@ -565,16 +609,19 @@ def test_draw_replay_matches_the_generator(start, chunk):
         if kind < 4:
             n = sizes[choose.integers(len(sizes))] if kind else int(
                 choose.integers(2**31 - 100, 2**31 + 100))
-            assert draws.integers(n) == generator.integers(n)
-        elif kind < 7:
-            assert draws.random() == generator.random()
+            drawn = handed_back(n) if step % 3 == 0 else draws.integers(n)
+            assert drawn == generator.integers(n)
+        elif kind < 7:  # one word, as the exponential window reads it
+            assert draws.uniforms(draws.take(1), 1)[0] == generator.random()
         else:
             count = int(choose.integers(1, 9))
             taken.append((draws.take(count), generator.random(count)))
         if step % 50 == 1:
             # just after a mark, rewind over a read-ahead (which re-bases the
-            # words on the mark) and a pending half, as a reinit redo does
-            saved, generator_saved = draws.state(), generator.bit_generator.state
+            # words on the mark) and a pending half, as a reinit redo does;
+            # the state is what the pass records: position from the mark, half
+            saved = draws.take(0), draws._half
+            generator_saved = generator.bit_generator.state
             draws.take(12), generator.random(12)
             assert draws.integers(9) == generator.integers(9)
             draws.restore(saved)
@@ -586,3 +633,99 @@ def test_draw_replay_matches_the_generator(start, chunk):
                 assert block.tobytes() == np.stack([expected, expected]).tobytes()
             taken.clear()
             draws.mark()
+
+
+class ScriptedWords:
+    """A bit generator stand-in: the raw words the test chose, then the words
+    of a Philox stream."""
+
+    def __init__(self, chosen):
+        self.state = {"has_uint32": 0, "uinteger": 0}
+        self.chosen = list(chosen)
+        self.rest = np.random.Philox(5)
+
+    def random_raw(self, size):
+        head, self.chosen = self.chosen[:size], self.chosen[size:]
+        tail = self.rest.random_raw(size - len(head))
+        return np.concatenate((np.array(head, dtype=np.uint64), tail))
+
+
+class ScalarDraws:
+    """The Generator calls of the per-member oracle, made on the scalar
+    _PhiloxDraws methods that the draw oracle pins to the Generator."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def integers(self, n):
+        return self.draws.integers(n)
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        values = self.draws.uniforms(self.draws.take(count), count)
+        return values[0] if size is None else values.copy()
+
+
+def word(low, high):
+    return high << 32 | low
+
+
+# np = 7, D = 3.  numpy's rejection threshold (2**32 - n) % n is 4 for n = 7:
+# REJECTED_7 * 7 = 1 (mod 2**32) is redrawn (its draw would be 5), KEPT_7 * 7
+# = 4 lies in Lemire's zone but is kept (draw 6).  For n = 3 the threshold is
+# 1, so a 0 is redrawn.
+REJECTED_7, KEPT_7 = 3067833783, 3681400540
+COLLISIONS = [word(1, 1)] * _RAW_CHUNK  # draws of 0, member 0's target, past a read-ahead
+# the last pick leaves a 0 pending for j_rand, which both crossovers draw next
+# (random(D) leaves the pending half alone); the redraws read on
+LAST_PICK = [word(0x70000000, 0)] + [word(0, 0x90000000)] * 4
+SCRIPTED = {
+    # picks 1 (after two rejections), 6 (kept in the zone), 3
+    "rand1": [word(0, REJECTED_7), word(0x40000000, KEPT_7)] + COLLISIONS + LAST_PICK,
+    # p-best from candidates [1, 5, 3]: a rejected 0, then 1 (member 5); picks
+    # 1 (after two rejections), then 3
+    "current_to_pbest1": [word(0, 0x80000000), word(0, REJECTED_7), word(0x40000000, 1)]
+    + COLLISIONS + LAST_PICK,
+}
+
+
+@pytest.mark.parametrize("boundary", ["clamp", "reinit"])
+@pytest.mark.parametrize("crossover", ["binomial", "exponential"])
+@pytest.mark.parametrize("strategy", ["rand1", "current_to_pbest1"])
+def test_rejections_and_read_ahead_inside_the_pass(strategy, crossover, boundary):
+    redone, landings = [], set()
+
+    class Watched(noting_landings(landings)):
+        def redo_integers(self, pos, half, m, n):
+            redone.append(n)
+            return super().redo_integers(pos, half, m, n)
+
+    members = np.random.default_rng(8).uniform(-1.0, 1.0, (7, 3))
+    pop = Population(0, members, np.array([0.3, 0.1, 0.4, 0.2, 0.5, 0.1, 0.6]))
+    bounds = Bounds.box(-1.0, 1.0, 3)
+    config = DEConfig(f=0.9, cr=0.5, p_best_fraction=0.6, strategy=strategy,
+                      crossover=crossover, boundary=boundary)
+
+    class Stub:
+        def __init__(self):
+            self.bit_generator = ScriptedWords(SCRIPTED[strategy])
+
+    draws, scalar = Watched(Stub()), _PhiloxDraws(Stub())
+    trials = _generation_trials(pop, bounds, config, draws)
+
+    rng = ScalarDraws(scalar)
+    cross = {"binomial": oracle.crossover_binomial,
+             "exponential": oracle.crossover_exponential}[crossover]
+    expected = np.empty_like(members)
+    for i in range(7):
+        donor = oracle.mutate(strategy, pop, i, config.f, config.p_best_fraction, rng)
+        trial = cross(members[i], donor, config.cr, rng)
+        expected[i] = oracle.handle_bounds(trial, bounds, boundary, rng)
+    assert trials.tobytes() == expected.tobytes()
+    # the pass leaves the draws where the oracle's calls left them
+    assert [draws.integers(2**31 + 1) for _ in range(3)] == [
+        scalar.integers(2**31 + 1) for _ in range(3)]
+    # all three rare paths were taken: a rejection for n, a rejection for D,
+    # and a read-ahead used up inside member 0 by its collisions
+    assert 7 in redone and 3 in redone
+    assert "inside" in landings

@@ -95,34 +95,52 @@ def case_points(case, dim, rng):
     return rng.uniform(-np.pi, np.pi, (max(15, 5 * dim), dim))
 
 
+def repeated_samples(runs, repeats):
+    """Seconds per call of each run, `repeats` samples each, the runs' repeats
+    interleaved.  A sample loops its run for at least MIN_REPEAT_S."""
+    loops = []
+    for run in runs:
+        start = perf_counter()
+        run()
+        loops.append(max(1, int(MIN_REPEAT_S / max(perf_counter() - start, 1e-9))))
+    samples = [[] for _ in runs]
+    for _ in range(repeats):
+        for run, count, row in zip(runs, loops, samples):
+            start = perf_counter()
+            for _ in range(count):
+                run()
+            row.append((perf_counter() - start) / count)
+    return samples
+
+
 def ms_per_eval(run, n_points, repeats):
     """Median over repeats of milliseconds per evaluated point."""
-    start = perf_counter()
-    run()
-    once = perf_counter() - start
-    loops = max(1, int(MIN_REPEAT_S / max(once, 1e-9)))
-    samples = []
-    for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(loops):
-            run()
-        samples.append((perf_counter() - start) / loops / n_points * 1e3)
-    return statistics.median(samples)
+    (samples,) = repeated_samples([run], repeats)
+    return statistics.median(samples) / n_points * 1e3
 
 
 def time_de_driver(repeats):
-    """Print microseconds per evaluation of each DE_DRIVER_RUNS setting."""
+    """Print microseconds per evaluation of each DE_DRIVER_RUNS setting.
+
+    The rows' repeats are interleaved (one repeat of every row, then the
+    next), so host-speed drift reaches every row alike and the ratios between
+    rows hold even when the absolute figures move."""
     print(f"DE driver: us per evaluation over {DE_DRIVER_EVALS} evaluations of "
-          f"bench.sphere (batch), median of {repeats} repeats")
+          f"bench.sphere (batch), median of {repeats} interleaved repeats")
     print(f"{'workload':10s} {'D':>2s} {'np':>3s} {'strategy':17s} {'crossover':11s} "
           f"{'boundary':8s} {'us/eval':>8s}")
-    for workload, dim, np_size, half_width, strategy, crossover, boundary in DE_DRIVER_RUNS:
+    runs = []
+    for _, dim, np_size, half_width, strategy, crossover, boundary in DE_DRIVER_RUNS:
         bounds = de.Bounds.box(-half_width, half_width, dim)
         config = de.DEConfig(np_size=np_size, strategy=strategy, crossover=crossover,
                              boundary=boundary,
                              termination=de.TerminationCriteria(max_evals=DE_DRIVER_EVALS))
-        us = 1e3 * ms_per_eval(lambda: de.de_minimize(bench.sphere, bounds, config),
-                               DE_DRIVER_EVALS, repeats)
+        runs.append(lambda bounds=bounds, config=config: de.de_minimize(
+            bench.sphere, bounds, config))
+    samples = repeated_samples(runs, repeats)
+    for row, row_samples in zip(DE_DRIVER_RUNS, samples):
+        workload, dim, np_size, _, strategy, crossover, boundary = row
+        us = 1e6 * statistics.median(row_samples) / DE_DRIVER_EVALS
         print(f"{workload:10s} {dim:2d} {np_size:3d} {strategy:17s} {crossover:11s} "
               f"{boundary:8s} {us:8.2f}", flush=True)
 
