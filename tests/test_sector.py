@@ -91,6 +91,35 @@ def test_sector_bytes_match_pins(system, request):
     assert hashlib.sha256(sector.basis.tobytes()).hexdigest() == pin
 
 
+# sha256 of each fixture's Hamiltonian block, sector references and dense
+# build_initial_states amplitudes (the two states' bytes back to back), taken
+# from the code that built the references with dense ladder operators
+BLOCK_PINS = {
+    "h2": ("aee4a616c71ca0a87778ebbe5c2b2cf7a413c8e694c35707c895d51539d6f8e1",
+           "e1700c0dadf0f9d8c66d96e4d66258e983794807d7c5de3ad3629210fccc897a",
+           "e45d3a60d4de2ebd0354a3d47024f96aed54bc6d9c2229eb2b61c783fc875eb1"),
+    "h4": ("87bf4707a4d1e10bcc3c72cd8562a6c7244615ea6370ee0ac7bc54f1afc6a686",
+           "b3ca6c63d3c652154844e3e5f1a7432eeac9f3d77628dc18302bb03624bfe35e",
+           "32169b9397ebb8cc5d8ff59954e91ac1ffabd7411b6c9c742dc3775f2d481b16"),
+    "lih_frozen_core": ("4659c5542f30659784a741d3a84fe21af9ab41b2fa972c5e7500f7095bbd2874",
+                        "182c665ebeceac348dd52cc88c75e5fe040b1953795752e7e95f4c54bee6dc7c",
+                        "0f1710f9629cc4244b96d980d81b1007903825e74b32f26ed9d56f31d15b8b7f"),
+    "lih": ("2bd57197a2385ad558c27cfbfc835f9422b3aba6d093af25f58f6e189b12ceb0",
+            "a8bb5d4081da2684740f56a3ac1e2f89eb8aca7bb446cea2307ac4437f07c0cf",
+            "ae192f62ff7154880a4c40383cf65be6cf3e487d27d913634379f17610ce2607"),
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, indirect=True)
+def test_block_and_references_match_pins(system, request):
+    *_, states, sector = system
+    assert sector.references.dtype == np.float64
+    got = (hashlib.sha256(sector.hamiltonian.matrix.tobytes()).hexdigest(),
+           hashlib.sha256(sector.references.tobytes()).hexdigest(),
+           hashlib.sha256(b"".join(s.amplitudes.tobytes() for s in states)).hexdigest())
+    assert got == BLOCK_PINS[request.node.callspec.params["system"]]
+
+
 @pytest.mark.parametrize("system", SYSTEMS, indirect=True)
 def test_sector_hamiltonian_matches_occupation_basis_matrix(system):
     integrals, _, _, _, sector = system
