@@ -38,7 +38,7 @@ for label, optimizer in (
 ):
     result = run_sa_vqe(integrals, ansatz, optimizer=optimizer)
     gap = result.e_sa - floor
-    overlap = abs(result.final_states[0].inner(result.final_states[1]))
+    overlap = abs(result.final_rows[0] @ result.final_rows[1])
     print(f"{label}:")
     print(f"  E_SA = {result.e_sa:.8f} Ha   (gap to exact bound {gap:.2e})")
     print(f"  E_0  = {result.state_energies[0]:.8f} Ha")

@@ -147,7 +147,7 @@ class Population:
         return len(self.members)
 
     def best_index(self) -> int:
-        return int(np.argmin(self.fitnesses))
+        return int(self.fitnesses.argmin())
 
 
 # what each tolerance tuple holds, position by position
@@ -748,8 +748,8 @@ def de_minimize(objective, bounds: Bounds, config: DEConfig, callback=None) -> D
             GenerationRecord(
                 generation=population.generation,
                 cum_evals=evals,
-                f_best=float(np.min(population.fitnesses)),
-                f_worst=float(np.max(population.fitnesses)),
+                f_best=float(population.fitnesses.min()),
+                f_worst=float(population.fitnesses.max()),
             )
         )
         if callback is not None:

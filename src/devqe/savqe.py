@@ -2,13 +2,14 @@
 orthogonal reference states, with the weighted ensemble energy minimized by a
 pluggable classical optimizer (DE, gradient descent, or BFGS).
 
-The molecular integrals are the stage's only Hamiltonian input, and the
-objective never touches the 2^n statevector.  The references, the Hamiltonian
-and the generators meet on the references' (N, S_z) sectors: every
-determinant with the particle number and S_z of a determinant the references
-occupy.  There every amplitude stays real: a Sector holds that basis with the
-Hamiltonian's real block, built from the integrals, and the ansatz as Givens
-rotations.  Only final states go back to 2^n, for the RDMs.
+The molecular integrals are the stage's only Hamiltonian input, and no part
+of the stage touches the 2^n statevector.  The references, the Hamiltonian,
+the generators and the RDMs meet on the closed-shell (N, S_z = 0) sector,
+where every amplitude stays real: a Sector holds that basis with the
+replacement lists of E_pr, the Hamiltonian's real block contracted from them
+and the integrals, the references read off them, and the ansatz as Givens
+rotations.  The final states stay sector rows; their RDMs come from the same
+lists.
 
 A stage is self-contained: run_sa_vqe returns its trace in its own
 coordinates (evaluations counted from its first one, macro index 0), and a
@@ -17,6 +18,7 @@ caller that runs several stages composes their traces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,16 +28,7 @@ from . import de as de_mod
 from . import local as local_mod
 from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz
 from .integrals import MolecularIntegrals
-from .statevector import (
-    SectorHamiltonian,
-    ShapeError,
-    StateVector,
-    apply_annihilation,
-    apply_creation,
-    basis_state,
-    expectation,
-    measure_rdms,
-)
+from .statevector import ReplacementLists, SectorHamiltonian, ShapeError, StateVector, expectation
 from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
 
 WEIGHT_TOL = 1e-12
@@ -81,85 +74,84 @@ class SAVQEResult:
     theta: np.ndarray
     e_sa: float
     state_energies: tuple  # lineage order: energy of U(theta)|Phi_k>
-    final_states: tuple
+    final_rows: np.ndarray  # (n_states, S): the final states on `basis`
+    basis: np.ndarray
     rdms: tuple
     trace: OptimizationTrace
     evaluations: int
     stop_reason: str
 
 
-def build_initial_states(n_orb: int, n_elec: int):
-    """Hartree-Fock determinant plus the normalized singlet HOMO->LUMO single."""
+def _closed_shell_sector(n_orb: int, n_elec: int):
+    """The replacement lists of the closed-shell (N, S_z = 0) sector and the
+    two references on it as (2, S) rows: the Hartree-Fock determinant and
+    the normalized singlet HOMO->LUMO single E_(LUMO,HOMO)|HF>/sqrt(2)."""
     if n_elec % 2:
         raise ValueError("only closed-shell references are supported")
-    if n_orb <= n_elec // 2:
-        raise ValueError("no virtual orbital available for the excited reference")
-    n_qubits = 2 * n_orb
-    homo = n_elec // 2 - 1
-    lumo = n_elec // 2
-    hf = basis_state(n_qubits, range(n_elec))
+    if not 0 < n_elec // 2 < n_orb:
+        raise ValueError("the excited reference needs an occupied and a virtual orbital")
+    # n_elec/2 electrons in the even (spin-up) modes, and as many in the odd ones
+    up = np.array([sum(1 << 2 * orb for orb in occ)
+                   for occ in itertools.combinations(range(n_orb), n_elec // 2)], dtype=np.intp)
+    lists = ReplacementLists.on_basis(n_orb, np.sort(np.add.outer(up, up << 1), axis=None))
+    hf = np.searchsorted(lists.basis, (1 << n_elec) - 1)
+    homo, lumo = n_elec // 2 - 1, n_elec // 2
+    single = lists.ops[hf] == lumo * n_orb + homo  # the HF row's entries of E_(LUMO,HOMO)
+    references = np.zeros((2, lists.basis.size))
+    references[0, hf] = 1.0
+    references[1, lists.dst[hf, single]] = lists.sign[hf, single] / math.sqrt(2.0)
+    return lists, references
 
-    def promote(occ_mode, virt_mode):
-        return apply_creation(apply_annihilation(hf, occ_mode), virt_mode)
 
-    up = promote(2 * homo, 2 * lumo)
-    down = promote(2 * homo + 1, 2 * lumo + 1)
-    amps = (up.amplitudes + down.amplitudes) / math.sqrt(2.0)
-    excited = StateVector(n_qubits, amps)
-    return hf, excited
+def _scatter(n_orb: int, basis: np.ndarray, block: np.ndarray) -> tuple:
+    amplitudes = np.zeros((len(block), 4**n_orb), dtype=complex)
+    amplitudes[:, basis] = block
+    return tuple(StateVector(2 * n_orb, row) for row in amplitudes)
+
+
+def build_initial_states(n_orb: int, n_elec: int):
+    """The two references of Sector.build (Hartree-Fock determinant plus the
+    normalized singlet HOMO->LUMO single) as 2^n StateVectors."""
+    lists, references = _closed_shell_sector(n_orb, n_elec)
+    return _scatter(n_orb, lists.basis, references)
 
 
 @dataclass(frozen=True)
 class Sector:
-    """An SA-VQE problem on its references' (N, S_z) sectors, in real
-    arithmetic: the Hamiltonian's block, the ansatz as Givens rotations and
-    the real references, all on one sorted basis of determinants (bit j of a
-    basis entry is the occupation of mode j, as in a statevector index)."""
+    """An SA-VQE problem on the closed-shell (N, S_z = 0) sector, in real
+    arithmetic: the replacement lists of E_pr, the Hamiltonian's block built
+    from them, the ansatz as Givens rotations and the real references, all
+    on one sorted basis of determinants (bit j of a basis entry is the
+    occupation of mode j, as in a statevector index)."""
 
-    n_qubits: int
-    basis: np.ndarray  # (S,) sorted determinant indices
+    lists: ReplacementLists
     hamiltonian: SectorHamiltonian
     ansatz: GivensAnsatz
     references: np.ndarray  # (n_states, S) real
 
+    @property
+    def basis(self) -> np.ndarray:
+        return self.lists.basis
+
     @classmethod
     def build(cls, integrals: MolecularIntegrals, ansatz) -> "Sector":
-        """The sector of a molecule's integrals, an AnsatzSpec and the
-        references build_initial_states(n_orb, n_elec).  The basis is every
-        determinant whose particle number and S_z (even modes spin up) match
-        those of some determinant in the references' support; the
-        Hamiltonian's block is built from the integrals on that basis, and
-        the ansatz becomes Givens sets on it.  Raises ShapeError when the
-        ansatz does not act on 2 * n_orb modes, and ValueError when a
-        generator leads out of the basis (N or S_z is not conserved)."""
-        n_qubits = 2 * integrals.n_orb
-        if ansatz.n_qubits != n_qubits:
+        """The sector of a molecule's integrals and an AnsatzSpec, with the
+        references of build_initial_states(n_orb, n_elec).  Raises ShapeError
+        when the ansatz does not act on 2 * n_orb modes, and ValueError when
+        a generator leads out of the basis (N or S_z is not conserved)."""
+        if ansatz.n_qubits != 2 * integrals.n_orb:
             raise ShapeError("ansatz and integrals qubit counts differ")
-        references = np.array([state.amplitudes.real for state in
-                               build_initial_states(integrals.n_orb, integrals.n_elec)])
-        up = sum(1 << mode for mode in range(0, n_qubits, 2))
-        determinants = np.arange(2**n_qubits)
-        # one label per (N, S_z): (spin-up count) * (n + 1) + spin-down count
-        sectors = (np.bitwise_count(determinants & up).astype(np.intp) * (n_qubits + 1)
-                   + np.bitwise_count(determinants & (up << 1)))
-        occupied = np.any(references != 0, axis=0)
-        basis = np.flatnonzero(np.isin(sectors, sectors[occupied]))
+        lists, references = _closed_shell_sector(integrals.n_orb, integrals.n_elec)
         return cls(
-            n_qubits,
-            basis,
-            SectorHamiltonian.from_integrals(integrals, basis),
-            GivensAnsatz.on_basis(ansatz, basis),
-            references[:, basis],
+            lists,
+            SectorHamiltonian.from_integrals(integrals, lists),
+            GivensAnsatz.on_basis(ansatz, lists.basis),
+            references,
         )
 
     def scatter(self, block: np.ndarray) -> tuple:
         """The rows of an (R, S) block as 2^n StateVectors."""
-        states = []
-        for row in block:
-            amplitudes = np.zeros(2**self.n_qubits, dtype=complex)
-            amplitudes[self.basis] = row
-            states.append(StateVector(self.n_qubits, amplitudes))
-        return tuple(states)
+        return _scatter(self.lists.n_orb, self.basis, block)
 
 
 def sa_energy(theta, sector: Sector, weights):
@@ -167,10 +159,10 @@ def sa_energy(theta, sector: Sector, weights):
     average the energies with `weights`.
 
     `theta` is one point (D,) or a block of points (R, D).  One point returns
-    (e_sa, energies, states): a float, a tuple of per-state floats and a
-    tuple of 2^n StateVectors.  A block returns (e_sa, energies, None) with
-    an (R,) and an (R, n_states) array; every row is bitwise what one point
-    gives.  Each point counts as one objective evaluation.
+    (e_sa, energies, rows): a float, a tuple of per-state floats and the
+    evolved (n_states, S) sector rows.  A block returns (e_sa, energies,
+    None) with an (R,) and an (R, n_states) array; every row is bitwise what
+    one point gives.  Each point counts as one objective evaluation.
     """
     thetas = np.asarray(theta, dtype=float)
     single = thetas.ndim == 1
@@ -186,7 +178,7 @@ def sa_energy(theta, sector: Sector, weights):
     e_sa = sum(w * e for w, e in zip(weights, energies.T))
     if not single:
         return e_sa, energies, None
-    return float(e_sa[0]), tuple(energies[0].tolist()), sector.scatter(block)
+    return float(e_sa[0]), tuple(energies[0].tolist()), block
 
 
 class _CountedObjective:
@@ -305,18 +297,19 @@ def run_sa_vqe(
     # final state reconstruction is one more genuine sa_energy invocation,
     # and so is the incumbent's
     objective.calls += 1
-    e_sa, energies, states = sa_energy(theta_star, sector, weights)
+    e_sa, energies, rows = sa_energy(theta_star, sector, weights)
     if incumbent is not None:
         objective.calls += 1
-        e_inc, energies_inc, states_inc = sa_energy(incumbent, sector, weights)
+        e_inc, energies_inc, rows_inc = sa_energy(incumbent, sector, weights)
         if e_inc < e_sa:
-            theta_star, e_sa, energies, states = incumbent, e_inc, energies_inc, states_inc
-    rdms = tuple(measure_rdms(state, sector.n_qubits // 2) for state in states)
+            theta_star, e_sa, energies, rows = incumbent, e_inc, energies_inc, rows_inc
+    rdms = tuple(sector.lists.rdms(row) for row in rows)
     return SAVQEResult(
         theta=np.asarray(theta_star, dtype=float),
         e_sa=e_sa,
         state_energies=energies,
-        final_states=states,
+        final_rows=rows,
+        basis=sector.basis,
         rdms=rdms,
         trace=trace,
         evaluations=objective.calls,

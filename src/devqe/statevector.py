@@ -1,19 +1,19 @@
-"""Dense statevector simulator for up to ~12 qubits.
+"""Determinant-basis kernels of the SA-VQE stage, and the dense statevector
+simulator (up to ~12 qubits) they are tested against.
 
 Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
 significant).  All operations return new StateVector instances; amplitudes
 are never mutated in place.
 
-The SA-VQE objective works on a determinant basis: ladder_on_basis applies
-a ladder string to a sorted basis as one-to-one replacement lists, and
-SectorHamiltonian is the real (S, S) block of the electronic Hamiltonian on
-that basis, built from the integrals with the replacement lists of the
-spin-free excitation operators E_pr.  expectation takes it with an (R, S)
-block.  The dense expectation of a letter-form QubitHamiltonian takes a
-StateVector or an (R, 2^n) amplitude block, one state per row, and sums the
-terms through apply_pauli; it stays with apply_excitation as the reference
-the sector path is tested against.  The ansatz kernel (GivensAnsatz) lives
-in ansatz.py.
+The SA-VQE stage works on a sorted basis of determinants: ladder_on_basis
+applies a ladder string to it as one-to-one replacement lists, and the
+ReplacementLists of the spin-free excitation operators E_pr are the stage's
+one kernel.  SectorHamiltonian.from_integrals contracts them with the
+integrals into the real (S, S) block that expectation takes with an (R, S)
+block, and ReplacementLists.rdms gives a real state's 1- and 2-RDMs.  The
+dense side is the reference they are tested against: the expectation of a
+letter-form QubitHamiltonian on a StateVector or an (R, 2^n) block,
+apply_excitation and measure_rdms.  The ansatz kernel is in ansatz.py.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class StateVector:
         if other.n_qubits != self.n_qubits:
             raise ShapeError("qubit counts differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
 def basis_state(n_qubits: int, occupied_modes) -> StateVector:
@@ -155,43 +152,75 @@ def ladder_on_basis(specs, basis: np.ndarray):
 
 
 @dataclass(frozen=True)
+class ReplacementLists:
+    """The replacement lists of the spin-free excitation operators
+    E_pr = sum_sigma a+_(p sigma) a_(r sigma) on a sorted basis that is a
+    union of (N, S_z) sectors, one row per source determinant: entry a of
+    row m says that E_pr, pr = ops[m, a] = p * n_orb + r, takes |basis[m]>
+    to sign[m, a] |basis[dst[m, a]]>.  Rows are padded with zero signs to
+    the longest one (in one (N, S_z) sector all rows are as long).  E_pr
+    conserves N and S_z, so it never leads out of the basis."""
+
+    n_orb: int
+    basis: np.ndarray  # (S,) sorted determinant indices
+    ops: np.ndarray  # (S, L)
+    dst: np.ndarray  # (S, L)
+    sign: np.ndarray  # (S, L)
+
+    @classmethod
+    def on_basis(cls, n_orb: int, basis: np.ndarray) -> "ReplacementLists":
+        lists = []
+        for p, r, spin in itertools.product(range(n_orb), range(n_orb), (0, 1)):
+            src, dst, sign = ladder_on_basis(((2 * p + spin, True), (2 * r + spin, False)), basis)
+            lists.append((np.full(src.size, p * n_orb + r), src, dst, sign))
+        ops, src, dst, sign = map(np.concatenate, zip(*lists))
+        order = np.argsort(src, kind="stable")
+        counts = np.bincount(src, minlength=basis.size)
+        at = (src[order], np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts))
+
+        def by_source(values):
+            out = np.zeros((basis.size, counts.max(initial=0)), dtype=values.dtype)
+            out[at] = values[order]
+            return out
+
+        return cls(n_orb, basis, by_source(ops), by_source(dst), by_source(sign))
+
+    def rdms(self, psi: np.ndarray) -> RDMPair:
+        """The spin-summed 1- and 2-RDMs of a real state on the basis, in the
+        convention of measure_rdms.  With A[m, pr] = <psi|E_pr|m>, D = psi A,
+        and since <psi|E_pr E_qs|psi> = sum_m A[m, pr] A[m, sq] while
+        E_pr E_qs = sum a+_p a+_q a_s a_r + delta_qr E_ps (spins summed),
+        d[p,q,r,s] = (A^T A)[pr, sq] - delta_qr D[p, s]."""
+        n, size = self.n_orb, self.basis.size
+        index = (np.arange(size)[:, None] * n**2 + self.ops).ravel()
+        a = np.bincount(index, (self.sign * psi[self.dst]).ravel(),
+                        minlength=size * n**2).reshape(size, n**2)
+        one = (psi @ a).reshape(n, n)
+        gram = (a.T @ a).reshape((n,) * 4)  # [p, r, s, q] = (A^T A)[pr, sq]
+        two = gram.transpose(0, 3, 1, 2) - np.einsum("qr,ps->pqrs", np.eye(n), one)
+        return RDMPair(one_rdm=one, two_rdm=two)
+
+
+@dataclass(frozen=True)
 class SectorHamiltonian:
     """The electronic Hamiltonian's real (S, S) block on a determinant basis."""
 
     matrix: np.ndarray
 
     @classmethod
-    def from_integrals(cls, integrals, basis: np.ndarray) -> "SectorHamiltonian":
-        """The block on a sorted basis that is a union of (N, S_z) sectors,
-        from the spin-free form (Helgaker, Jorgensen and Olsen, ch. 2)
+    def from_integrals(cls, integrals, lists: ReplacementLists) -> "SectorHamiltonian":
+        """The block on the basis of the replacement lists, from the
+        spin-free form (Helgaker, Jorgensen and Olsen, ch. 2)
 
             H = core + sum_pr k_pr E_pr + 1/2 sum_pqrs g[p,q,r,s] E_pr E_qs,
 
-        with E_pr = sum_sigma a+_(p sigma) a_(r sigma), k_pr = h_pr -
-        1/2 sum_q g[p,q,q,r] and g the physicist tensor.  E_pr conserves N
-        and S_z, so it never leads out of the basis, and
+        with k_pr = h_pr - 1/2 sum_q g[p,q,q,r] and g the physicist tensor.
         <i|E_pr E_qs|j> = sum_m <i|E_pr|m><j|E_sq|m>: every pair of entries
         in the replacement lists out of a determinant m adds one term
         (Knowles and Handy, Chem. Phys. Lett. 111, 315, 1984).
         """
-        n_orb, size = integrals.n_orb, basis.size
-        lists = []
-        for p, r, spin in itertools.product(range(n_orb), range(n_orb), (0, 1)):
-            src, dst, sign = ladder_on_basis(((2 * p + spin, True), (2 * r + spin, False)), basis)
-            lists.append((np.full(src.size, p * n_orb + r), src, dst, sign))
-        ops, src, dst, sign = map(np.concatenate, zip(*lists))
-        # row m: the entries out of determinant m, padded with zero signs to
-        # the longest row (in one (N, S_z) sector all rows are as long)
-        order = np.argsort(src, kind="stable")
-        counts = np.bincount(src, minlength=size)
-        at = (src[order], np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts))
-
-        def by_source(values):
-            out = np.zeros((size, counts.max(initial=0)), dtype=values.dtype)
-            out[at] = values[order]
-            return out
-
-        ops, dst, sign = by_source(ops), by_source(dst), by_source(sign)
+        n_orb, size = integrals.n_orb, lists.basis.size
+        ops, dst, sign = lists.ops, lists.dst, lists.sign
         g = integrals.g
         k = integrals.h - 0.5 * np.einsum("pqqr->pr", g)
         pair = g.transpose(0, 2, 3, 1).reshape(n_orb**2, n_orb**2)  # [pr, sq] = g[p,q,r,s]
@@ -250,29 +279,6 @@ def _annihilate(amplitudes: np.ndarray, mode: int) -> np.ndarray:
     out = np.zeros_like(amplitudes)
     out[..., src ^ bit] = signs * amplitudes[..., src]
     return out
-
-
-def apply_annihilation(state: StateVector, mode: int) -> StateVector:
-    """c_mode |psi> with the Jordan-Wigner sign (-1)^(occupied modes below)."""
-    if not 0 <= mode < state.n_qubits:
-        raise IndexError(f"mode {mode} outside [0, {state.n_qubits})")
-    return StateVector(state.n_qubits, _annihilate(state.amplitudes, mode))
-
-
-def apply_creation(state: StateVector, mode: int) -> StateVector:
-    """c_mode^dagger |psi>, zeroing components where the mode is occupied."""
-    if not 0 <= mode < state.n_qubits:
-        raise IndexError(f"mode {mode} outside [0, {state.n_qubits})")
-    n = state.amplitudes.size
-    bit = np.uint64(1 << mode)
-    lower = np.uint64((1 << mode) - 1)
-    idx = _index_array(state.n_qubits)
-    empty = (idx & bit) == 0
-    src = idx[empty]
-    signs = 1.0 - 2.0 * _parity(src & lower)
-    out = np.zeros(n, dtype=complex)
-    out[src | bit] = signs * state.amplitudes[src]
-    return StateVector(state.n_qubits, out)
 
 
 @dataclass

@@ -61,7 +61,9 @@ class TestSaOoEnergy:
     def test_kappa_zero_matches_statevector_path(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
         theta = np.array([0.15, -0.3])
-        e_ref, _, evolved = sa_energy(theta, Sector.build(h2_integrals, ansatz), (0.5, 0.5))
+        sector = Sector.build(h2_integrals, ansatz)
+        e_ref, _, rows = sa_energy(theta, sector, (0.5, 0.5))
+        evolved = sector.scatter(rows)
         rdms = tuple(measure_rdms(s, 2) for s in evolved)
         e_oo = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (0.5, 0.5))
         assert abs(e_oo - e_ref) < 1e-10

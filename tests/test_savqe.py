@@ -73,6 +73,10 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             build_initial_states(1, 2)
 
+    def test_no_electrons_rejected(self):
+        with pytest.raises(ValueError, match="occupied"):
+            build_initial_states(2, 0)
+
 
 class TestAnsatzSymmetries:
     def test_generators_conserve_particle_number_and_sz(self):
@@ -166,7 +170,8 @@ class TestSaEnergy:
             assert np.array_equal(split.reshape(n_points, 2), energies)
         for i, theta in enumerate(thetas):
             # a sector built again gives the same point
-            one_e_sa, one_energies, evolved = sa_energy(theta, rebuilt, weights)
+            one_e_sa, one_energies, rows = sa_energy(theta, rebuilt, weights)
+            evolved = rebuilt.scatter(rows)
             assert e_sa[i] == one_e_sa
             assert tuple(energies[i].tolist()) == one_energies
             for reference, state, energy in zip(states, evolved, one_energies):
@@ -190,7 +195,7 @@ class TestRunSaVqe:
     def test_final_states_stay_orthogonal(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
         result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
-        a, b = result.final_states
+        a, b = Sector.build(h2_integrals, ansatz).scatter(result.final_rows)
         assert abs(a.inner(b)) < 1e-10
         assert abs(a.norm() - 1.0) < 1e-12
 
@@ -200,7 +205,7 @@ class TestRunSaVqe:
         rng = np.random.default_rng(0)
         for _ in range(25):
             theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-            _, _, evolved = sa_energy(theta, sector, (0.5, 0.5))
+            evolved = sector.scatter(sa_energy(theta, sector, (0.5, 0.5))[2])
             assert abs(evolved[0].inner(evolved[1])) < 1e-10
             assert abs(evolved[0].norm() - 1.0) < 1e-12
             assert abs(evolved[1].norm() - 1.0) < 1e-12
@@ -334,7 +339,8 @@ h2_integrals, ansatz, optimizer=choice)
         # ground state gains correlation energy below the determinant reference
         assert result.state_energies[0] < hf_determinant_energy(lih_integrals) - 1e-4
         assert result.e_sa >= fock.ensemble_floor(frozen) - 1e-10
-        assert abs(result.final_states[0].inner(result.final_states[1])) < 1e-10
+        final_states = Sector.build(frozen, ansatz).scatter(result.final_rows)
+        assert abs(final_states[0].inner(final_states[1])) < 1e-10
 
     def test_gd_records_every_step(self, h2_integrals):
         ansatz = default_ansatz(2, 2)

@@ -4,20 +4,21 @@ expectation."""
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from devqe import fock
+from devqe import fock, statevector
 from devqe.ansatz import apply_ansatz, default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
-from devqe.integrals import freeze_core
+from devqe.integrals import MolecularIntegrals, freeze_core
 from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
-from devqe.orbitals import KappaMatrix, rotate_integrals
+from devqe.orbitals import KappaMatrix, MacroConfig, OOConfig, rotate_integrals, run_sa_oo_vqe
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
-from devqe.statevector import apply_excitation, expectation, ladder_on_basis
+from devqe.statevector import apply_excitation, expectation, ladder_on_basis, measure_rdms
 
 SYSTEMS = ("h2", "h4", "lih_frozen_core", "lih")
 
@@ -148,13 +149,87 @@ def test_scattered_states_match_excitation_chain(system):
     rng = np.random.default_rng(41)
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-        _, energies, evolved = sa_energy(theta, sector, (0.5, 0.5))
+        _, energies, rows = sa_energy(theta, sector, (0.5, 0.5))
+        evolved = sector.scatter(rows)
         for reference, state, energy in zip(states, evolved, energies):
             chain = excitation_chain(reference, ansatz, theta)
             assert np.max(np.abs(state.amplitudes - chain.amplitudes)) < 1e-12
             # the sector energy against the letter form, on the scattered state
             assert abs(energy - expectation(state, ham)) < 1e-12
             assert abs(energy - expectation(chain, ham)) < 1e-12
+
+
+def assert_rdms_match_dense_oracle(sector, rows):
+    n_orb = sector.lists.n_orb
+    for row, state in zip(rows, sector.scatter(rows)):
+        got, ref = sector.lists.rdms(row), measure_rdms(state, n_orb)
+        assert np.max(np.abs(got.one_rdm - ref.one_rdm)) < 1e-12
+        assert np.max(np.abs(got.two_rdm - ref.two_rdm)) < 1e-12
+
+
+@pytest.mark.parametrize("system", SYSTEMS, indirect=True)
+def test_list_rdms_match_dense_oracle(system):
+    integrals, _, ansatz, _, sector = system
+    rng = np.random.default_rng(46)
+    # evolved references at random theta
+    for _ in range(2):
+        theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+        assert_rdms_match_dense_oracle(sector, sa_energy(theta, sector, (0.5, 0.5))[2])
+    # random real normalized vectors on the sector
+    vectors = rng.normal(size=(2, sector.basis.size))
+    assert_rdms_match_dense_oracle(sector, vectors / np.linalg.norm(vectors, axis=1)[:, None])
+    # the sector of rotated integrals, as every macro iteration after the first builds
+    n_orb = integrals.n_orb
+    kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
+    rotated = Sector.build(rotate_integrals(integrals, kappa), ansatz)
+    theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+    assert_rdms_match_dense_oracle(rotated, sa_energy(theta, rotated, (0.5, 0.5))[2])
+
+
+def synthetic_integrals(n_orb, n_elec, seed):
+    """Random real integrals with the 8-fold symmetry: chemist (ij|kl) =
+    sum_P L[P,i,j] L[P,k,l] with every L[P] symmetric."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n_orb, n_orb))
+    factors = rng.normal(size=(n_orb, n_orb, n_orb))
+    factors = factors + factors.transpose(0, 2, 1)
+    chemist = np.einsum("Pij,Pkl->ijkl", factors, factors)
+    return MolecularIntegrals(n_orb, n_elec, 0.5, h + h.T, chemist.transpose(0, 2, 1, 3))
+
+
+def short_saoo_run(integrals, ansatz):
+    """One macro iteration of two BFGS steps in each stage, two rotation pairs."""
+    short = LocalOptConfig(max_iters=2)
+    return run_sa_oo_vqe(integrals, ansatz,
+                         inner_optimizer=OptimizerChoice("bfgs", local_config=short),
+                         oo_config=OOConfig(local=short, pair_mask=[(1, 0), (2, 1)]),
+                         macro_config=MacroConfig(max_macro_iters=1))
+
+
+@pytest.mark.parametrize("stage", [Sector.build, short_saoo_run], ids=["build", "saoo_run"])
+def test_stage_allocates_nothing_of_size_two_to_the_n(stage):
+    # 20 qubits and S = 100 determinants: one 2^20 index array alone is 8 MB
+    integrals = synthetic_integrals(10, 2, 47)
+    ansatz = default_ansatz(10, 2)
+    tracemalloc.start()
+    try:
+        stage(integrals, ansatz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_saoo_run_path_builds_no_dense_state(h4_integrals, monkeypatch):
+    def dense(*_args, **_kwargs):
+        raise AssertionError("the run path reached a 2^n state")
+
+    monkeypatch.setattr(statevector.StateVector, "__post_init__", dense)
+    monkeypatch.setattr(statevector, "_index_array", dense)
+    monkeypatch.setattr(Sector, "scatter", dense)
+    result = run_sa_oo_vqe(h4_integrals, default_ansatz(h4_integrals.n_orb, h4_integrals.n_elec))
+    # the counts of the h4_saoo benchmark goldens
+    assert (result.evaluations, result.macro_iterations) == (415, 2)
 
 
 @pytest.mark.parametrize("system", ["h4", "lih"], indirect=True)

@@ -20,10 +20,12 @@ from devqe.savqe import build_initial_states
 from devqe.statevector import (
     ExpectationError,
     RDMPair,
+    ReplacementLists,
     ShapeError,
     StateVector,
-    apply_annihilation,
-    apply_creation,
+    _annihilate,
+    _index_array,
+    _parity,
     apply_excitation,
     apply_pauli,
     apply_pauli_rotation,
@@ -230,7 +232,8 @@ def sector_sum_expectation(state, integrals):
     total = 0.0
     for label in np.unique(labels):
         basis = np.flatnonzero(labels == label)
-        block = SectorHamiltonian.from_integrals(integrals, basis).matrix
+        lists = ReplacementLists.on_basis(integrals.n_orb, basis)
+        block = SectorHamiltonian.from_integrals(integrals, lists).matrix
         psi = state.amplitudes[basis]
         total += np.vdot(psi, block @ psi).real
     return total
@@ -354,6 +357,51 @@ class TestCompiledAnsatz:
             apply_ansatz(basis_state(4, [0, 1]), ansatz, [0.1])
         with pytest.raises(ShapeError):
             apply_ansatz(basis_state(6, [0, 1]), ansatz, [0.1, 0.2])
+
+
+def apply_annihilation(state: StateVector, mode: int) -> StateVector:
+    """c_mode |psi> with the Jordan-Wigner sign (-1)^(occupied modes below)."""
+    if not 0 <= mode < state.n_qubits:
+        raise IndexError(f"mode {mode} outside [0, {state.n_qubits})")
+    return StateVector(state.n_qubits, _annihilate(state.amplitudes, mode))
+
+
+def apply_creation(state: StateVector, mode: int) -> StateVector:
+    """c_mode^dagger |psi>, zeroing components where the mode is occupied."""
+    if not 0 <= mode < state.n_qubits:
+        raise IndexError(f"mode {mode} outside [0, {state.n_qubits})")
+    n = state.amplitudes.size
+    bit = np.uint64(1 << mode)
+    lower = np.uint64((1 << mode) - 1)
+    idx = _index_array(state.n_qubits)
+    empty = (idx & bit) == 0
+    src = idx[empty]
+    signs = 1.0 - 2.0 * _parity(src & lower)
+    out = np.zeros(n, dtype=complex)
+    out[src | bit] = signs * state.amplitudes[src]
+    return StateVector(state.n_qubits, out)
+
+
+def dense_initial_states(n_orb, n_elec):
+    """The SA-VQE references built with dense ladder operators: the
+    Hartree-Fock determinant and (a+_(L up) a_(H up) + a+_(L down)
+    a_(H down)) |HF> / sqrt(2) for the HOMO H and the LUMO L."""
+    n_qubits = 2 * n_orb
+    homo, lumo = n_elec // 2 - 1, n_elec // 2
+    hf = basis_state(n_qubits, range(n_elec))
+
+    def promote(occ_mode, virt_mode):
+        return apply_creation(apply_annihilation(hf, occ_mode), virt_mode)
+
+    up = promote(2 * homo, 2 * lumo)
+    down = promote(2 * homo + 1, 2 * lumo + 1)
+    return hf, StateVector(n_qubits, (up.amplitudes + down.amplitudes) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n_orb, n_elec", [(2, 2), (4, 4), (6, 4), (6, 2), (5, 6)])
+def test_initial_states_bitwise_equal_to_dense_ladder_operators(n_orb, n_elec):
+    for got, ref in zip(build_initial_states(n_orb, n_elec), dense_initial_states(n_orb, n_elec)):
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
 class TestLadderOnStates:

@@ -22,7 +22,11 @@ of its Sector.  Cases:
 - macro:   the layers every SA-OO-VQE macro iteration rebuilds, in ms per
            call: Sector.build from the integrals, minimize_orbitals on the
            RDMs of the theta = 0.05 states (with the number of
-           rotate_integrals calls it makes), and rotate_integrals;
+           rotate_integrals calls it makes), and rotate_integrals; and the
+           RDMs of one such state, in ms per state, from the sector's
+           replacement lists (the run path) and from the dense oracle
+           measure_rdms on the scattered 2^n state, their repeats
+           interleaved;
 - de_driver: microseconds per evaluation of whole de_minimize runs of
            DE_DRIVER_EVALS evaluations on bench.sphere, whose batch form makes
            the objective nearly free: the de_sphere benchmark's three variants
@@ -149,8 +153,14 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
     """Print ms per call of the layers one macro iteration rebuilds."""
     build_ms = ms_per_eval(lambda: savqe.Sector.build(integrals, ansatz), 1, repeats)
     theta = np.full(ansatz.parameter_count, MACRO_THETA)
-    _, _, evolved = savqe.sa_energy(theta, sector, WEIGHTS)
-    rdms = tuple(measure_rdms(state, integrals.n_orb) for state in evolved)
+    _, _, rows = savqe.sa_energy(theta, sector, WEIGHTS)
+    rdms = tuple(sector.lists.rdms(row) for row in rows)
+    states = sector.scatter(rows)
+    list_samples, dense_samples = repeated_samples(
+        [lambda: [sector.lists.rdms(row) for row in rows],
+         lambda: [measure_rdms(state, integrals.n_orb) for state in states]], repeats)
+    list_ms, dense_ms = (statistics.median(samples) / len(rows) * 1e3
+                         for samples in (list_samples, dense_samples))
 
     rotations = 0
     rotate = orbitals.rotate_integrals
@@ -172,6 +182,8 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
     rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
     print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
           f"calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
+    print(f"{name:7s} {'rdms':8s} lists {list_ms:.4f}, dense measure_rdms "
+          f"{dense_ms:.4f} ms per state ({dense_ms / list_ms:.1f}x)", flush=True)
 
 
 def main(argv=None) -> int:
