@@ -226,6 +226,38 @@ class TestMacroLoop:
         assert abs(result.e_sa - e_sa) < 1e-9
         assert result.e_sa >= fock.ensemble_floor(integrals)
 
+    # sha256 of the trace CSV of three harness SA-OO runs (bench.run_molecule,
+    # seed 0, harness defaults), pinned from the code that rebuilt the whole
+    # Sector in every macro iteration: (evaluations, macro iterations, sha256)
+    @pytest.mark.parametrize(
+        "molecule, method, evaluations, macro_iterations, digest",
+        [
+            ("h4", "bfgs", 415, 2,
+             "bd3a4889d62b1a574edfcea6e11ff46d5113e6b0783303905f64b4fa9760a69e"),
+            ("lih_frozen_core", "bfgs", 3065, 20,
+             "78983ef7a2caaeba4beb926e9952c93a0a8c57e135e92ad959c9ded33df0b22a"),
+            ("h2", "de_rand1_bin", 890, 3,
+             "cb25830dcc039f7f352f3b869688e8681d94db76bab8cf644f54860c0c32c9b0"),
+        ],
+        ids=["h4_bfgs", "lih_frozen_core_bfgs", "h2_de_rand1_bin"],
+    )
+    def test_saoo_trace_csv_pins(self, request, tmp_path, molecule, method, evaluations,
+                                 macro_iterations, digest):
+        import hashlib
+
+        from devqe.bench import run_molecule
+        from devqe.integrals import freeze_core
+
+        if molecule == "lih_frozen_core":
+            integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
+        else:
+            integrals = request.getfixturevalue(f"{molecule}_integrals")
+        run = run_molecule(integrals, method, 0, {}, "saoo")
+        assert (run.evaluations, run.macro_iterations) == (evaluations, macro_iterations)
+        path = tmp_path / "trace.csv"
+        run.trace.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_rotation_dimension_mismatch(self, h2_integrals):
         with pytest.raises(ValueError):
             rotate_integrals(h2_integrals, KappaMatrix.zero(3))

@@ -175,6 +175,25 @@ class TestExcitations:
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
+    # sha256 of the repr of every default-ansatz generator's (string, coeff)
+    # words, in circuit order, pinned from the code that stored them on each
+    # Excitation
+    @pytest.mark.parametrize(
+        "molecule, digest",
+        [
+            ("h2", "cae161b6956750139270ca162ba25843140db940c180f57c6536e83b225c526b"),
+            ("h4", "348f6765dcf2b8bae4c31190e3b5b9b8f1bbd5e5b278eda39880a03e0063b87d"),
+            ("lih", "18b6eb41c362852799b7353981dfd5a714501131ce8b065c650c7dcf67d62494"),
+        ],
+    )
+    def test_default_ansatz_generator_words_pins(self, request, molecule, digest):
+        import hashlib
+
+        integrals = request.getfixturevalue(f"{molecule}_integrals")
+        ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+        words = [excitation.pauli_decomposition for excitation in ansatz.excitations]
+        assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
+
 def pauli_sum_expectation(state, ham):
     """<psi|H|psi> term by term through the letter-string apply_pauli."""
     return sum(
