@@ -10,6 +10,7 @@ import numpy as np
 from devqe import (
     DEConfig,
     OptimizerChoice,
+    Sector,
     TerminationCriteria,
     default_ansatz,
     load_fcidump,
@@ -19,6 +20,7 @@ from devqe import fock
 
 integrals = load_fcidump("fixtures/h2_sto3g.fcidump")
 ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+sector = Sector.build(integrals, ansatz)  # shared by every run below
 floor = fock.ensemble_floor(integrals)
 
 print(f"ansatz: {ansatz.parameter_count} parameters on {ansatz.n_qubits} qubits")
@@ -36,7 +38,7 @@ for label, optimizer in (
         ),
     ),
 ):
-    result = run_sa_vqe(integrals, ansatz, optimizer=optimizer)
+    result = run_sa_vqe(sector, optimizer=optimizer)
     gap = result.e_sa - floor
     overlap = abs(result.final_rows[0] @ result.final_rows[1])
     print(f"{label}:")
@@ -49,6 +51,6 @@ for label, optimizer in (
           f"E_SA {first.e_sa:.6f} -> {last.e_sa:.6f}\n")
 
 print("per-state 1-RDM traces (electron counts):")
-result = run_sa_vqe(integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+result = run_sa_vqe(sector, optimizer=OptimizerChoice("bfgs"))
 for k, rdms in enumerate(result.rdms):
     print(f"  state {k}: tr(D) = {np.trace(rdms.one_rdm):.10f}")

@@ -6,6 +6,7 @@ energy, then runs the ensemble VQE in the reduced space.
 
 from devqe import (
     OptimizerChoice,
+    Sector,
     default_ansatz,
     freeze_core,
     hf_determinant_energy,
@@ -31,7 +32,7 @@ ansatz = default_ansatz(frozen.n_orb, frozen.n_elec)
 print(f"\nqubit Hamiltonian: {len(hamiltonian)} Pauli terms, "
       f"{ansatz.parameter_count}-parameter ansatz")
 
-result = run_sa_vqe(frozen, ansatz, optimizer=OptimizerChoice("bfgs"))
+result = run_sa_vqe(Sector.build(frozen, ansatz), optimizer=OptimizerChoice("bfgs"))
 floor = fock.ensemble_floor(frozen)
 print(f"\nensemble VQE (BFGS, {result.evaluations} evaluations):")
 print(f"  E_0  = {result.state_energies[0]:.8f} Ha "

@@ -1,17 +1,13 @@
 """Excitation generators and the parameterized trial-state circuit.
 
-Each Excitation carries its anti-Hermitian generator G = sum_b (tau_b -
-tau_b^dagger) twice: as the ladder strings tau_b of its branches, and as the
-Pauli decomposition (string, c) pairs with G = sum_k i c_k P_k and real c_k.
-The words within one generator mutually commute, so exp(theta G) is exactly
-a product of Pauli rotations; that chain (statevector.apply_excitation) is the
-test reference.
-
-On a determinant basis each branch pairs determinants one to one with +-1
-signs, so exp(theta G) is a set of real Givens rotations per branch
-(GivensAnsatz).  That is the one ansatz kernel: the SA-VQE objective runs it
-on its sector, and apply_ansatz on an AnsatzSpec builds it on the full basis
-of 2^n determinants.
+An Excitation is its anti-Hermitian generator G = sum_b (tau_b -
+tau_b^dagger), given by the ladder strings tau_b of its branches.  On a
+determinant basis each branch pairs determinants one to one with +-1 signs,
+so exp(theta G) is a set of real Givens rotations per branch (GivensAnsatz).
+That is the one ansatz kernel: the SA-VQE objective runs it on its sector,
+and apply_ansatz on an AnsatzSpec builds it on the full basis of 2^n
+determinants.  The Pauli form of G and its chain of Pauli rotations
+(jw.generator_words, statevector.apply_excitation) are the test reference.
 """
 
 from __future__ import annotations
@@ -21,82 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import masks_to_string, multiply_sums, strings_commute
-from .jw import jw_ladder
 from .statevector import ShapeError, StateVector, ladder_on_basis
-
-DECOMPOSITION_CUTOFF = 1e-14
-REAL_RESIDUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Excitation:
-    kind: str
-    modes: tuple
-    pauli_decomposition: tuple  # ((string, coeff), ...) for G = sum i*coeff*P
     ladder_specs: tuple  # one ((mode, dagger), ...) per branch tau_b, leftmost first
 
 
-def _ladder_product(mode_specs) -> dict:
-    """Word sum for a product of ladder operators, leftmost first."""
-    out = None
-    for mode, dagger in mode_specs:
-        factor = jw_ladder(mode, dagger)
-        out = factor if out is None else multiply_sums(out, factor)
-    return out
-
-
-def _anti_hermitian_terms(words: dict, n_qubits: int):
-    """(string, c) pairs with G = sum i*c*P; coefficients must be imaginary."""
-    terms = []
-    for (x, z), coeff in words.items():
-        k = (x & z).bit_count()
-        letter_coeff = coeff * (-1j) ** k
-        if abs(letter_coeff) < DECOMPOSITION_CUTOFF:
-            continue
-        if abs(letter_coeff.real) > REAL_RESIDUE_TOL:
-            raise ValueError("generator decomposition is not anti-Hermitian")
-        terms.append((masks_to_string(x, z, n_qubits), float(letter_coeff.imag)))
-    terms.sort(key=lambda t: t[0])
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if not strings_commute(terms[i][0], terms[j][0]):
-                raise ValueError("generator words must mutually commute")
-    return tuple(terms)
-
-
-def _adjoint(specs):
-    return tuple((mode, not dagger) for mode, dagger in reversed(specs))
-
-
-def _generator(kind, modes, tau_specs, n_qubits) -> Excitation:
-    words: dict = {}
-    for specs in tau_specs:
-        tau = _ladder_product(specs)
-        for key, coeff in tau.items():
-            words[key] = words.get(key, 0.0) + coeff
-        dagger = _ladder_product(_adjoint(specs))
-        for key, coeff in dagger.items():
-            words[key] = words.get(key, 0.0) - coeff
-    return Excitation(
-        kind=kind,
-        modes=modes,
-        pauli_decomposition=_anti_hermitian_terms(words, n_qubits),
-        ladder_specs=tuple(tuple(specs) for specs in tau_specs),
-    )
-
-
-def single_excitation(occ_mode: int, virt_mode: int, n_qubits: int) -> Excitation:
+def single_excitation(occ_mode: int, virt_mode: int) -> Excitation:
     """Spin-orbital single: tau = c+_virt c_occ."""
     if occ_mode == virt_mode:
         raise ValueError("occupied and virtual modes must differ")
     if (occ_mode ^ virt_mode) & 1:
         raise ValueError("single excitation must conserve S_z (same spin)")
-    specs = [[(virt_mode, True), (occ_mode, False)]]
-    return _generator("single", (occ_mode, virt_mode), specs, n_qubits)
+    return Excitation((((virt_mode, True), (occ_mode, False)),))
 
 
-def double_excitation(occ_modes, virt_modes, n_qubits: int) -> Excitation:
+def double_excitation(occ_modes, virt_modes) -> Excitation:
     """Spin-orbital double: tau = c+_r c+_s c_q c_p for (p, q) -> (r, s)."""
     p, q = occ_modes
     r, s = virt_modes
@@ -105,33 +43,24 @@ def double_excitation(occ_modes, virt_modes, n_qubits: int) -> Excitation:
     spins = lambda pair: sorted(m & 1 for m in pair)
     if spins((p, q)) != spins((r, s)):
         raise ValueError("double excitation must conserve S_z")
-    specs = [[(r, True), (s, True), (q, False), (p, False)]]
-    return _generator("double", (p, q, r, s), specs, n_qubits)
+    return Excitation((((r, True), (s, True), (q, False), (p, False)),))
 
 
-def paired_single(occ_orb: int, virt_orb: int, n_orb: int) -> Excitation:
+def paired_single(occ_orb: int, virt_orb: int) -> Excitation:
     """Singlet-adapted single: both spin branches share one parameter, so the
     circuit conserves total spin as well as S_z and particle number."""
-    n_qubits = 2 * n_orb
-    specs = [
-        [(2 * virt_orb, True), (2 * occ_orb, False)],
-        [(2 * virt_orb + 1, True), (2 * occ_orb + 1, False)],
-    ]
-    return _generator("paired_single", (occ_orb, virt_orb), specs, n_qubits)
+    return Excitation((
+        ((2 * virt_orb, True), (2 * occ_orb, False)),
+        ((2 * virt_orb + 1, True), (2 * occ_orb + 1, False)),
+    ))
 
 
-def paired_double(occ_orb: int, virt_orb: int, n_orb: int) -> Excitation:
+def paired_double(occ_orb: int, virt_orb: int) -> Excitation:
     """Pair move of an up/down electron pair from one spatial orbital to another."""
-    n_qubits = 2 * n_orb
-    specs = [
-        [
-            (2 * virt_orb, True),
-            (2 * virt_orb + 1, True),
-            (2 * occ_orb + 1, False),
-            (2 * occ_orb, False),
-        ]
-    ]
-    return _generator("paired_double", (occ_orb, virt_orb), specs, n_qubits)
+    return Excitation((
+        ((2 * virt_orb, True), (2 * virt_orb + 1, True), (2 * occ_orb + 1, False),
+         (2 * occ_orb, False)),
+    ))
 
 
 @dataclass
@@ -153,10 +82,10 @@ def default_ansatz(n_orb: int, n_elec: int) -> AnsatzSpec:
     excitations = []
     for occ in range(n_occ):
         for virt in range(n_occ, n_orb):
-            excitations.append(paired_single(occ, virt, n_orb))
+            excitations.append(paired_single(occ, virt))
     for occ in range(n_occ):
         for virt in range(n_occ, n_orb):
-            excitations.append(paired_double(occ, virt, n_orb))
+            excitations.append(paired_double(occ, virt))
     return AnsatzSpec(n_qubits=2 * n_orb, excitations=excitations)
 
 

@@ -15,9 +15,10 @@ import numpy as np
 from . import de as de_mod
 from . import local as local_mod
 from .ansatz import default_ansatz
-from .integrals import load_fcidump
-from .orbitals import MacroConfig, run_sa_oo_vqe
-from .savqe import EnsembleSpec, OptimizerChoice, run_sa_vqe
+from .de import ObjectiveError
+from .integrals import FcidumpError, load_fcidump
+from .orbitals import INNER_FAILURES, MacroConfig, run_sa_oo_vqe
+from .savqe import EnsembleSpec, OptimizerChoice, Sector, run_sa_vqe
 
 SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
 N_REFERENCES = 2  # the Hartree-Fock and singlet-excited references of every run
@@ -316,7 +317,7 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
 
     if mode == "savqe":
-        return run_sa_vqe(integrals, ansatz, weights=weights, optimizer=optimizer)
+        return run_sa_vqe(Sector.build(integrals, ansatz), weights, optimizer)
     return run_sa_oo_vqe(
         integrals,
         ansatz,
@@ -324,6 +325,17 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
         inner_optimizer=optimizer,
         macro_config=parse_macro_config(config),
     )
+
+
+# what a molecule run can fail with while the command goes on: the macro
+# loop's RuntimeError and a stage's numerical failures, which DE wraps in an
+# ObjectiveError (a RuntimeError too); any other exception propagates
+RUN_FAILURES = (RuntimeError, *INNER_FAILURES)
+
+
+def _programming_error(exc) -> bool:
+    """An ObjectiveError that wraps anything but a numerical failure."""
+    return isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES)
 
 
 @dataclass
@@ -416,7 +428,9 @@ def cmd_compare(config: dict, out_dir) -> str:
         for seed in seeds:
             try:
                 run = run_molecule(integrals, method, seed, config, "saoo")
-            except Exception as exc:
+            except RUN_FAILURES as exc:
+                if _programming_error(exc):
+                    raise
                 failures.append((method, seed, str(exc)))
                 continue
             run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
@@ -485,7 +499,9 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
             try:
                 integrals = load_fcidump(os.path.join(scan_dir, name))
                 run = run_molecule(integrals, method, seed, config, mode)
-            except Exception as exc:
+            except (*RUN_FAILURES, FcidumpError) as exc:
+                if _programming_error(exc):
+                    raise
                 failures.append((label, str(exc)))
                 writer.writerow([label, "", "", "", mode, "failed"])
                 continue
@@ -498,6 +514,8 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
             writer = csv.writer(fh)
             writer.writerow(["coordinate_label", "error"])
             writer.writerows(failures)
+    if len(failures) == len(files):
+        raise RuntimeError("every point failed; see failures.csv")
     return path
 
 

@@ -6,7 +6,10 @@ transform as h' = U^T h U with the matching four-index transform for g.
 The ensemble energy over FIXED correlated-state RDMs is minimized over kappa
 with BFGS on finite-difference gradients, then the macro loop alternates that
 classical stage with a fresh SA-VQE stage until the state-averaged energy
-change falls below the macro tolerance.
+change falls below the macro tolerance.  The sector, its references and the
+circuit do not change with the orbitals: a run builds its Sector once, and
+each macro iteration after the first re-contracts only its Hamiltonian block
+from the rotated integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.linalg import expm
 from . import local as local_mod
 from .de import ObjectiveError
 from .integrals import MolecularIntegrals
-from .savqe import OptimizerChoice, run_sa_vqe
+from .savqe import OptimizerChoice, Sector, run_sa_vqe
 from .statevector import ExpectationError, rdm_energy
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
 
@@ -210,7 +213,8 @@ def run_sa_oo_vqe(
     Each VQE stage restarts from theta = 0 (the post-rotation energy spike is
     then visible in the per-step trace) but adopts the previous optimum when
     the fresh search fails to beat it, so the post-OO energy sequence is
-    non-increasing for deterministic inner optimizers.
+    non-increasing for deterministic inner optimizers.  Every stage runs on
+    one Sector, whose block follows the rotated integrals.
 
     A VQE stage that returns has its events appended to the run trace, shifted
     by the evaluations so far and stamped with the macro index, and its
@@ -222,6 +226,7 @@ def run_sa_oo_vqe(
     oo_config = oo_config or OOConfig()
     macro_config = macro_config or MacroConfig()
 
+    sector = Sector.build(integrals, ansatz)
     trace = OptimizationTrace()
     macro_trace: list[MacroRecord] = []
     inner_failures: list = []
@@ -241,13 +246,7 @@ def run_sa_oo_vqe(
             seed = _child_seed(inner_optimizer.de_config.seed, attempt)
             stage_optimizer = OptimizerChoice("de", replace(inner_optimizer.de_config, seed=seed))
         try:
-            vqe = run_sa_vqe(
-                current,
-                ansatz,
-                weights=weights,
-                optimizer=stage_optimizer,
-                incumbent=theta_prev,
-            )
+            vqe = run_sa_vqe(sector, weights, stage_optimizer, incumbent=theta_prev)
             for event in vqe.trace.events:
                 trace.append(replace(event, cum_evals=evals + event.cum_evals,
                                      macro_index=macro_index))
@@ -293,6 +292,8 @@ def run_sa_oo_vqe(
             converged = True
             break
         e_oo_prev = oo.e_sa
+        if attempt < macro_config.max_macro_iters:  # another stage runs on the new orbitals
+            sector = sector.with_integrals(current)
 
     if not macro_trace:  # the only attempt failed
         raise RuntimeError("no macro iteration completed") from last_failure

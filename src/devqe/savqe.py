@@ -7,26 +7,27 @@ of the stage touches the 2^n statevector.  The references, the Hamiltonian,
 the generators and the RDMs meet on the closed-shell (N, S_z = 0) sector,
 where every amplitude stays real: a Sector holds that basis with the
 replacement lists of E_pr, the Hamiltonian's real block contracted from them
-and the integrals, the references read off them, and the ansatz as Givens
-rotations.  The final states stay sector rows; their RDMs come from the same
-lists.
+and the integrals, the references read off them, and the ansatz's ladder
+strings as Givens rotations.  Only the block depends on the integrals:
+Sector.with_integrals re-contracts it and keeps the rest.  The final states
+stay sector rows; their RDMs come from the same lists.
 
-A stage is self-contained: run_sa_vqe returns its trace in its own
-coordinates (evaluations counted from its first one, macro index 0), and a
-caller that runs several stages composes their traces.
+A stage is self-contained: run_sa_vqe runs on a built Sector and returns its
+trace in its own coordinates (evaluations counted from its first one, macro
+index 0), and a caller that runs several stages composes their traces.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import de as de_mod
 from . import local as local_mod
-from .ansatz import AnsatzSpec, GivensAnsatz, apply_ansatz
+from .ansatz import GivensAnsatz, apply_ansatz
 from .integrals import MolecularIntegrals
 from .statevector import ReplacementLists, SectorHamiltonian, ShapeError, StateVector, expectation
 from .trace import SCOPE_STEP, OptimizationTrace, TraceEvent
@@ -149,6 +150,16 @@ class Sector:
             references,
         )
 
+    def with_integrals(self, integrals: MolecularIntegrals) -> "Sector":
+        """This sector with the block of other integrals on the same orbitals
+        and electrons (in SA-OO-VQE, the rotated integrals of a macro
+        iteration); the lists, Givens sets and references are shared.
+        ShapeError when n_orb or n_elec differ."""
+        n_elec = int(self.basis[0]).bit_count()  # every determinant holds them all
+        if (integrals.n_orb, integrals.n_elec) != (self.lists.n_orb, n_elec):
+            raise ShapeError("integrals of another orbital or electron count")
+        return replace(self, hamiltonian=SectorHamiltonian.from_integrals(integrals, self.lists))
+
     def scatter(self, block: np.ndarray) -> tuple:
         """The rows of an (R, S) block as 2^n StateVectors."""
         return _scatter(self.lists.n_orb, self.basis, block)
@@ -217,22 +228,19 @@ class _CountedObjective:
 
 
 def run_sa_vqe(
-    integrals: MolecularIntegrals,
-    ansatz: AnsatzSpec,
+    sector: Sector,
     weights=(0.5, 0.5),
     optimizer: OptimizerChoice | None = None,
     *,
     incumbent: np.ndarray | None = None,
 ) -> SAVQEResult:
-    """Minimize the ensemble energy of a molecule's integrals over the
-    circuit parameters, from the references build_initial_states(n_orb,
-    n_elec).
+    """Minimize the ensemble energy of a built Sector over the circuit
+    parameters, from its references.
 
     The returned trace holds one optimizer_step event for the starting point
     and one after every internal optimizer step (for DE: every generation),
     each at the exact count of evaluations since the run's first, with
-    macro_index 0.  The Sector is built here, once, before the first
-    evaluation, and is freed when the run returns.
+    macro_index 0.  The run keeps no reference to the sector once it returns.
     `incumbent` is a point from an earlier stage (in SA-OO-VQE, the previous
     macro iteration's optimum): it is evaluated once after the search, and
     the run returns it instead of the search's optimum when its ensemble
@@ -241,14 +249,13 @@ def run_sa_vqe(
     optimizer = optimizer or OptimizerChoice("bfgs")
     ensemble = EnsembleSpec(weights)
     weights = ensemble.weights
-    sector = Sector.build(integrals, ansatz)
     if ensemble.n_states != len(sector.references):
         raise ValueError(
             f"{ensemble.n_states} weights given for {len(sector.references)} states"
         )
     trace = OptimizationTrace()
 
-    dim = ansatz.parameter_count
+    dim = sector.ansatz.parameter_count
     theta0 = np.zeros(dim)  # gd and bfgs start from the bare references
     objective = _CountedObjective(sector, weights)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jw import generator_words
 from .pauli import string_to_masks
 
 IMAG_TOLERANCE = 1e-10
@@ -108,11 +109,11 @@ def apply_pauli_rotation(state: StateVector, string: str, theta: float) -> State
 
 def apply_excitation(state: StateVector, excitation, theta: float) -> StateVector:
     """exp(theta (tau - tau^+)) |psi>, exact because the generator's Pauli
-    words mutually commute: one rotation per word."""
+    words (jw.generator_words) mutually commute: one rotation per word."""
+    if any(mode >= state.n_qubits for specs in excitation.ladder_specs for mode, _ in specs):
+        raise ShapeError("excitation acts on a mode outside the state")
     out = state
-    for string, coeff in excitation.pauli_decomposition:
-        if len(string) != state.n_qubits:
-            raise ShapeError("excitation decomposition does not match the state")
+    for string, coeff in generator_words(excitation, state.n_qubits):
         # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
         out = apply_pauli_rotation(out, string, -2.0 * theta * coeff)
     return out

@@ -30,7 +30,7 @@ from devqe.de import (
 from devqe.jw import jordan_wigner
 from devqe.orbitals import KappaMatrix, rotate_integrals, run_sa_oo_vqe
 from devqe.pauli import hamiltonian_matrix
-from devqe.savqe import OptimizerChoice, run_sa_vqe
+from devqe.savqe import OptimizerChoice, Sector, run_sa_vqe
 from devqe.statevector import basis_state, expectation, measure_rdms, rdm_energy
 from devqe.ansatz import apply_ansatz
 from tests.conftest import fixture_path
@@ -68,7 +68,7 @@ def test_01_jw_spectrum(h2_integrals):
 def test_02_savqe_exactness(h2_integrals):
     start = time.time()
     ansatz = default_ansatz(2, 2)
-    result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+    result = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
     floor = fock.ensemble_floor(h2_integrals)  # (lambda0 + lambda1) / 2, singlets
     assert abs(result.e_sa - floor) < 1e-6
     assert time.time() - start < 10.0

@@ -22,9 +22,11 @@ from devqe.bench import (
 )
 from devqe import bench as bench_mod
 from devqe.cli import main
-from devqe.de import DEConfig
+from devqe.de import DEConfig, ObjectiveError
+from devqe.local import GradientError
 from devqe.orbitals import MacroConfig
 from devqe.savqe import EnsembleSpec
+from devqe.statevector import ExpectationError
 from tests.conftest import fixture_path
 
 
@@ -37,6 +39,29 @@ def write_config(tmp_path, **kwargs):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def wrapped(cause):
+    """The ObjectiveError DE raises when its objective raised `cause`."""
+    try:
+        raise ObjectiveError(f"objective raised: {cause}") from cause
+    except ObjectiveError as exc:
+        return exc
+
+
+# exceptions a run may raise that a harness records as a failed run, and
+# programming errors that must end the command instead
+RUN_FAILURES = [
+    RuntimeError("no macro iteration completed"),
+    GradientError("non-finite stencil value at coordinate 0", 0),
+    ExpectationError("imaginary residue 1e-3 in expectation"),
+    wrapped(ExpectationError("imaginary residue 1e-3 in expectation")),
+]
+PROGRAMMING_ERRORS = [
+    TypeError("unsupported operand"),
+    AttributeError("no attribute 'rdms'"),
+    wrapped(TypeError("unsupported operand")),
+]
 
 
 class TestConfig:
@@ -230,6 +255,41 @@ class TestCompare:
         }
 
 
+    @pytest.mark.parametrize("error", RUN_FAILURES, ids=lambda e: type(e).__name__)
+    def test_run_failure_recorded(self, tmp_path, monkeypatch, error):
+        real_run = bench_mod.run_molecule
+
+        def failing_seed_one(integrals, method, seed, config, mode):
+            if seed == 1:
+                raise error
+            return real_run(integrals, method, seed, config, mode)
+
+        monkeypatch.setattr(bench_mod, "run_molecule", failing_seed_one)
+        config = {"molecule": fixture_path("h2_sto3g.fcidump"), "optimizer": "bfgs",
+                  "seeds": "0,1"}
+        cmd_compare(config, str(tmp_path))
+        failures = read_rows(os.path.join(str(tmp_path), "failures.csv"))
+        assert failures[1:] == [["bfgs", "1", str(error)]]
+
+    @pytest.mark.parametrize("error", PROGRAMMING_ERRORS, ids=lambda e: type(e).__name__)
+    def test_programming_error_ends_the_command(self, tmp_path, monkeypatch, error):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise error
+
+        monkeypatch.setattr(bench_mod, "run_molecule", broken)
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer="bfgs", seeds="0,1")
+        out = tmp_path / "out"
+        with pytest.raises(type(error)):
+            cmd_compare(bench_mod.parse_config(config), str(out))
+        assert len(calls) == 1
+        assert not (out / "failures.csv").exists()
+        assert main(["compare", "--config", config, "--out", str(out)]) == 1
+
+
 class TestScan:
     def test_savqe_weight_arithmetic(self, tmp_path, h2_scan_dir):
         config = {"molecule": h2_scan_dir, "optimizer": "bfgs"}
@@ -266,6 +326,55 @@ class TestScan:
             ["coordinate_label", "error"],
             ["h2_r9.99", "no &END terminator found in header"],
         ]
+
+    @pytest.mark.parametrize("error", RUN_FAILURES, ids=lambda e: type(e).__name__)
+    def test_run_failure_recorded(self, tmp_path, h2_scan_dir, monkeypatch, error):
+        real_run = bench_mod.run_molecule
+
+        def failing_first(integrals, method, seed, config, mode):
+            if not calls:
+                calls.append(mode)
+                raise error
+            return real_run(integrals, method, seed, config, mode)
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_molecule", failing_first)
+        rows = read_rows(cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"},
+                                  str(tmp_path), "savqe"))
+        assert [r[5] for r in rows[1:]] == ["failed", "ok", "ok"]
+        failures = read_rows(os.path.join(str(tmp_path), "failures.csv"))
+        assert failures[1:] == [["h2_r1.10", str(error)]]
+
+    @pytest.mark.parametrize("error", PROGRAMMING_ERRORS, ids=lambda e: type(e).__name__)
+    def test_programming_error_ends_the_command(self, tmp_path, h2_scan_dir, monkeypatch,
+                                                error):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise error
+
+        monkeypatch.setattr(bench_mod, "run_molecule", broken)
+        out = tmp_path / "out"
+        with pytest.raises(type(error)):
+            cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"}, str(out), "savqe")
+        assert len(calls) == 1
+        assert not (out / "failures.csv").exists()
+        config = write_config(tmp_path, molecule=h2_scan_dir, optimizer="bfgs")
+        assert main(["scan", "--config", config, "--out", str(out)]) == 1
+
+    def test_every_point_failing_raises(self, tmp_path, h2_scan_dir, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("no macro iteration completed")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", failing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="every point failed; see failures.csv"):
+            cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"}, str(out), "saoo")
+        assert [r[5] for r in read_rows(out / "scan_saoo.csv")[1:]] == ["failed"] * 3
+        assert len(read_rows(out / "failures.csv")) == 4
+        config = write_config(tmp_path, molecule=h2_scan_dir, optimizer="bfgs")
+        assert main(["scan", "--config", config, "--out", str(out), "--mode", "saoo"]) == 1
 
     def test_no_failures_file_when_every_point_runs(self, tmp_path, h2_scan_dir):
         cmd_scan({"molecule": h2_scan_dir, "optimizer": "bfgs"}, str(tmp_path), "savqe")

@@ -90,7 +90,7 @@ class TestMinimizeOrbitals:
     def test_exact_state_rdms_leave_no_room(self, h2_integrals):
         # FCI-quality ensemble states: the variational floor blocks improvement
         ansatz = default_ansatz(2, 2)
-        vqe = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+        vqe = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
         floor = fock.ensemble_floor(h2_integrals)
         result = minimize_orbitals(h2_integrals, vqe.rdms, (0.5, 0.5))
         assert result.e_sa >= floor - 1e-10
@@ -167,7 +167,7 @@ class TestMacroLoop:
             oo_config=config,
             macro_config=macro,
         )
-        plain = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+        plain = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
         assert abs(result.e_sa - plain.e_sa) < 1e-12
         assert result.evaluations == plain.evaluations
         step_events = result.trace.filter(SCOPE_STEP)

@@ -6,7 +6,7 @@ import pytest
 from devqe import fock
 from devqe.ansatz import default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
-from devqe.jw import jordan_wigner, number_operator
+from devqe.jw import generator_words, jordan_wigner, number_operator
 from devqe.local import LocalOptConfig, fd_gradient
 from devqe.pauli import hamiltonian_matrix
 from devqe.savqe import (
@@ -94,7 +94,7 @@ class TestAnsatzSymmetries:
 
         for excitation in ansatz.excitations:
             gen = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-            for string, coeff in excitation.pauli_decomposition:
+            for string, coeff in generator_words(excitation, n_qubits):
                 gen += 1j * coeff * pauli_matrix(string)
             assert np.max(np.abs(gen + gen.conj().T)) < 1e-12  # anti-Hermitian
             assert np.max(np.abs(gen @ num_mat - num_mat @ gen)) < 1e-12
@@ -188,13 +188,13 @@ class TestSaEnergy:
 class TestRunSaVqe:
     def test_bfgs_reaches_ensemble_floor(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+        result = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
         floor = fock.ensemble_floor(h2_integrals)
         assert abs(result.e_sa - floor) < 1e-6
 
     def test_final_states_stay_orthogonal(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+        result = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
         a, b = Sector.build(h2_integrals, ansatz).scatter(result.final_rows)
         assert abs(a.inner(b)) < 1e-10
         assert abs(a.norm() - 1.0) < 1e-12
@@ -222,7 +222,7 @@ class TestRunSaVqe:
 
     def test_weighted_sum_consistency_on_trace(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
-        result = run_sa_vqe(h2_integrals, ansatz, optimizer=OptimizerChoice("bfgs"))
+        result = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
         for event in result.trace.events:
             if event.e_states:
                 combo = 0.5 * event.e_states[0] + 0.5 * event.e_states[1]
@@ -257,9 +257,9 @@ class TestRunSaVqe:
             ),
         )
         r1 = run_sa_vqe(
-h2_integrals, ansatz, optimizer=choice)
+Sector.build(h2_integrals, ansatz), optimizer=choice)
         r2 = run_sa_vqe(
-h2_integrals, ansatz, optimizer=choice)
+Sector.build(h2_integrals, ansatz), optimizer=choice)
         assert r1.theta.tobytes() == r2.theta.tobytes()
         assert [e.e_sa for e in r1.trace.events] == [e.e_sa for e in r2.trace.events]
         assert r1.evaluations == r2.evaluations
@@ -267,7 +267,7 @@ h2_integrals, ansatz, optimizer=choice)
     def test_weight_count_must_match_state_count(self, h2_integrals):
         with pytest.raises(ValueError, match="3 weights given for 2 states"):
             run_sa_vqe(
-                h2_integrals, default_ansatz(2, 2), weights=(0.2, 0.3, 0.5)
+                Sector.build(h2_integrals, default_ansatz(2, 2)), weights=(0.2, 0.3, 0.5)
             )
 
     def test_component_cache_bounded_by_population(self, h2_integrals, monkeypatch):
@@ -289,7 +289,7 @@ h2_integrals, ansatz, optimizer=choice)
             de_config=DEConfig(seed=0, termination=TerminationCriteria(max_evals=3000)),
         )
         result = run_sa_vqe(
-            h2_integrals, default_ansatz(2, 2),
+            Sector.build(h2_integrals, default_ansatz(2, 2)),
             optimizer=choice
         )
         # 3000 DE evaluations plus the final reconstruction: no cache miss was charged
@@ -323,7 +323,7 @@ h2_integrals, ansatz, optimizer=choice)
         for choice in choices:
             rows.clear()
             result = run_sa_vqe(
-                h2_integrals, default_ansatz(2, 2),
+                Sector.build(h2_integrals, default_ansatz(2, 2)),
                 optimizer=choice
             )
             assert result.evaluations == sum(rows), choice.kind
@@ -335,7 +335,7 @@ h2_integrals, ansatz, optimizer=choice)
         frozen = freeze_core(lih_integrals, 1)
         ansatz = default_ansatz(frozen.n_orb, frozen.n_elec)
         assert ansatz.n_qubits == 10
-        result = run_sa_vqe(frozen, ansatz, optimizer=OptimizerChoice("bfgs"))
+        result = run_sa_vqe(Sector.build(frozen, ansatz), optimizer=OptimizerChoice("bfgs"))
         # ground state gains correlation energy below the determinant reference
         assert result.state_energies[0] < hf_determinant_energy(lih_integrals) - 1e-4
         assert result.e_sa >= fock.ensemble_floor(frozen) - 1e-10
@@ -345,8 +345,7 @@ h2_integrals, ansatz, optimizer=choice)
     def test_gd_records_every_step(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
         result = run_sa_vqe(
-            h2_integrals,
-            ansatz,
+            Sector.build(h2_integrals, ansatz),
             optimizer=OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=40))
         )
         events = result.trace.events

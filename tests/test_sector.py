@@ -18,7 +18,8 @@ from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
 from devqe.orbitals import KappaMatrix, MacroConfig, OOConfig, rotate_integrals, run_sa_oo_vqe
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
-from devqe.statevector import apply_excitation, expectation, ladder_on_basis, measure_rdms
+from devqe.statevector import (ShapeError, apply_excitation, expectation, ladder_on_basis,
+                               measure_rdms)
 
 SYSTEMS = ("h2", "h4", "lih_frozen_core", "lih")
 
@@ -130,15 +131,15 @@ def test_sector_hamiltonian_matches_occupation_basis_matrix(system):
 
 @pytest.mark.parametrize("system", ["h4", "lih"], indirect=True)
 def test_rotated_integrals_block_matches_occupation_basis_matrix(system):
-    # the macro loop builds every sector after the first from rotated
-    # integrals, which carry weight on every index
-    integrals, _, ansatz, _, sector = system
+    # every macro iteration after the first re-contracts the block from
+    # rotated integrals, which carry weight on every index
+    integrals, _, _, _, sector = system
     n_orb = integrals.n_orb
     rng = np.random.default_rng(45)
     for _ in range(3):
         kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
         rotated = rotate_integrals(integrals, kappa)
-        block = Sector.build(rotated, ansatz).hamiltonian.matrix
+        block = sector.with_integrals(rotated).hamiltonian.matrix
         reference = fock.hamiltonian_matrix(rotated, sector.basis.tolist())
         assert np.max(np.abs(block - reference)) < 1e-12
 
@@ -178,10 +179,10 @@ def test_list_rdms_match_dense_oracle(system):
     # random real normalized vectors on the sector
     vectors = rng.normal(size=(2, sector.basis.size))
     assert_rdms_match_dense_oracle(sector, vectors / np.linalg.norm(vectors, axis=1)[:, None])
-    # the sector of rotated integrals, as every macro iteration after the first builds
+    # the sector of rotated integrals, as every macro iteration after the first derives
     n_orb = integrals.n_orb
     kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
-    rotated = Sector.build(rotate_integrals(integrals, kappa), ansatz)
+    rotated = sector.with_integrals(rotate_integrals(integrals, kappa))
     theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
     assert_rdms_match_dense_oracle(rotated, sa_energy(theta, rotated, (0.5, 0.5))[2])
 
@@ -261,6 +262,37 @@ def test_sa_energy_points_bitwise_equal_to_one_point(system, n_points):
         assert tuple(energies[i].tolist()) == one_energies
 
 
+def watch_sectors(monkeypatch):
+    """Weak references to every Sector that Sector.build or
+    Sector.with_integrals returns from now on, per method."""
+    made = {"build": [], "with_integrals": []}
+    build, derive = Sector.build.__func__, Sector.with_integrals
+
+    def watched_build(cls, *args):
+        sector = build(cls, *args)
+        made["build"].append(weakref.ref(sector))
+        return sector
+
+    def watched_derive(self, integrals):
+        sector = derive(self, integrals)
+        made["with_integrals"].append(weakref.ref(sector))
+        return sector
+
+    monkeypatch.setattr(Sector, "build", classmethod(watched_build))
+    monkeypatch.setattr(Sector, "with_integrals", watched_derive)
+    return made
+
+
+def test_saoo_run_builds_one_sector(h4_integrals, monkeypatch):
+    # the orbitals are all that change between macro iterations: one build,
+    # and one re-contracted block for each stage after the first
+    made = watch_sectors(monkeypatch)
+    result = run_sa_oo_vqe(h4_integrals, default_ansatz(h4_integrals.n_orb, h4_integrals.n_elec))
+    assert result.macro_iterations == 2
+    assert len(made["build"]) == 1
+    assert len(made["with_integrals"]) == result.macro_iterations - 1
+
+
 @pytest.mark.parametrize(
     "optimizer",
     [
@@ -272,35 +304,46 @@ def test_sa_energy_points_bitwise_equal_to_one_point(system, n_points):
 )
 def test_sector_freed_with_its_run_without_garbage_collection(h2_integrals, optimizer,
                                                               monkeypatch):
-    # the run owns its sector: a reference cycle or a cache would keep it
+    # the run owns its sectors: a reference cycle or a cache would keep one
     # (for LiH, 0.4 MB of Hamiltonian block) alive after the run returns
-    built = []
-    build = Sector.build.__func__
-
-    def watched(cls, *args):
-        sector = build(cls, *args)
-        built.append(weakref.ref(sector))
-        return sector
-
-    monkeypatch.setattr(Sector, "build", classmethod(watched))
+    made = watch_sectors(monkeypatch)
     gc.disable()
     try:
-        result = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=optimizer,
-                            incumbent=[0.1, 0.0])
-        assert len(built) == 1
-        assert built[0]() is None
+        result = run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2), inner_optimizer=optimizer,
+                               macro_config=MacroConfig(max_macro_iters=2))
+        assert len(made["build"]) == 1 and len(made["with_integrals"]) == 1
+        assert all(ref() is None for refs in made.values() for ref in refs)
         assert result.evaluations > 2
     finally:
         gc.enable()
 
 
+def test_with_integrals_is_the_built_block_on_shared_parts(h4_integrals):
+    ansatz = default_ansatz(4, 4)
+    sector = Sector.build(h4_integrals, ansatz)
+    kappa = KappaMatrix.from_values(4, np.random.default_rng(48).normal(0.0, 0.3, 6))
+    rotated = rotate_integrals(h4_integrals, kappa)
+    derived = sector.with_integrals(rotated)
+    built = Sector.build(rotated, ansatz)
+    assert np.array_equal(derived.hamiltonian.matrix, built.hamiltonian.matrix)
+    assert derived.lists is sector.lists and derived.ansatz is sector.ansatz
+    assert derived.references is sector.references
+
+
+@pytest.mark.parametrize("n_orb, n_elec", [(3, 4), (5, 4), (4, 2), (4, 6)])
+def test_with_integrals_rejects_other_orbital_or_electron_counts(h4_integrals, n_orb, n_elec):
+    sector = Sector.build(h4_integrals, default_ansatz(4, 4))
+    with pytest.raises(ShapeError, match="orbital or electron count"):
+        sector.with_integrals(synthetic_integrals(n_orb, n_elec, 49))
+
+
 def test_incumbent_adopted_only_when_lower(h2_integrals):
     short = OptimizerChoice("gd", local_config=LocalOptConfig(max_iters=1))
-    plain = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=short)
-    best = run_sa_vqe(h2_integrals, default_ansatz(2, 2))
-    adopted = run_sa_vqe(h2_integrals, default_ansatz(2, 2), optimizer=short,
-                         incumbent=best.theta)
+    sector = Sector.build(h2_integrals, default_ansatz(2, 2))
+    plain = run_sa_vqe(sector, optimizer=short)
+    best = run_sa_vqe(sector)
+    adopted = run_sa_vqe(sector, optimizer=short, incumbent=best.theta)
     assert adopted.evaluations == plain.evaluations + 1
     assert np.array_equal(adopted.theta, best.theta) and adopted.e_sa == best.e_sa
-    kept = run_sa_vqe(h2_integrals, default_ansatz(2, 2), incumbent=plain.theta)
+    kept = run_sa_vqe(sector, incumbent=plain.theta)
     assert np.array_equal(kept.theta, best.theta) and kept.e_sa == best.e_sa

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from devqe import fock
 from devqe.ansatz import (
     AnsatzSpec,
+    Excitation,
     apply_ansatz,
     default_ansatz,
     double_excitation,
@@ -14,7 +15,7 @@ from devqe.ansatz import (
     paired_single,
     single_excitation,
 )
-from devqe.jw import jordan_wigner
+from devqe.jw import generator_words, jordan_wigner
 from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix, pauli_matrix
 from devqe.savqe import build_initial_states
 from devqe.statevector import (
@@ -111,14 +112,14 @@ class TestPauliApplication:
 
 class TestExcitations:
     def test_theta_zero_is_identity(self):
-        exc = single_excitation(0, 2, 4)
+        exc = single_excitation(0, 2)
         state = random_state(4, 6)
         out = apply_excitation(state, exc, 0.0)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_norm_preserved_random_angles(self):
         rng = np.random.default_rng(7)
-        exc = double_excitation((0, 1), (2, 3), 4)
+        exc = double_excitation((0, 1), (2, 3))
         for _ in range(20):
             state = random_state(4, int(rng.integers(1000)))
             out = apply_excitation(state, exc, rng.uniform(-np.pi, np.pi))
@@ -141,7 +142,7 @@ class TestExcitations:
             @ ladder_mat(0, False)
         )
         generator = tau - tau.T
-        exc = double_excitation((0, 1), (2, 3), 4)
+        exc = double_excitation((0, 1), (2, 3))
         rng = np.random.default_rng(8)
         for theta in rng.uniform(-np.pi, np.pi, 5):
             state = random_state(4, int(rng.integers(1000)))
@@ -150,7 +151,7 @@ class TestExcitations:
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
     def test_pair_swap_at_half_pi(self):
-        exc = double_excitation((0, 1), (2, 3), 4)
+        exc = double_excitation((0, 1), (2, 3))
         state = basis_state(4, [0, 1])
         out = apply_excitation(state, exc, np.pi / 2)
         assert abs(abs(out.amplitudes[0b1100]) - 1.0) < 1e-12
@@ -167,13 +168,24 @@ class TestExcitations:
         tau_up = ladder_mat(2, True) @ ladder_mat(0, False)
         tau_dn = ladder_mat(3, True) @ ladder_mat(1, False)
         generator = (tau_up - tau_up.T) + (tau_dn - tau_dn.T)
-        exc = paired_single(0, 1, 2)
+        exc = paired_single(0, 1)
         for theta in (0.2, -0.9, 1.7):
             state = random_state(4, 11)
             out = apply_excitation(state, exc, theta)
             ref = expm(theta * generator) @ state.amplitudes
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
+
+    def test_generator_words_reject_anticommuting_branches(self):
+        # c+_1 c_0 and c+_2 c_1 share mode 1: their words anticommute, so
+        # exp(theta G) is not a product of the words' rotations
+        excitation = Excitation((((1, True), (0, False)), ((2, True), (1, False))))
+        with pytest.raises(ValueError, match="mutually commute"):
+            generator_words(excitation, 3)
+
+    def test_excitation_outside_the_state_rejected(self):
+        with pytest.raises(ShapeError, match="outside the state"):
+            apply_excitation(random_state(2, 5), single_excitation(0, 2), 0.3)
 
     # sha256 of the repr of every default-ansatz generator's (string, coeff)
     # words, in circuit order, pinned from the code that stored them on each
@@ -191,7 +203,8 @@ class TestExcitations:
 
         integrals = request.getfixturevalue(f"{molecule}_integrals")
         ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
-        words = [excitation.pauli_decomposition for excitation in ansatz.excitations]
+        words = [generator_words(excitation, ansatz.n_qubits)
+                 for excitation in ansatz.excitations]
         assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 def pauli_sum_expectation(state, ham):

@@ -19,10 +19,12 @@ of its Sector.  Cases:
 - stencil: the 2D points of one central-difference gradient as one block
            (what fd_gradient hands to the batch protocol);
 - de_gen:  one DE generation of max(15, 5D) random thetas as one block;
-- macro:   the layers every SA-OO-VQE macro iteration rebuilds, in ms per
-           call: Sector.build from the integrals, minimize_orbitals on the
-           RDMs of the theta = 0.05 states (with the number of
-           rotate_integrals calls it makes), and rotate_integrals; and the
+- macro:   the layers of SA-OO-VQE's macro iterations, in ms per call:
+           Sector.build, which a run calls once; Sector.with_integrals,
+           which re-contracts the block for every macro iteration after the
+           first; minimize_orbitals on the RDMs of the theta = 0.05 states
+           (with the number of rotate_integrals calls it makes), and
+           rotate_integrals; and the
            RDMs of one such state, in ms per state, from the sector's
            replacement lists (the run path) and from the dense oracle
            measure_rdms on the scattered 2^n state, their repeats
@@ -33,7 +35,7 @@ of its Sector.  Cases:
            (D=5, np=20) and the DE methods of h2_compare (D=2, np=15, box of
            half-width pi, clamp repair).  No molecule is involved.
 
-The sa_energy cases evaluate on a Sector built once, as run_sa_vqe does.  A
+The sa_energy cases evaluate on a Sector built once, as a run does.  A
 block case also times the same points evaluated one at a time, and prints
 the ratio.  Every figure is the median over repeats of ms per evaluation (one
 evaluation = one theta) or per call.  BLAS runs on one thread.
@@ -150,8 +152,9 @@ def time_de_driver(repeats):
 
 
 def time_macro_layers(name, integrals, ansatz, sector, repeats):
-    """Print ms per call of the layers one macro iteration rebuilds."""
+    """Print ms per call of the layers of the macro iterations."""
     build_ms = ms_per_eval(lambda: savqe.Sector.build(integrals, ansatz), 1, repeats)
+    derive_ms = ms_per_eval(lambda: sector.with_integrals(integrals), 1, repeats)
     theta = np.full(ansatz.parameter_count, MACRO_THETA)
     _, _, rows = savqe.sa_energy(theta, sector, WEIGHTS)
     rdms = tuple(sector.lists.rdms(row) for row in rows)
@@ -180,8 +183,9 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
         integrals.n_orb, np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
     )
     rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
-    print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} rotate_integrals "
-          f"calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
+    print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f} (once per run), "
+          f"with_integrals {derive_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} "
+          f"rotate_integrals calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
     print(f"{name:7s} {'rdms':8s} lists {list_ms:.4f}, dense measure_rdms "
           f"{dense_ms:.4f} ms per state ({dense_ms / list_ms:.1f}x)", flush=True)
 
