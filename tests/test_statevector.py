@@ -175,7 +175,6 @@ class TestExcitations:
             ref = expm(theta * generator) @ state.amplitudes
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
-
     def test_generator_words_reject_anticommuting_branches(self):
         # c+_1 c_0 and c+_2 c_1 share mode 1: their words anticommute, so
         # exp(theta G) is not a product of the words' rotations
@@ -206,6 +205,7 @@ class TestExcitations:
         words = [generator_words(excitation, ansatz.n_qubits)
                  for excitation in ansatz.excitations]
         assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
+
 
 def pauli_sum_expectation(state, ham):
     """<psi|H|psi> term by term through the letter-string apply_pauli."""
