@@ -126,42 +126,56 @@ class GivensAnsatz:
                    tuple(sets))
 
     def apply(self, amplitudes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """U(thetas[r]) applied to row r of an (R, S) block, for every row.
+        """U(thetas[r]) applied to every state of group r of an (R, n, S)
+        block, for every group; a (1, n, S) block is one group of n states
+        that every theta row evolves.  Returns the (R, n, S) block.
 
-        Every operation is elementwise within a row, and cos and sin come from
-        math.cos and math.sin on each row's angle, so a row comes out bitwise
-        the same in any block.
+        cos and sin come from math.cos and math.sin, once per group and
+        parameter, and every operation is elementwise within a state, so a
+        state comes out bitwise the same in any block and any group.
         """
+        n_groups, n_states = len(thetas), amplitudes.shape[1]
         angles = thetas.T.ravel().tolist()
-        shape = (self.parameter_count, 1, len(amplitudes))
-        cos = np.array(list(map(math.cos, angles))).reshape(shape)
-        sin = np.array(list(map(math.sin, angles))).reshape(shape)
-        out = amplitudes.T.copy()  # (S, R): a set gathers whole basis rows
+        # each (point, parameter) angle's cos and sin, repeated over the
+        # point's n states: a set then multiplies (S, R * n) rows by
+        # contiguous operands, which is faster than broadcasting over n
+        shape = (self.parameter_count, 1, n_groups * n_states)
+        cos = np.array(list(map(math.cos, angles))).repeat(n_states).reshape(shape)
+        sin = np.array(list(map(math.sin, angles))).repeat(n_states).reshape(shape)
+        # (S, R, n): a set gathers whole basis rows
+        out = np.empty((self.width, n_groups, n_states), dtype=amplitudes.dtype)
+        out[...] = amplitudes.transpose(2, 0, 1)
+        work = out.reshape(self.width, n_groups * n_states)  # a view of out
         for k, (rows, partners, coeffs) in zip(self.params, self.sets):
-            mixed = out.take(partners, axis=0)
+            mixed = work.take(partners, axis=0)
             mixed *= coeffs
             mixed *= sin[k]
-            kept = out.take(rows, axis=0)
+            kept = work.take(rows, axis=0)
             kept *= cos[k]
             kept += mixed
-            out[rows] = kept
-        return out.T.copy()
+            work[rows] = kept
+        return out.transpose(1, 2, 0).copy()
 
 
 def apply_ansatz(state, ansatz, theta):
     """U(theta)|psi> for an AnsatzSpec or a GivensAnsatz.
 
-    `state` is a StateVector with a theta vector (returns a StateVector), or
-    an amplitude block with an (R, P) theta block, one state and one theta
-    per row (returns the evolved block).  A block is (R, S) on a
-    GivensAnsatz's basis; an AnsatzSpec runs as the Givens sets of the full
-    basis of 2^n determinants, so its block is (R, 2^n).
+    `state` is one of
+    - a StateVector, with a theta vector (returns a StateVector);
+    - an (R, S) amplitude block with an (R, P) theta block, one state and one
+      theta per row (returns the evolved (R, S) block);
+    - an (R, n, S) block of R groups of n states with an (R, P) theta block,
+      one theta per group, or a (1, n, S) block of n states that every theta
+      row evolves (returns the evolved (R, n, S) block).
+    A block is on a GivensAnsatz's basis, of size S; an AnsatzSpec runs as
+    the Givens sets of the full basis of 2^n determinants, so S = 2^n.
     """
     if isinstance(ansatz, GivensAnsatz):
         kernel = ansatz
     else:
         kernel = GivensAnsatz.on_basis(ansatz, np.arange(2**ansatz.n_qubits))
     single = isinstance(state, StateVector)
+    grouped = not single and np.ndim(state) == 3
     amplitudes = state.amplitudes[None] if single else state
     thetas = np.asarray(theta, dtype=float)
     thetas = thetas[None] if single else thetas
@@ -169,7 +183,11 @@ def apply_ansatz(state, ansatz, theta):
         raise ValueError("theta length must equal the ansatz parameter count")
     if amplitudes.shape[-1] != kernel.width:
         raise ShapeError("ansatz and state widths differ")
-    if len(thetas) != len(amplitudes):
+    if grouped and len(amplitudes) not in (1, len(thetas)):
+        raise ShapeError("a grouped block needs one theta row per group, or one group")
+    if not grouped and len(thetas) != len(amplitudes):
         raise ShapeError("a block needs one theta row per state")
-    out = kernel.apply(amplitudes, thetas)
-    return StateVector(state.n_qubits, out[0]) if single else out
+    out = kernel.apply(amplitudes if grouped else amplitudes[:, None], thetas)
+    if grouped:
+        return out
+    return StateVector(state.n_qubits, out[0, 0]) if single else out[:, 0]

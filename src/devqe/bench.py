@@ -16,9 +16,9 @@ from . import de as de_mod
 from . import local as local_mod
 from .ansatz import default_ansatz
 from .de import ObjectiveError
-from .integrals import FcidumpError, load_fcidump
+from .integrals import FcidumpError, MolecularIntegrals, load_fcidump
 from .orbitals import INNER_FAILURES, MacroConfig, run_sa_oo_vqe
-from .savqe import EnsembleSpec, OptimizerChoice, Sector, run_sa_vqe
+from .savqe import EnsembleSpec, OptimizerChoice, Sector, closed_shell_problem, run_sa_vqe
 
 SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
 N_REFERENCES = 2  # the Hartree-Fock and singlet-excited references of every run
@@ -305,6 +305,20 @@ def cmd_optimize(config: dict, out_dir) -> str:
 # molecule runs
 
 
+class UnsupportedMolecule(UsageError):
+    """An FCIDUMP whose molecule the closed-shell sector cannot represent."""
+
+
+def load_molecule(path) -> MolecularIntegrals:
+    """The integrals of an FCIDUMP file, checked where they are loaded: an
+    odd NELEC, MS2 != 0 or no virtual orbital is an UnsupportedMolecule."""
+    integrals = load_fcidump(path)
+    problem = closed_shell_problem(integrals.n_orb, integrals.n_elec, integrals.ms2)
+    if problem is not None:
+        raise UnsupportedMolecule(f"{path}: {problem}")
+    return integrals
+
+
 def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     """One full run on a molecule: mode "saoo" (macro loop, an SAOOVQEResult) or
     "savqe" (fixed orbitals, a single VQE stage, an SAVQEResult)."""
@@ -407,7 +421,7 @@ def cmd_compare(config: dict, out_dir) -> str:
     fcidump_path = config.get("molecule")
     if not fcidump_path:
         raise UsageError("compare requires molecule=<fcidump path> in the config")
-    integrals = load_fcidump(fcidump_path)
+    integrals = load_molecule(fcidump_path)
     methods = str(config.get("optimizer", "bfgs")).replace(",", " ").split()
     if not methods:
         raise UsageError(f"optimizer list {config.get('optimizer')!r} names no optimizer")
@@ -497,9 +511,9 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
         for name in files:
             label = os.path.splitext(name)[0]
             try:
-                integrals = load_fcidump(os.path.join(scan_dir, name))
+                integrals = load_molecule(os.path.join(scan_dir, name))
                 run = run_molecule(integrals, method, seed, config, mode)
-            except (*RUN_FAILURES, FcidumpError) as exc:
+            except (*RUN_FAILURES, FcidumpError, UnsupportedMolecule) as exc:
                 if _programming_error(exc):
                     raise
                 failures.append((label, str(exc)))
@@ -524,7 +538,7 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
     fcidump_path = config.get("molecule")
     if not fcidump_path:
         raise UsageError(f"{mode} requires molecule=<fcidump path> in the config")
-    integrals = load_fcidump(fcidump_path)
+    integrals = load_molecule(fcidump_path)
     method = config.get("optimizer", "bfgs")
     seed = parse_seed(config.get("seeds"))
     os.makedirs(out_dir, exist_ok=True)

@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import local as local_mod
 from .de import ObjectiveError
@@ -78,7 +77,12 @@ class KappaMatrix:
         return mat
 
     def rotation(self) -> np.ndarray:
-        """U = expm(-kappa); orthogonal because kappa is antisymmetric."""
+        """U = expm(-kappa); orthogonal because kappa is antisymmetric.
+
+        scipy loads here, at the first rotation, so that a process that never
+        rotates orbitals (a DE run on a test function) does not pay for it."""
+        from scipy.linalg import expm
+
         return expm(-self.full())
 
 

@@ -83,14 +83,27 @@ class SAVQEResult:
     stop_reason: str
 
 
+def closed_shell_problem(n_orb: int, n_elec: int, ms2: int = 0) -> str | None:
+    """Why the closed-shell (N, S_z = 0) sector and its two references cannot
+    hold n_elec electrons in n_orb orbitals at S_z = ms2 / 2; None when they
+    can."""
+    if n_elec % 2:
+        return f"NELEC = {n_elec} is odd; only closed-shell references are supported"
+    if ms2:
+        return f"MS2 = {ms2}; the closed-shell sector has S_z = 0"
+    if not 0 < n_elec // 2 < n_orb:
+        return (f"NELEC = {n_elec} in NORB = {n_orb} orbitals; the excited reference "
+                "needs an occupied and a virtual orbital")
+    return None
+
+
 def _closed_shell_sector(n_orb: int, n_elec: int):
     """The replacement lists of the closed-shell (N, S_z = 0) sector and the
     two references on it as (2, S) rows: the Hartree-Fock determinant and
     the normalized singlet HOMO->LUMO single E_(LUMO,HOMO)|HF>/sqrt(2)."""
-    if n_elec % 2:
-        raise ValueError("only closed-shell references are supported")
-    if not 0 < n_elec // 2 < n_orb:
-        raise ValueError("the excited reference needs an occupied and a virtual orbital")
+    problem = closed_shell_problem(n_orb, n_elec)
+    if problem is not None:
+        raise ValueError(problem)
     # n_elec/2 electrons in the even (spin-up) modes, and as many in the odd ones
     up = np.array([sum(1 << 2 * orb for orb in occ)
                    for occ in itertools.combinations(range(n_orb), n_elec // 2)], dtype=np.intp)
@@ -178,18 +191,14 @@ def sa_energy(theta, sector: Sector, weights):
     thetas = np.asarray(theta, dtype=float)
     single = thetas.ndim == 1
     thetas = np.atleast_2d(thetas)
-    n_states = len(sector.references)
-    # row i * n_states + k is reference k under point i
-    block = apply_ansatz(
-        np.tile(sector.references, (len(thetas), 1)),
-        sector.ansatz,
-        np.repeat(thetas, n_states, axis=0),
-    )
-    energies = expectation(block, sector.hamiltonian).reshape(-1, n_states)
+    # group i holds the references under point i
+    block = apply_ansatz(sector.references[None], sector.ansatz, thetas)
+    n_points, n_states, width = block.shape
+    energies = expectation(block.reshape(-1, width), sector.hamiltonian).reshape(n_points, n_states)
     e_sa = sum(w * e for w, e in zip(weights, energies.T))
     if not single:
         return e_sa, energies, None
-    return float(e_sa[0]), tuple(energies[0].tolist()), block
+    return float(e_sa[0]), tuple(energies[0].tolist()), block[0]
 
 
 class _CountedObjective:

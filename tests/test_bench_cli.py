@@ -63,6 +63,21 @@ PROGRAMMING_ERRORS = [
     wrapped(TypeError("unsupported operand")),
 ]
 
+# H2 headers the closed-shell sector cannot represent, with the reason given
+UNSUPPORTED_HEADERS = {
+    "odd_nelec": ("NORB=2,NELEC=1,MS2=0", "NELEC = 1 is odd"),
+    "ms2": ("NORB=2,NELEC=2,MS2=2", "MS2 = 2"),
+    "no_virtual": ("NORB=2,NELEC=4,MS2=0", "NELEC = 4 in NORB = 2 orbitals"),
+}
+
+
+def write_unsupported(path, case):
+    """The H2 fixture with the header of UNSUPPORTED_HEADERS[case]."""
+    text = open(fixture_path("h2_sto3g.fcidump")).read()
+    header = UNSUPPORTED_HEADERS[case][0]
+    path.write_text(text.replace("NORB=2,NELEC=2,MS2=0", header, 1))
+    return str(path)
+
 
 class TestConfig:
     def test_unknown_key_is_an_error(self, tmp_path):
@@ -397,6 +412,23 @@ class TestScan:
             cmd_scan(config, str(tmp_path / "out"), "savqe")
         assert not (tmp_path / "out").exists()
 
+    def test_unsupported_molecules_recorded_and_rest_continue(self, tmp_path, h2_scan_dir):
+        import shutil
+
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        for case in UNSUPPORTED_HEADERS:
+            write_unsupported(scan / f"h2_{case}.fcidump", case)
+        out = tmp_path / "out"
+        rows = read_rows(cmd_scan({"molecule": str(scan), "optimizer": "bfgs"}, str(out), "savqe"))
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("h2_ms2", "failed"), ("h2_no_virtual", "failed"), ("h2_odd_nelec", "failed"),
+            ("h2_r1.10", "ok"), ("h2_r1.40", "ok"), ("h2_r2.00", "ok"),
+        ]
+        failures = dict(read_rows(os.path.join(str(out), "failures.csv"))[1:])
+        for case, (_, reason) in UNSUPPORTED_HEADERS.items():
+            assert reason in failures[f"h2_{case}"]
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -519,6 +551,21 @@ class TestCliExitCodes:
         config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
                               optimizer=",", seeds="0")
         assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNSUPPORTED_HEADERS))
+    @pytest.mark.parametrize("command", ["vqe", "saoo", "compare"])
+    def test_unsupported_molecule_exit_two_before_any_run(self, tmp_path, command, case,
+                                                          monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a molecule ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        molecule = write_unsupported(tmp_path / "mol.fcidump", case)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert UNSUPPORTED_HEADERS[case][1] in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exit_two(self, tmp_path):

@@ -1,5 +1,9 @@
 """Orbital rotation, contracted ensemble energy, and the macro loop."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,38 @@ from devqe.orbitals import (
 from devqe.savqe import OptimizerChoice, Sector, run_sa_vqe, sa_energy
 from devqe.statevector import measure_rdms, rdm_energy
 from devqe.trace import SCOPE_MACRO, SCOPE_STEP
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# run in a fresh interpreter: a DE run loads no scipy, the first rotation does
+SCIPY_AT_FIRST_ROTATION = """
+import sys
+import numpy as np
+import devqe
+from devqe import bench, de
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+config = de.DEConfig(np_size=10, seed=0, termination=de.TerminationCriteria(max_evals=200))
+de.de_minimize(bench.sphere, de.Bounds.box(-5.0, 5.0, 3), config)
+assert not scipy_loaded(), sorted(name for name in sys.modules if name.startswith("scipy"))
+kappa = devqe.KappaMatrix.from_values(4, np.linspace(-0.7, 0.9, 6))
+u = kappa.rotation()
+assert scipy_loaded()
+from scipy.linalg import expm
+assert np.array_equal(u, expm(-kappa.full()))
+"""
+
+
+def test_scipy_loads_at_the_first_rotation():
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    run = subprocess.run([sys.executable, "-c", SCIPY_AT_FIRST_ROTATION], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def hf_rdms(n_orb, n_elec):

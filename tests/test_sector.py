@@ -4,14 +4,16 @@ expectation."""
 
 import gc
 import hashlib
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from devqe import ansatz as ansatz_mod
 from devqe import fock, statevector
-from devqe.ansatz import apply_ansatz, default_ansatz
+from devqe.ansatz import GivensAnsatz, apply_ansatz, default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals, freeze_core
 from devqe.jw import jordan_wigner
@@ -260,6 +262,71 @@ def test_sa_energy_points_bitwise_equal_to_one_point(system, n_points):
         one_e_sa, one_energies, _ = sa_energy(theta, sector, (0.25, 0.75))
         assert e_sa[i] == one_e_sa
         assert tuple(energies[i].tolist()) == one_energies
+
+
+class CountingTrig:
+    """Stands in for the math module: cos and sin, with their calls counted."""
+
+    def __init__(self):
+        self.calls = {"cos": 0, "sin": 0}
+
+    def cos(self, x):
+        self.calls["cos"] += 1
+        return math.cos(x)
+
+    def sin(self, x):
+        self.calls["sin"] += 1
+        return math.sin(x)
+
+
+def counted_apply(monkeypatch, *args):
+    """apply_ansatz(*args) and the cos and sin calls it made."""
+    trig = CountingTrig()
+    with monkeypatch.context() as patch:
+        patch.setattr(ansatz_mod, "math", trig)
+        return apply_ansatz(*args), trig.calls
+
+
+@pytest.mark.parametrize("system", SYSTEMS, indirect=True)
+def test_grouped_rows_bitwise_equal_to_per_row_rows(system, monkeypatch):
+    # each point evolves every reference: as one group per point, the point
+    # takes its cos and sin once; as one row per (point, reference), once per row
+    _, _, ansatz, states, sector = system
+    n_points, n_states, n_params = 5, len(sector.references), ansatz.parameter_count
+    thetas = np.random.default_rng(44).uniform(-np.pi, np.pi, (n_points, n_params))
+    row_thetas = np.repeat(thetas, n_states, axis=0)
+    per_row, row_calls = counted_apply(
+        monkeypatch, np.tile(sector.references, (n_points, 1)), sector.ansatz, row_thetas)
+    grouped, group_calls = counted_apply(monkeypatch, sector.references[None], sector.ansatz,
+                                         thetas)
+    per_point = n_points * n_params
+    assert row_calls == {"cos": n_states * per_point, "sin": n_states * per_point}
+    assert group_calls == {"cos": per_point, "sin": per_point}
+    assert grouped.shape == (n_points, n_states, sector.basis.size)
+    assert np.array_equal(grouped.reshape(per_row.shape), per_row)
+    # R groups of their own give the rows of the one shared group
+    own = apply_ansatz(np.tile(sector.references, (n_points, 1, 1)), sector.ansatz, thetas)
+    assert np.array_equal(own, grouped)
+    # the complex 2^n references, on the Givens sets of the full basis
+    dense = GivensAnsatz.on_basis(ansatz, np.arange(2**ansatz.n_qubits))
+    refs = np.array([state.amplitudes for state in states])
+    dense_rows = apply_ansatz(np.tile(refs, (2, 1)), dense, row_thetas[:2 * n_states])
+    dense_grouped = apply_ansatz(refs[None], dense, thetas[:2])
+    assert dense_grouped.dtype == complex
+    assert np.array_equal(dense_grouped.reshape(dense_rows.shape), dense_rows)
+
+
+def test_grouped_block_shapes_checked(h2_integrals):
+    sector = Sector.build(h2_integrals, default_ansatz(h2_integrals.n_orb, h2_integrals.n_elec))
+    thetas = np.zeros((3, sector.ansatz.parameter_count))
+    blocks = np.tile(sector.references, (3, 1, 1))
+    assert apply_ansatz(blocks, sector.ansatz, thetas).shape == blocks.shape
+    with pytest.raises(ShapeError):
+        apply_ansatz(blocks[:2], sector.ansatz, thetas)
+    with pytest.raises(ShapeError):
+        apply_ansatz(blocks[..., :-1], sector.ansatz, thetas)
+    with pytest.raises(ValueError):
+        apply_ansatz(blocks, sector.ansatz, thetas[:, :-1])
 
 
 def watch_sectors(monkeypatch):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Milliseconds per objective evaluation of the SA-VQE energy, point by point
-and in blocks, the per-macro-iteration layers of SA-OO-VQE, and the DE
-driver's own cost per evaluation.
+and in blocks, the per-macro-iteration layers of SA-OO-VQE, the DE driver's
+own cost per evaluation, and the start-up cost of a fresh interpreter.
 
 Run from the repository root:
 
@@ -9,6 +9,7 @@ Run from the repository root:
     python tools/time_layers.py --cases point        # one point only
     python tools/time_layers.py --cases macro        # the per-macro layers only
     python tools/time_layers.py --cases de_driver    # the DE driver only
+    python tools/time_layers.py --cases startup      # import and first rotation
 
 Systems: H2 (4 qubits), H4 (8), LiH with a frozen core (10) and full LiH (12),
 each with its default ansatz and the two SA-VQE references.  For each system
@@ -34,6 +35,11 @@ of its Sector.  Cases:
            the objective nearly free: the de_sphere benchmark's three variants
            (D=5, np=20) and the DE methods of h2_compare (D=2, np=15, box of
            half-width pi, clamp repair).  No molecule is involved.
+- startup: milliseconds from before `import devqe` to after it, and to after
+           the first KappaMatrix.rotation, side by side, each the median
+           over --repeats fresh interpreters.  scipy loads at that first
+           rotation, so the difference is the import a DE-only process
+           never pays and an SA-OO process pays in its first orbital stage.
 
 The sa_energy cases evaluate on a Sector built once, as a run does.  A
 block case also times the same points evaluated one at a time, and prints
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
+import subprocess
 import sys
 from time import perf_counter
 
@@ -62,7 +69,7 @@ from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
 from devqe.statevector import measure_rdms  # noqa: E402
 
-CASES = ("point", "stencil", "de_gen", "macro", "de_driver")
+CASES = ("point", "stencil", "de_gen", "macro", "de_driver", "startup")
 DE_DRIVER_EVALS = 6000
 # (workload, D, np, box half-width, strategy, crossover, boundary)
 DE_DRIVER_RUNS = (
@@ -151,6 +158,32 @@ def time_de_driver(repeats):
               f"{boundary:8s} {us:8.2f}", flush=True)
 
 
+# a fresh interpreter's seconds to `import devqe`, and to its first rotation
+STARTUP_PROBE = """
+from time import perf_counter
+start = perf_counter()
+import devqe
+imported = perf_counter()
+devqe.KappaMatrix.from_values(2, [0.1]).rotation()
+print(imported - start, perf_counter() - start)
+"""
+
+
+def time_startup(repeats):
+    """Print the median over `repeats` fresh interpreters of the time to
+    import devqe, and to import it and make the first orbital rotation."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    samples = []
+    for _ in range(repeats):
+        done = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
+                              capture_output=True, text=True)
+        samples.append([float(value) for value in done.stdout.split()])
+    imported, rotated = (1e3 * statistics.median(column) for column in zip(*samples))
+    print(f"start-up, median of {repeats} fresh interpreters: import devqe {imported:.1f} ms, "
+          f"import devqe + first KappaMatrix.rotation {rotated:.1f} ms "
+          f"(the rotation, scipy's import included, {rotated - imported:.1f} ms)", flush=True)
+
+
 def time_macro_layers(name, integrals, ansatz, sector, repeats):
     """Print ms per call of the layers of the macro iterations."""
     build_ms = ms_per_eval(lambda: savqe.Sector.build(integrals, ansatz), 1, repeats)
@@ -201,9 +234,11 @@ def main(argv=None) -> int:
     unknown = sorted(set(cases) - set(CASES))
     if unknown:
         parser.error(f"unknown cases {', '.join(unknown)}; valid: {', '.join(CASES)}")
+    if "startup" in cases:
+        time_startup(args.repeats)
     if "de_driver" in cases:
         time_de_driver(args.repeats)
-    cases = [case for case in cases if case != "de_driver"]
+    cases = [case for case in cases if case not in ("startup", "de_driver")]
     if not cases:
         return 0
     wanted = args.systems.split(",")
