@@ -177,6 +177,59 @@ class TestMinimizeOrbitals:
         assert result.kappa.pairs == [(2, 1)]
 
 
+def theta_005_rdms(integrals):
+    """The RDMs of the two SA-VQE states at theta = 0.05 in every parameter."""
+    ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+    sector = Sector.build(integrals, ansatz)
+    _, _, rows = sa_energy(np.full(ansatz.parameter_count, 0.05), sector, (0.5, 0.5))
+    return tuple(sector.lists.rdms(row) for row in rows)
+
+
+# minimize_orbitals on the theta = 0.05 RDMs, pinned from the code in which
+# KappaMatrix carried the rotation: (sha256 of the rotated h and g bytes,
+# repr of E_SA, repr of the state energies)
+ORBITAL_STAGE_PINS = {
+    ("h4", None): (
+        "4a28fe49929eb97c6ab1a0e5606ad7b1d99e0652a6899ba6b3ba41b2454748b5",
+        "-1.8175466893219079", ("-1.998358043254533", "-1.6367353353892828")),
+    ("h4", "mask"): (
+        "ff069dc33e5de70d55d46429cdfc6df107120effc6492c2da9c10ea3856ec4be",
+        "-1.8069973045103795", ("-2.034730675475511", "-1.5792639335452483")),
+    ("lih_frozen_core", None): (
+        "e62d1ec39aed32900fe9e1d48a2bbaa6c557c159609953015d65be17d42e6e6f",
+        "-7.778812108966072", ("-7.8236333704049095", "-7.733990847527234")),
+    ("lih_frozen_core", "mask"): (
+        "97b2f43053a5104fc4f43d62eacbd13540e058e4f7a2fd504aad3824c4adf707",
+        "-7.761084573951348", ("-7.829539729198346", "-7.6926294187043505")),
+    ("lih", None): (
+        "a03322bd7260c5924c2842b6890e45827012b6060e71de832f172239b3be6cdf",
+        "-7.726386016415089", ("-7.763087840137914", "-7.689684192692263")),
+    ("lih", "mask"): (
+        "c6ba02fd919ea72ddec960355afa28ee10e8c15e8cc233a0e80254a00bf62fc1",
+        "-7.669461662147752", ("-7.730882821038066", "-7.608040503257437")),
+}
+PIN_MASK = [(2, 0), (3, 1)]
+
+
+@pytest.mark.parametrize("molecule, mask", sorted(ORBITAL_STAGE_PINS, key=str),
+                         ids=lambda v: str(v))
+def test_minimize_orbitals_pins(request, molecule, mask):
+    import hashlib
+
+    from devqe.integrals import freeze_core
+
+    if molecule == "lih_frozen_core":
+        integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
+    else:
+        integrals = request.getfixturevalue(f"{molecule}_integrals")
+    config = OOConfig(pair_mask=PIN_MASK if mask else None)
+    result = minimize_orbitals(integrals, theta_005_rdms(integrals), (0.5, 0.5), config)
+    digest = hashlib.sha256(result.integrals.h.tobytes() + result.integrals.g.tobytes())
+    assert (digest.hexdigest(), repr(float(result.e_sa)),
+            tuple(repr(float(e)) for e in result.state_energies)) == ORBITAL_STAGE_PINS[
+                molecule, mask]
+
+
 class TestMacroConfig:
     @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
     def test_macro_tol_rejected(self, value):
