@@ -30,7 +30,6 @@ from .integrals import (
 from .jw import jordan_wigner
 from .local import LocalOptConfig, LocalResult, bfgs_minimize, fd_gradient, gradient_descent
 from .orbitals import (
-    KappaMatrix,
     MacroConfig,
     OOConfig,
     minimize_orbitals,

@@ -105,6 +105,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     if "NORB" not in fields or "NELEC" not in fields:
         raise HeaderError("header must define NORB and NELEC")
     n_orb = fields["NORB"]
+    if n_orb < 1:
+        raise HeaderError(f"NORB must be at least 1, got {n_orb}")
     n_elec = fields["NELEC"]
     ms2 = fields.get("MS2", 0)
 

@@ -1,8 +1,12 @@
 """Classical state-averaged orbital optimization and the full macro-iteration.
 
-The orbital rotation is parameterized by the independent entries of a real
-antisymmetric matrix kappa; U = expm(-kappa) is orthogonal, and integrals
-transform as h' = U^T h U with the matching four-index transform for g.
+kappa is a plain vector, one value per rotation pair (p, q) with q < p; the
+antisymmetric matrix it fills gives the orthogonal U = expm(-kappa), and
+integrals transform as h' = U^T h U with the matching four-index transform
+for g.  Pairs are checked once, by OOConfig and against the orbital count
+before a run's first stage; integrals are checked where they enter (parse,
+freeze_core, the constructor), and rotated copies skip that check because an
+orthogonal U cannot break the symmetries it tests.
 The ensemble energy over FIXED correlated-state RDMs is minimized over kappa
 with BFGS on finite-difference gradients, then the macro loop alternates that
 classical stage with a fresh SA-VQE stage until the state-averaged energy
@@ -14,8 +18,10 @@ from the rotated integrals.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,66 +51,45 @@ def default_pairs(n_orb: int):
     return [(p, q) for p in range(n_orb) for q in range(p)]
 
 
-@dataclass
-class KappaMatrix:
-    n_orb: int
-    pairs: list
-    values: np.ndarray
+def rotation(n_orb: int, values, pairs=None) -> np.ndarray:
+    """U = expm(-kappa) for the antisymmetric kappa with kappa[p, q] = value
+    and kappa[q, p] = -value over `pairs` (default: every q < p).
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.pairs),):
-            raise ValueError("one value per rotation pair required")
-        for p, q in self.pairs:
-            if not 0 <= q < p < self.n_orb:
-                raise ValueError("pairs must satisfy 0 <= q < p < n_orb")
+    scipy loads here, at the first rotation, so that a process that never
+    rotates orbitals (a DE run on a test function) does not pay for it."""
+    from scipy.linalg import expm
 
-    @classmethod
-    def zero(cls, n_orb: int, pairs=None) -> "KappaMatrix":
-        pairs = default_pairs(n_orb) if pairs is None else list(pairs)
-        return cls(n_orb=n_orb, pairs=pairs, values=np.zeros(len(pairs)))
-
-    @classmethod
-    def from_values(cls, n_orb: int, values, pairs=None) -> "KappaMatrix":
-        pairs = default_pairs(n_orb) if pairs is None else list(pairs)
-        return cls(n_orb=n_orb, pairs=pairs, values=np.asarray(values, dtype=float))
-
-    def full(self) -> np.ndarray:
-        mat = np.zeros((self.n_orb, self.n_orb))
-        for (p, q), val in zip(self.pairs, self.values):
-            mat[p, q] = val
-            mat[q, p] = -val
-        return mat
-
-    def rotation(self) -> np.ndarray:
-        """U = expm(-kappa); orthogonal because kappa is antisymmetric.
-
-        scipy loads here, at the first rotation, so that a process that never
-        rotates orbitals (a DE run on a test function) does not pay for it."""
-        from scipy.linalg import expm
-
-        return expm(-self.full())
+    values = np.asarray(values, dtype=float)
+    rows, cols = np.asarray(default_pairs(n_orb) if pairs is None else pairs,
+                            dtype=np.intp).reshape(-1, 2).T
+    if values.shape != rows.shape:
+        raise ValueError("one value per rotation pair required")
+    kappa = np.zeros((n_orb, n_orb))
+    kappa[rows, cols] = values
+    kappa[cols, rows] = -values
+    return expm(-kappa)
 
 
-def rotate_integrals(integrals: MolecularIntegrals, kappa: KappaMatrix) -> MolecularIntegrals:
-    """Transform h and g into the rotated orbital basis; core energy unchanged."""
-    if kappa.n_orb != integrals.n_orb:
-        raise ValueError("rotation dimension does not match the integrals")
-    u = kappa.rotation()
-    h_rot = u.T @ integrals.h @ u
+def rotate_integrals(integrals: MolecularIntegrals, values, pairs=None) -> MolecularIntegrals:
+    """Transform h and g into the orbital basis rotated by kappa; core energy
+    unchanged.  The copy skips MolecularIntegrals' symmetry check."""
+    u = rotation(integrals.n_orb, values, pairs)
+    rotated = copy.copy(integrals)
+    rotated.h = u.T @ integrals.h @ u
     # four successive single-index contractions, O(n^5)
     g_rot = integrals.g
     for axis in range(4):
         g_rot = np.tensordot(g_rot, u, axes=([0], [0]))
     # each tensordot consumes the leading axis and appends the new index,
     # so after four passes the index order is restored
-    return replace(integrals, h=h_rot, g=g_rot)
+    rotated.g = g_rot
+    return rotated
 
 
-def sa_oo_energy(kappa: KappaMatrix, base_integrals: MolecularIntegrals,
-                 rdms_per_state, weights) -> float:
+def sa_oo_energy(values, base_integrals: MolecularIntegrals, rdms_per_state, weights,
+                 pairs=None) -> float:
     """Ensemble energy of the FIXED correlated states under rotated integrals."""
-    rotated = rotate_integrals(base_integrals, kappa)
+    rotated = rotate_integrals(base_integrals, values, pairs)
     energies = [rdm_energy(rotated, rdms) for rdms in rdms_per_state]
     return float(sum(w * e for w, e in zip(weights, energies)))
 
@@ -116,10 +101,26 @@ class OOConfig:
     )
     pair_mask: list | None = None  # restrict rotations, e.g. for frozen cores
 
+    def __post_init__(self):
+        seen = set()
+        for p, q in self.pair_mask or ():
+            if not 0 <= operator.index(q) < operator.index(p):
+                raise ValueError(f"rotation pair {(p, q)} must satisfy 0 <= q < p")
+            if (p, q) in seen:
+                raise ValueError(f"rotation pair {(p, q)} repeats")
+            seen.add((p, q))
+
+    def pairs(self, n_orb: int) -> np.ndarray:
+        """The rotation pairs over n_orb orbitals as a (P, 2) index array."""
+        pairs = default_pairs(n_orb) if self.pair_mask is None else self.pair_mask
+        if any(p >= n_orb for p, _ in pairs):
+            raise ValueError(f"rotation pairs must satisfy p < n_orb = {n_orb}")
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
 
 @dataclass
 class OOResult:
-    kappa: KappaMatrix
+    kappa: np.ndarray  # one value per rotation pair
     integrals: MolecularIntegrals
     e_sa: float
     state_energies: tuple
@@ -134,35 +135,27 @@ def minimize_orbitals(base_integrals: MolecularIntegrals, rdms_per_state,
     line search falls back to the identity rotation.
     """
     oo_config = oo_config or OOConfig()
-    n_orb = base_integrals.n_orb
-    pairs = default_pairs(n_orb) if oo_config.pair_mask is None else list(oo_config.pair_mask)
-
-    def finish(kappa, e_sa, failed):
-        rotated = rotate_integrals(base_integrals, kappa)
-        energies = tuple(rdm_energy(rotated, rdms) for rdms in rdms_per_state)
-        return OOResult(
-            kappa=kappa,
-            integrals=rotated,
-            e_sa=e_sa,
-            state_energies=energies,
-            line_search_failed=failed,
-        )
-
-    zero = KappaMatrix.zero(n_orb, pairs)
-    e_zero = sa_oo_energy(zero, base_integrals, rdms_per_state, weights)
-    if not pairs:  # nothing to rotate (n_orb == 1 or masked out)
-        return finish(zero, e_zero, False)
+    pairs = oo_config.pairs(base_integrals.n_orb)
 
     def objective(values):
-        kappa = KappaMatrix.from_values(n_orb, values, pairs)
-        return sa_oo_energy(kappa, base_integrals, rdms_per_state, weights)
+        return sa_oo_energy(values, base_integrals, rdms_per_state, weights, pairs)
 
-    result = local_mod.bfgs_minimize(objective, np.zeros(len(pairs)), oo_config.local)
-    failed = result.stop_reason == "line_search_failed"
-    if result.fun > e_zero + NO_WORSE_SLACK or (failed and result.fun >= e_zero):
-        return finish(zero, e_zero, failed)
-    kappa = KappaMatrix.from_values(n_orb, result.x, pairs)
-    return finish(kappa, result.fun, failed)
+    kappa = np.zeros(len(pairs))
+    e_sa = e_zero = objective(kappa)
+    failed = False
+    if len(pairs):  # nothing to rotate when n_orb == 1 or every pair is masked out
+        result = local_mod.bfgs_minimize(objective, kappa, oo_config.local)
+        failed = result.stop_reason == "line_search_failed"
+        if not (result.fun > e_zero + NO_WORSE_SLACK or (failed and result.fun >= e_zero)):
+            kappa, e_sa = result.x, result.fun
+    rotated = rotate_integrals(base_integrals, kappa, pairs)
+    return OOResult(
+        kappa=kappa,
+        integrals=rotated,
+        e_sa=e_sa,
+        state_energies=tuple(rdm_energy(rotated, rdms) for rdms in rdms_per_state),
+        line_search_failed=failed,
+    )
 
 
 @dataclass
@@ -229,6 +222,7 @@ def run_sa_oo_vqe(
     inner_optimizer = inner_optimizer or OptimizerChoice("bfgs")
     oo_config = oo_config or OOConfig()
     macro_config = macro_config or MacroConfig()
+    oo_config.pairs(integrals.n_orb)  # a pair beyond the orbitals fails before any stage
 
     sector = Sector.build(integrals, ansatz)
     trace = OptimizationTrace()

@@ -79,6 +79,13 @@ def write_unsupported(path, case):
     return str(path)
 
 
+def write_norb(path, norb):
+    """The H2 fixture with NORB = norb in its header."""
+    text = open(fixture_path("h2_sto3g.fcidump")).read()
+    path.write_text(text.replace("NORB=2", f"NORB={norb}", 1))
+    return str(path)
+
+
 class TestConfig:
     def test_unknown_key_is_an_error(self, tmp_path):
         path = write_config(tmp_path, optimizer="bfgs", warp_factor="9")
@@ -429,6 +436,21 @@ class TestScan:
         for case, (_, reason) in UNSUPPORTED_HEADERS.items():
             assert reason in failures[f"h2_{case}"]
 
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one_recorded_and_rest_continue(self, tmp_path, h2_scan_dir, norb):
+        import shutil
+
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        write_norb(scan / "h2_r0.50.fcidump", norb)
+        out = tmp_path / "out"
+        rows = read_rows(cmd_scan({"molecule": str(scan), "optimizer": "bfgs"}, str(out), "savqe"))
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("h2_r0.50", "failed"), ("h2_r1.10", "ok"), ("h2_r1.40", "ok"), ("h2_r2.00", "ok"),
+        ]
+        failures = read_rows(os.path.join(str(out), "failures.csv"))
+        assert failures[1] == ["h2_r0.50", f"NORB must be at least 1, got {norb}"]
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -567,6 +589,13 @@ class TestCliExitCodes:
         assert main([command, "--config", config, "--out", str(out)]) == 2
         assert UNSUPPORTED_HEADERS[case][1] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one_is_reported_as_a_header_error(self, tmp_path, norb, capsys):
+        molecule = write_norb(tmp_path / "mol.fcidump", norb)
+        config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
+        assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"NORB must be at least 1, got {norb}" in capsys.readouterr().err
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2

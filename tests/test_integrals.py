@@ -61,6 +61,13 @@ class TestParse:
         with pytest.raises(HeaderError):
             parse_fcidump("&FCI NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n")
 
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one(self, norb):
+        # before the numpy arrays are sized: no "zero-size array" or
+        # "negative dimensions" error from inside numpy
+        with pytest.raises(HeaderError, match=f"NORB must be at least 1, got {norb}"):
+            parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n")
+
 
 class TestFixtures:
     def test_h2_fixture_hf_energy(self, h2_integrals):

@@ -13,11 +13,12 @@ from devqe.de import ConfigurationError, DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals
 from devqe.local import GradientError, fd_gradient
 from devqe.orbitals import (
-    KappaMatrix,
     MacroConfig,
     OOConfig,
+    default_pairs,
     minimize_orbitals,
     rotate_integrals,
+    rotation,
     run_sa_oo_vqe,
     sa_oo_energy,
 )
@@ -41,11 +42,14 @@ def scipy_loaded():
 config = de.DEConfig(np_size=10, seed=0, termination=de.TerminationCriteria(max_evals=200))
 de.de_minimize(bench.sphere, de.Bounds.box(-5.0, 5.0, 3), config)
 assert not scipy_loaded(), sorted(name for name in sys.modules if name.startswith("scipy"))
-kappa = devqe.KappaMatrix.from_values(4, np.linspace(-0.7, 0.9, 6))
-u = kappa.rotation()
+kappa = np.linspace(-0.7, 0.9, 6)
+u = devqe.orbitals.rotation(4, kappa)
 assert scipy_loaded()
 from scipy.linalg import expm
-assert np.array_equal(u, expm(-kappa.full()))
+full = np.zeros((4, 4))
+for (p, q), value in zip(devqe.orbitals.default_pairs(4), kappa):
+    full[p, q], full[q, p] = value, -value
+assert np.array_equal(u, expm(-full))
 """
 
 
@@ -64,10 +68,17 @@ def hf_rdms(n_orb, n_elec):
     return measure_rdms(basis_state(2 * n_orb, range(n_elec)), n_orb)
 
 
+def hand_built_kappa(n_orb, values, pairs):
+    full = np.zeros((n_orb, n_orb))
+    for (p, q), value in zip(pairs, values):
+        full[p, q] = value
+        full[q, p] = -value
+    return full
+
+
 class TestKappa:
     def test_zero_rotation_is_identity(self, h2_integrals):
-        kappa = KappaMatrix.zero(2)
-        rotated = rotate_integrals(h2_integrals, kappa)
+        rotated = rotate_integrals(h2_integrals, np.zeros(1))
         assert np.allclose(rotated.h, h2_integrals.h)
         assert np.allclose(rotated.g, h2_integrals.g)
         assert rotated.core_energy == h2_integrals.core_energy
@@ -75,21 +86,42 @@ class TestKappa:
     def test_rotation_orthogonal_for_random_kappa(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            kappa = KappaMatrix.from_values(4, rng.uniform(-0.5, 0.5, 6))
-            u = kappa.rotation()
+            u = rotation(4, rng.uniform(-0.5, 0.5, 6))
             assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-12
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
-    def test_full_matrix_antisymmetric(self):
-        kappa = KappaMatrix.from_values(3, [0.1, -0.2, 0.3])
-        full = kappa.full()
-        assert np.max(np.abs(full + full.T)) == 0.0
+    def test_rotation_is_expm_of_hand_built_kappa(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(2)
+        for pairs in (None, [(2, 0), (3, 1)]):
+            values = rng.uniform(-0.5, 0.5, 6 if pairs is None else 2)
+            full = hand_built_kappa(4, values, default_pairs(4) if pairs is None else pairs)
+            assert np.array_equal(rotation(4, values, pairs), expm(-full))
+
+    @pytest.mark.parametrize("molecule", ["h2", "h4", "lih_frozen_core", "lih"])
+    def test_rotated_integrals_pass_the_constructor_check(self, request, molecule):
+        # rotate_integrals skips MolecularIntegrals.__post_init__; the public
+        # constructor accepts what it returns
+        from devqe.integrals import freeze_core
+
+        if molecule == "lih_frozen_core":
+            integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
+        else:
+            integrals = request.getfixturevalue(f"{molecule}_integrals")
+        rng = np.random.default_rng(3)
+        n_orb = integrals.n_orb
+        for _ in range(5):
+            rotated = rotate_integrals(integrals, rng.normal(0.0, 0.5, n_orb * (n_orb - 1) // 2))
+            MolecularIntegrals(n_orb=rotated.n_orb, n_elec=rotated.n_elec,
+                               core_energy=rotated.core_energy, h=rotated.h, g=rotated.g,
+                               ms2=rotated.ms2)
 
     def test_fci_invariant_under_rotation(self, h2_integrals):
         rng = np.random.default_rng(1)
         reference = fock.fci_ground_energy(h2_integrals)
         for _ in range(20):
-            kappa = KappaMatrix.from_values(2, rng.uniform(-0.5, 0.5, 1))
-            rotated = rotate_integrals(h2_integrals, kappa)
+            rotated = rotate_integrals(h2_integrals, rng.uniform(-0.5, 0.5, 1))
             assert abs(fock.fci_ground_energy(rotated) - reference) < 1e-8
 
 
@@ -101,20 +133,19 @@ class TestSaOoEnergy:
         e_ref, _, rows = sa_energy(theta, sector, (0.5, 0.5))
         evolved = sector.scatter(rows)
         rdms = tuple(measure_rdms(s, 2) for s in evolved)
-        e_oo = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (0.5, 0.5))
+        e_oo = sa_oo_energy(np.zeros(1), h2_integrals, rdms, (0.5, 0.5))
         assert abs(e_oo - e_ref) < 1e-10
 
     def test_degenerate_weights_reduce_to_state_zero(self, h2_integrals):
         rdms = (hf_rdms(2, 2), hf_rdms(2, 2))
-        e_oo = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (1.0, 0.0))
+        e_oo = sa_oo_energy(np.zeros(1), h2_integrals, rdms, (1.0, 0.0))
         assert abs(e_oo - rdm_energy(h2_integrals, rdms[0])) < 1e-12
 
     def test_smooth_at_zero(self, h2_integrals):
         rdms = (hf_rdms(2, 2), hf_rdms(2, 2))
 
         def objective(values):
-            kappa = KappaMatrix.from_values(2, values)
-            return sa_oo_energy(kappa, h2_integrals, rdms, (0.5, 0.5))
+            return sa_oo_energy(values, h2_integrals, rdms, (0.5, 0.5))
 
         grad = fd_gradient(objective, np.zeros(1), 1e-6)
         t = 1e-5
@@ -139,7 +170,7 @@ class TestMinimizeOrbitals:
         )
         rdms = (hf_rdms(1, 2), hf_rdms(1, 2))
         result = minimize_orbitals(ints, rdms, (0.5, 0.5))
-        assert result.kappa.values.size == 0
+        assert result.kappa.size == 0
         assert np.allclose(result.integrals.h, ints.h)
 
     def test_two_orbital_toy_matches_grid_scan(self):
@@ -154,7 +185,7 @@ class TestMinimizeOrbitals:
 
         grid = np.linspace(-np.pi, np.pi, 20001)
         energies = [
-            sa_oo_energy(KappaMatrix.from_values(2, [k]), ints, rdms, weights)
+            sa_oo_energy([k], ints, rdms, weights)
             for k in grid
         ]
         grid_min = min(energies)
@@ -165,7 +196,7 @@ class TestMinimizeOrbitals:
 
     def test_never_worse_than_identity(self, h2_integrals):
         rdms = (hf_rdms(2, 2), hf_rdms(2, 2))
-        e_zero = sa_oo_energy(KappaMatrix.zero(2), h2_integrals, rdms, (0.5, 0.5))
+        e_zero = sa_oo_energy(np.zeros(1), h2_integrals, rdms, (0.5, 0.5))
         result = minimize_orbitals(h2_integrals, rdms, (0.5, 0.5))
         assert result.e_sa <= e_zero + 1e-12
 
@@ -173,8 +204,56 @@ class TestMinimizeOrbitals:
         rdms = (hf_rdms(4, 4), hf_rdms(4, 4))
         config = OOConfig(pair_mask=[(2, 1)])
         result = minimize_orbitals(h4_integrals, rdms, (0.5, 0.5), config)
-        assert result.kappa.values.size == 1
-        assert result.kappa.pairs == [(2, 1)]
+        assert result.kappa.size == 1
+        # U mixes only orbitals 1 and 2, so h stays put on orbitals 0 and 3
+        outer = np.ix_([0, 3], [0, 3])
+        assert np.allclose(result.integrals.h[outer], h4_integrals.h[outer], atol=1e-12)
+
+    def test_one_call_runs_no_integrals_check(self, h4_integrals, monkeypatch):
+        checked = {"n": 0}
+        check = MolecularIntegrals.__post_init__
+
+        def counted(self):
+            checked["n"] += 1
+            check(self)
+
+        monkeypatch.setattr(MolecularIntegrals, "__post_init__", counted)
+        rdms = theta_005_rdms(h4_integrals)
+        MolecularIntegrals(n_orb=1, n_elec=2, core_energy=0.0, h=np.zeros((1, 1)),
+                           g=np.zeros((1,) * 4))
+        assert checked["n"] == 1  # the counter sees the constructor
+        minimize_orbitals(h4_integrals, rdms, (0.5, 0.5))
+        assert checked["n"] == 1
+
+
+class TestOOConfig:
+    @pytest.mark.parametrize("mask, message", [
+        ([(0, 0)], "0 <= q < p"),
+        ([(1, 0), (1, 2)], "0 <= q < p"),
+        ([(1, -1)], "0 <= q < p"),
+        ([(2, 0), (1, 0), (2, 0)], "repeats"),
+    ], ids=["diagonal", "q_above_p", "negative", "repeat"])
+    def test_bad_pair_rejected_when_built(self, mask, message):
+        with pytest.raises(ValueError, match=message):
+            OOConfig(pair_mask=mask)
+
+    def test_pair_beyond_the_orbitals_fails_before_any_stage(self, h2_integrals, monkeypatch):
+        import devqe.orbitals as orbitals_mod
+
+        stages = {"n": 0}
+
+        def counted(*args, **kwargs):
+            stages["n"] += 1
+            raise AssertionError("no stage may run")
+
+        monkeypatch.setattr(orbitals_mod, "run_sa_vqe", counted)
+        config = OOConfig(pair_mask=[(2, 0)])  # H2 has orbitals 0 and 1
+        with pytest.raises(ValueError, match="p < n_orb = 2"):
+            run_sa_oo_vqe(h2_integrals, default_ansatz(2, 2), oo_config=config)
+        assert stages["n"] == 0
+        rdms = (hf_rdms(2, 2), hf_rdms(2, 2))
+        with pytest.raises(ValueError, match="p < n_orb = 2"):
+            minimize_orbitals(h2_integrals, rdms, (0.5, 0.5), config)
 
 
 def theta_005_rdms(integrals):
@@ -348,8 +427,8 @@ class TestMacroLoop:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_rotation_dimension_mismatch(self, h2_integrals):
-        with pytest.raises(ValueError):
-            rotate_integrals(h2_integrals, KappaMatrix.zero(3))
+        with pytest.raises(ValueError, match="one value per rotation pair"):
+            rotate_integrals(h2_integrals, np.zeros(3))
 
     def test_h4_orbital_stage_strictly_improves(self, h4_integrals):
         # the pair-restricted ansatz cannot absorb an orbital rotation on H4,

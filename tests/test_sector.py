@@ -18,7 +18,7 @@ from devqe.de import DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals, freeze_core
 from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
-from devqe.orbitals import KappaMatrix, MacroConfig, OOConfig, rotate_integrals, run_sa_oo_vqe
+from devqe.orbitals import MacroConfig, OOConfig, rotate_integrals, run_sa_oo_vqe
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
 from devqe.statevector import (ShapeError, apply_excitation, expectation, ladder_on_basis,
                                measure_rdms)
@@ -139,7 +139,7 @@ def test_rotated_integrals_block_matches_occupation_basis_matrix(system):
     n_orb = integrals.n_orb
     rng = np.random.default_rng(45)
     for _ in range(3):
-        kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
+        kappa = rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2)
         rotated = rotate_integrals(integrals, kappa)
         block = sector.with_integrals(rotated).hamiltonian.matrix
         reference = fock.hamiltonian_matrix(rotated, sector.basis.tolist())
@@ -183,7 +183,7 @@ def test_list_rdms_match_dense_oracle(system):
     assert_rdms_match_dense_oracle(sector, vectors / np.linalg.norm(vectors, axis=1)[:, None])
     # the sector of rotated integrals, as every macro iteration after the first derives
     n_orb = integrals.n_orb
-    kappa = KappaMatrix.from_values(n_orb, rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2))
+    kappa = rng.normal(0.0, 0.3, n_orb * (n_orb - 1) // 2)
     rotated = sector.with_integrals(rotate_integrals(integrals, kappa))
     theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
     assert_rdms_match_dense_oracle(rotated, sa_energy(theta, rotated, (0.5, 0.5))[2])
@@ -388,7 +388,7 @@ def test_sector_freed_with_its_run_without_garbage_collection(h2_integrals, opti
 def test_with_integrals_is_the_built_block_on_shared_parts(h4_integrals):
     ansatz = default_ansatz(4, 4)
     sector = Sector.build(h4_integrals, ansatz)
-    kappa = KappaMatrix.from_values(4, np.random.default_rng(48).normal(0.0, 0.3, 6))
+    kappa = np.random.default_rng(48).normal(0.0, 0.3, 6)
     rotated = rotate_integrals(h4_integrals, kappa)
     derived = sector.with_integrals(rotated)
     built = Sector.build(rotated, ansatz)

@@ -36,7 +36,7 @@ of its Sector.  Cases:
            (D=5, np=20) and the DE methods of h2_compare (D=2, np=15, box of
            half-width pi, clamp repair).  No molecule is involved.
 - startup: milliseconds from before `import devqe` to after it, and to after
-           the first KappaMatrix.rotation, side by side, each the median
+           the first orbitals.rotation, side by side, each the median
            over --repeats fresh interpreters.  scipy loads at that first
            rotation, so the difference is the import a DE-only process
            never pays and an SA-OO process pays in its first orbital stage.
@@ -164,7 +164,7 @@ from time import perf_counter
 start = perf_counter()
 import devqe
 imported = perf_counter()
-devqe.KappaMatrix.from_values(2, [0.1]).rotation()
+devqe.orbitals.rotation(2, [0.1])
 print(imported - start, perf_counter() - start)
 """
 
@@ -180,7 +180,7 @@ def time_startup(repeats):
         samples.append([float(value) for value in done.stdout.split()])
     imported, rotated = (1e3 * statistics.median(column) for column in zip(*samples))
     print(f"start-up, median of {repeats} fresh interpreters: import devqe {imported:.1f} ms, "
-          f"import devqe + first KappaMatrix.rotation {rotated:.1f} ms "
+          f"import devqe + first orbitals.rotation {rotated:.1f} ms "
           f"(the rotation, scipy's import included, {rotated - imported:.1f} ms)", flush=True)
 
 
@@ -212,9 +212,7 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
     finally:
         orbitals.rotate_integrals = rotate
     oo_ms = ms_per_eval(lambda: orbitals.minimize_orbitals(integrals, rdms, WEIGHTS), 1, repeats)
-    kappa = orbitals.KappaMatrix.from_values(
-        integrals.n_orb, np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
-    )
+    kappa = np.full(len(orbitals.default_pairs(integrals.n_orb)), MACRO_THETA)
     rotate_ms = ms_per_eval(lambda: rotate(integrals, kappa), 1, repeats)
     print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f} (once per run), "
           f"with_integrals {derive_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} "
