@@ -53,7 +53,8 @@ def default_pairs(n_orb: int):
 
 def rotation(n_orb: int, values, pairs=None) -> np.ndarray:
     """U = expm(-kappa) for the antisymmetric kappa with kappa[p, q] = value
-    and kappa[q, p] = -value over `pairs` (default: every q < p).
+    and kappa[q, p] = -value over `pairs` (default: every q < p).  The pairs
+    are trusted to satisfy 0 <= q < p < n_orb; OOConfig checks them.
 
     scipy loads here, at the first rotation, so that a process that never
     rotates orbitals (a DE run on a test function) does not pay for it."""
