@@ -600,6 +600,22 @@ class TestCliExitCodes:
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_molecule_naming_a_directory_is_a_runtime_failure(self, tmp_path, capsys):
+        config = write_config(tmp_path, molecule=str(tmp_path), optimizer="bfgs", seeds="0")
+        assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_out_naming_a_file_is_a_runtime_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        config = write_config(tmp_path, function="sphere", optimizer="bfgs", seeds="0")
+        assert main(["optimize", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert str(out) in err
+
     def test_scan_mode_flag(self, tmp_path, h2_scan_dir):
         config = write_config(tmp_path, molecule=h2_scan_dir, optimizer="bfgs")
         code = main(
@@ -627,3 +643,123 @@ class TestCliExitCodes:
         run_rows = [r for r in rows if r[0] == "run"]
         assert len(run_rows) == 1
         assert run_rows[0][2] == "5"
+
+
+# Every output file of one command set, pinned by sha256 from the harness as it
+# stood before its run-and-record code was merged into one path.  Molecule
+# paths are relative to the repository root, so manifest.csv does not depend
+# on where the repository lives; SCAN is the H2 scan plus one malformed file.
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+PINNED_COMMANDS = {
+    "compare": ("compare", {"molecule": "fixtures/h2_sto3g.fcidump",
+                            "optimizer": "bfgs,gd,de_rand1_bin,de_best2_exp",
+                            "seeds": "0,1", "max_evals": "400"}, []),
+    "compare_failure": ("compare", {"molecule": "fixtures/h2_sto3g.fcidump",
+                                    "optimizer": "bfgs", "seeds": "0,1"}, []),
+    "scan_savqe": ("scan", {"molecule": "SCAN", "optimizer": "bfgs"}, ["--mode", "savqe"]),
+    "scan_saoo_de": ("scan", {"molecule": "SCAN", "optimizer": "de_rand1_bin",
+                              "max_evals": "400"}, ["--mode", "saoo"]),
+    "saoo_h4": ("saoo", {"molecule": "fixtures/h4_sto3g.fcidump", "optimizer": "bfgs"}, []),
+    "vqe_de": ("vqe", {"molecule": "fixtures/h2_sto3g.fcidump", "optimizer": "de_rand1_bin",
+                       "max_evals": "400"}, []),
+    **{
+        f"optimize_{function}_{method}": (
+            "optimize", {"function": function, "optimizer": method, "seeds": "0,1",
+                         "max_evals": "400"}, [])
+        for function in ("sphere", "rosenbrock")
+        for method in ("bfgs", "gd", "de_rand1_bin")
+    },
+}
+OUTPUT_PINS = {
+    "compare/manifest.csv":
+        "4f2832f0bedf1ba84ca486a78925344ea00e864213c9a7d51dc5cdd07b5ca9c7",
+    "compare/runs.csv":
+        "cf445ae029187558bdb9f2168d0385fec590b1c945cdf87e520c2ba2b3fa4add",
+    "compare/summary.csv":
+        "26d6de0a9da912e3f7c37b122a772c7c32eda385a91cf0f16ce780606ce3d8a6",
+    "compare/trace_bfgs_0.csv":
+        "9fcca9ba7e5e422cf2448c76c15fab4c18cf618838a6091bd94fc439fe3e36ec",
+    "compare/trace_bfgs_1.csv":
+        "9fcca9ba7e5e422cf2448c76c15fab4c18cf618838a6091bd94fc439fe3e36ec",
+    "compare/trace_de_best2_exp_0.csv":
+        "8277a185f53ac5571ad8e4d68b6df8f917f098f16fdaca032ae5b58f5d71ec35",
+    "compare/trace_de_best2_exp_1.csv":
+        "9313539026649aa15c1fc216f0823cc35bd7c1f2f7a1c7ff5884d5206e43a112",
+    "compare/trace_de_rand1_bin_0.csv":
+        "cb25830dcc039f7f352f3b869688e8681d94db76bab8cf644f54860c0c32c9b0",
+    "compare/trace_de_rand1_bin_1.csv":
+        "aecc72250a0066b1d5b2bc3a3176d4ad49bb688f2fad36b97991c0f40e11824d",
+    "compare/trace_gd_0.csv":
+        "44b5ce5128296e84492c16985e34e93ac6bbd95c990f6d369264658c1c748f65",
+    "compare/trace_gd_1.csv":
+        "44b5ce5128296e84492c16985e34e93ac6bbd95c990f6d369264658c1c748f65",
+    "compare_failure/failures.csv":
+        "ff3f8ccea8e5c3f83cb46bf518a3bb968c50ff9dd2051c571b70a74c0405faac",
+    "compare_failure/manifest.csv":
+        "b109c37e03016c2987e5aebe4a3a9c6f84b14967deed93756851fc5649ceca39",
+    "compare_failure/runs.csv":
+        "0c5edd2894b7454ae3934ab582c0640b355fce7c45e6e15dc37de240c0b5c380",
+    "compare_failure/summary.csv":
+        "df1c1be59bd7add345ce5d59a75a58c4a78182c15fdeec56ed80a5099607749b",
+    "compare_failure/trace_bfgs_0.csv":
+        "9fcca9ba7e5e422cf2448c76c15fab4c18cf618838a6091bd94fc439fe3e36ec",
+    "optimize_rosenbrock_bfgs/optimize.csv":
+        "31efca81c83e2afd3f8929846a3da37f54076cce18576e478c3ed91dead41b68",
+    "optimize_rosenbrock_de_rand1_bin/optimize.csv":
+        "0d7639a16ca8bc0578e5ab66623bfc10138bcedc4a63b2ede0913a186718fd5d",
+    "optimize_rosenbrock_gd/optimize.csv":
+        "1911bf1df68d895adca5e4cd7f45fb42cd45e24ee3ce530ce00eb47df5d28acf",
+    "optimize_sphere_bfgs/optimize.csv":
+        "89c9c34e66fa4f67a5a70b76354f123b7563737dac5cc247431870a0545dca5e",
+    "optimize_sphere_de_rand1_bin/optimize.csv":
+        "8ec3eb2d873f682de18d3d8644e1b427c5ce3daefbcabf450ad680de78ae4372",
+    "optimize_sphere_gd/optimize.csv":
+        "90452566ff559ec1dbf9b2d4d79cb187ff1cde78222ed4e5ff5d3314cf79986f",
+    "saoo_h4/result.csv":
+        "6f09e4e2048f71708e695e36e8db743ae207dc32e207fd6e69196a767ec1be80",
+    "saoo_h4/trace_bfgs_0.csv":
+        "bd3a4889d62b1a574edfcea6e11ff46d5113e6b0783303905f64b4fa9760a69e",
+    "scan_saoo_de/failures.csv":
+        "f7ec2ff2c32f67eda79f47e6018271fd92319977bec08ad534e4ef8cb7010685",
+    "scan_saoo_de/scan_saoo.csv":
+        "17b5fe60536e427b042a7d6cf72d94aafc07bec6c562f746b86211476451c6b1",
+    "scan_savqe/failures.csv":
+        "f7ec2ff2c32f67eda79f47e6018271fd92319977bec08ad534e4ef8cb7010685",
+    "scan_savqe/scan_savqe.csv":
+        "df6ecdb039b3c08ac8c5ddff1b18a1401138ea1fa917111f6f31258ccaa4a41c",
+    "vqe_de/result.csv":
+        "18e8fdf0b3eeafef5f9526f8d667ec366a22dcff451739150e1af1408821f42c",
+    "vqe_de/trace_de_rand1_bin_0.csv":
+        "921caab14b19cb6f5ec5a3f5433b479742e75b51f20f1833c419f877d8ba9e7e",
+}
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("case", sorted(PINNED_COMMANDS))
+    def test_output_files_bitwise(self, tmp_path, h2_scan_dir, monkeypatch, case):
+        import hashlib
+        import shutil
+
+        command, settings, extra = PINNED_COMMANDS[case]
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        (scan / "h2_r9.99.fcidump").write_text("not an fcidump\n")
+        if case == "compare_failure":  # seed 1 fails with a numerical failure
+            real_run = bench_mod.run_molecule
+
+            def failing_seed_one(integrals, method, seed, config, mode):
+                if seed == 1:
+                    raise GradientError("non-finite stencil value at coordinate 0", 0)
+                return real_run(integrals, method, seed, config, mode)
+
+            monkeypatch.setattr(bench_mod, "run_molecule", failing_seed_one)
+        monkeypatch.chdir(REPO_ROOT)
+        settings = {k: str(scan) if v == "SCAN" else v for k, v in settings.items()}
+        config = write_config(tmp_path, **settings)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), *extra]) == 0
+        digests = {
+            f"{case}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
+        assert digests == {k: v for k, v in OUTPUT_PINS.items() if k.startswith(f"{case}/")}
