@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import de as de_mod
 from . import local as local_mod
 from .ansatz import default_ansatz
-from .de import ObjectiveError
 from .integrals import FcidumpError, MolecularIntegrals, load_fcidump
-from .orbitals import INNER_FAILURES, MacroConfig, run_sa_oo_vqe
+from .orbitals import RUN_FAILURES, MacroConfig, is_run_failure, run_sa_oo_vqe
 from .savqe import EnsembleSpec, OptimizerChoice, Sector, closed_shell_problem, run_sa_vqe
 
 SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
@@ -251,6 +249,15 @@ def parse_macro_config(config: dict) -> MacroConfig:
         raise UsageError(f"bad macro settings: {exc}")
 
 
+def _write_csv(path, header, rows) -> str:
+    """One CSV file: the header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # optimize: analytic test functions
 
@@ -264,41 +271,31 @@ def cmd_optimize(config: dict, out_dir) -> str:
     objective, (lo, hi) = TEST_FUNCTIONS[function_name]
     dim = parse_dimension(config.get("dimension", "2"))
     method = config.get("optimizer", "bfgs")
-    if method not in LOCAL_METHODS and method not in DE_METHODS:
-        raise method_error(method)
     seeds = parse_seeds(config.get("seeds"))
+    choices = [build_optimizer(method, config, seed) for seed in seeds]
 
-    rows = []
-    for seed in seeds:
-        if method in DE_METHODS:
-            choice = build_optimizer(method, config, seed)
+    rows, best, evals = [], [], []
+    for seed, choice in zip(seeds, choices):
+        if choice.kind == "de":
             bounds = de_mod.Bounds.box(lo, hi, dim)
             result = de_mod.de_minimize(objective, bounds, choice.de_config)
-            rows.append((method, seed, result.best_fitness, result.evaluations,
-                         result.stop_reason))
+            best_f = result.best_fitness
         else:
-            local = local_mod.LocalOptConfig()
             x0 = np.full(dim, lo + 0.8 * (hi - lo))
             runner = (
-                local_mod.bfgs_minimize if method == "bfgs" else local_mod.gradient_descent
+                local_mod.bfgs_minimize if choice.kind == "bfgs" else local_mod.gradient_descent
             )
-            result = runner(objective, x0, local)
-            rows.append((method, seed, result.fun, result.evaluations,
-                         result.stop_reason))
+            result = runner(objective, x0, choice.local_config)
+            best_f = result.fun
+        rows.append(["run", method, seed, repr(best_f), result.evaluations, result.stop_reason])
+        best.append(best_f)
+        evals.append(result.evaluations)
+    mean_best, mean_evals = float(np.mean(best)), float(np.mean(evals))
+    rows.append(["summary", method, "", repr(mean_best), repr(mean_evals), ""])
 
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "optimize.csv")
-    best = [r[2] for r in rows]
-    evals = [r[3] for r in rows]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "method", "seed", "best_f", "evaluations", "stop_reason"])
-        for method_name, seed, best_f, n_evals, reason in rows:
-            writer.writerow(["run", method_name, seed, repr(best_f), n_evals, reason])
-        writer.writerow(
-            ["summary", method, "", repr(float(np.mean(best))), repr(float(np.mean(evals))), ""]
-        )
-    return path
+    return _write_csv(os.path.join(out_dir, "optimize.csv"),
+                      ["row", "method", "seed", "best_f", "evaluations", "stop_reason"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +304,11 @@ def cmd_optimize(config: dict, out_dir) -> str:
 
 class UnsupportedMolecule(UsageError):
     """An FCIDUMP whose molecule the closed-shell sector cannot represent."""
+
+
+class AllRunsFailed(RuntimeError):
+    """Every run of a compare, or every point of a scan, failed; failures.csv
+    holds each failure's message."""
 
 
 def load_molecule(path) -> MolecularIntegrals:
@@ -322,8 +324,6 @@ def load_molecule(path) -> MolecularIntegrals:
 def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     """One full run on a molecule: mode "saoo" (macro loop, an SAOOVQEResult) or
     "savqe" (fixed orbitals, a single VQE stage, an SAVQEResult)."""
-    if method not in LOCAL_METHODS and method not in DE_METHODS:
-        raise method_error(method)
     if mode not in ("savqe", "saoo"):
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     optimizer = build_optimizer(method, config, seed)
@@ -341,43 +341,20 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     )
 
 
-# what a molecule run can fail with while the command goes on: the macro
-# loop's RuntimeError and a stage's numerical failures, which DE wraps in an
-# ObjectiveError (a RuntimeError too); any other exception propagates
-RUN_FAILURES = (RuntimeError, *INNER_FAILURES)
+def _run_or_record(failures: list, key: tuple, run, recorded=()):
+    """The result of run(); or, when it raises a run failure (is_run_failure)
+    or one of the `recorded` errors, None after appending (*key, message) to
+    failures.  Any other exception propagates."""
+    try:
+        return run()
+    except (*RUN_FAILURES, *recorded) as exc:
+        if not (is_run_failure(exc) or isinstance(exc, recorded)):
+            raise
+        failures.append((*key, str(exc)))
+        return None
 
 
-def _programming_error(exc) -> bool:
-    """An ObjectiveError that wraps anything but a numerical failure."""
-    return isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES)
-
-
-@dataclass
-class RunSummary:
-    method: str
-    evals_min: int
-    evals_max: int
-    evals_mean: float
-    e_min: float
-    e_max: float
-    e_mean: float
-
-    @classmethod
-    def from_runs(cls, method, runs) -> "RunSummary":
-        evals = [r.evaluations for r in runs]
-        energies = [r.e_sa for r in runs]
-        return cls(
-            method=method,
-            evals_min=int(min(evals)),
-            evals_max=int(max(evals)),
-            evals_mean=float(np.mean(evals)),
-            e_min=float(min(energies)),
-            e_max=float(max(energies)),
-            e_mean=float(np.mean(energies)),
-        )
-
-
-def _effective_settings(config, methods, n_params) -> dict:
+def _effective_settings(config, optimizers, n_params) -> dict:
     """The settings the runs use, read back from the objects they are built from."""
     macro = parse_macro_config(config)
     settings = {
@@ -385,9 +362,9 @@ def _effective_settings(config, methods, n_params) -> dict:
         "max_macro_iters": macro.max_macro_iters,
         "weights": " ".join(str(w) for w in parse_weights(config.get("weights")).weights),
     }
-    de_methods = [m for m in methods if m in DE_METHODS]
-    if de_methods:
-        de_config = build_optimizer(de_methods[0], config, seed=0).de_config
+    de_configs = [o.de_config for o in optimizers if o.kind == "de"]
+    if de_configs:
+        de_config = de_configs[0]
         stop = de_config.termination
         settings.update(
             np=de_config.population_size(n_params),
@@ -403,20 +380,6 @@ def _effective_settings(config, methods, n_params) -> dict:
     return settings
 
 
-def _write_manifest(out_dir, config, methods, seeds, mode, n_params):
-    """One key,value row per setting: the config as given, with every setting
-    the runs use replaced by its effective value."""
-    rows = {"mode": mode, "methods": " ".join(methods), "seeds": " ".join(str(s) for s in seeds)}
-    rows.update((key, config[key]) for key in sorted(config) if key not in rows)
-    rows.update(_effective_settings(config, methods, n_params))
-    path = os.path.join(out_dir, "manifest.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerows(rows.items())
-    return path
-
-
 def cmd_compare(config: dict, out_dir) -> str:
     fcidump_path = config.get("molecule")
     if not fcidump_path:
@@ -425,60 +388,53 @@ def cmd_compare(config: dict, out_dir) -> str:
     methods = str(config.get("optimizer", "bfgs")).replace(",", " ").split()
     if not methods:
         raise UsageError(f"optimizer list {config.get('optimizer')!r} names no optimizer")
-    for method in methods:
-        if method not in LOCAL_METHODS and method not in DE_METHODS:
-            raise method_error(method)
     seeds = parse_seeds(config.get("seeds"))
+    # an unknown method or a bad DE setting fails before any output
+    optimizers = [build_optimizer(method, config, seeds[0]) for method in methods]
 
     os.makedirs(out_dir, exist_ok=True)
+    # one key,value row per setting: the config as given, with every setting
+    # the runs use replaced by its effective value
     n_params = default_ansatz(integrals.n_orb, integrals.n_elec).parameter_count
-    _write_manifest(out_dir, config, methods, seeds, "saoo", n_params)
+    manifest = {"mode": "saoo", "methods": " ".join(methods),
+                "seeds": " ".join(str(s) for s in seeds)}
+    manifest.update((key, config[key]) for key in sorted(config) if key not in manifest)
+    manifest.update(_effective_settings(config, optimizers, n_params))
+    _write_csv(os.path.join(out_dir, "manifest.csv"), ["key", "value"], manifest.items())
 
-    summaries = []
     failures = []
-    per_seed_rows = []
+    run_rows = []
+    summary_rows = []
     for method in methods:
         runs = []
         for seed in seeds:
-            try:
-                run = run_molecule(integrals, method, seed, config, "saoo")
-            except RUN_FAILURES as exc:
-                if _programming_error(exc):
-                    raise
-                failures.append((method, seed, str(exc)))
+            run = _run_or_record(failures, (method, seed),
+                                 lambda: run_molecule(integrals, method, seed, config, "saoo"))
+            if run is None:
                 continue
             run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
             runs.append(run)
-            per_seed_rows.append(
-                (method, seed, run.state_energies[0], run.state_energies[1], run.e_sa,
-                 run.evaluations)
-            )
+            run_rows.append([method, seed, repr(run.state_energies[0]),
+                             repr(run.state_energies[1]), repr(run.e_sa), run.evaluations])
         if runs:
-            summaries.append(RunSummary.from_runs(method, runs))
+            evals = [r.evaluations for r in runs]
+            energies = [r.e_sa for r in runs]
+            summary_rows.append(
+                [method, int(min(evals)), int(max(evals)), repr(float(np.mean(evals))),
+                 repr(float(min(energies))), repr(float(max(energies))),
+                 repr(float(np.mean(energies)))]
+            )
 
     if failures:
-        with open(os.path.join(out_dir, "failures.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "seed", "error"])
-            writer.writerows(failures)
-
-    with open(os.path.join(out_dir, "runs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "e0", "e1", "e_sa", "evaluations"])
-        for method, seed, e0, e1, e_sa, evals in per_seed_rows:
-            writer.writerow([method, seed, repr(e0), repr(e1), repr(e_sa), evals])
-
+        _write_csv(os.path.join(out_dir, "failures.csv"), ["method", "seed", "error"], failures)
+    _write_csv(os.path.join(out_dir, "runs.csv"),
+               ["method", "seed", "e0", "e1", "e_sa", "evaluations"], run_rows)
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        writer = csv.writer(fh)
-        for s in summaries:
-            writer.writerow(
-                [s.method, s.evals_min, s.evals_max, repr(s.evals_mean),
-                 repr(s.e_min), repr(s.e_max), repr(s.e_mean)]
-            )
-    if not summaries:
-        raise RuntimeError("every run failed; see failures.csv")
+        csv.writer(fh).writerows(summary_rows)
+    if not summary_rows:
+        raise AllRunsFailed("every run failed; see failures.csv")
     return summary_path
 
 
@@ -503,33 +459,27 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
     parse_macro_config(config)
 
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"scan_{mode}.csv")
+    rows = []
     failures = []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate_label", "e0", "e1", "e_sa", "mode", "status"])
-        for name in files:
-            label = os.path.splitext(name)[0]
-            try:
-                integrals = load_molecule(os.path.join(scan_dir, name))
-                run = run_molecule(integrals, method, seed, config, mode)
-            except (*RUN_FAILURES, FcidumpError, UnsupportedMolecule) as exc:
-                if _programming_error(exc):
-                    raise
-                failures.append((label, str(exc)))
-                writer.writerow([label, "", "", "", mode, "failed"])
-                continue
-            writer.writerow(
-                [label, repr(run.state_energies[0]), repr(run.state_energies[1]),
-                 repr(run.e_sa), mode, "ok"]
-            )
+    for name in files:
+        label = os.path.splitext(name)[0]
+        fcidump_path = os.path.join(scan_dir, name)
+        run = _run_or_record(
+            failures, (label,),
+            lambda: run_molecule(load_molecule(fcidump_path), method, seed, config, mode),
+            recorded=(FcidumpError, UnsupportedMolecule),
+        )
+        if run is None:
+            rows.append([label, "", "", "", mode, "failed"])
+        else:
+            rows.append([label, repr(run.state_energies[0]), repr(run.state_energies[1]),
+                         repr(run.e_sa), mode, "ok"])
+    path = _write_csv(os.path.join(out_dir, f"scan_{mode}.csv"),
+                      ["coordinate_label", "e0", "e1", "e_sa", "mode", "status"], rows)
     if failures:
-        with open(os.path.join(out_dir, "failures.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["coordinate_label", "error"])
-            writer.writerows(failures)
+        _write_csv(os.path.join(out_dir, "failures.csv"), ["coordinate_label", "error"], failures)
     if len(failures) == len(files):
-        raise RuntimeError("every point failed; see failures.csv")
+        raise AllRunsFailed("every point failed; see failures.csv")
     return path
 
 
@@ -545,16 +495,10 @@ def cmd_single(config: dict, out_dir, mode: str) -> str:
 
     run = run_molecule(integrals, method, seed, config, mode)
     run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
-    sorted_energies = sorted(run.state_energies)
-    path = os.path.join(out_dir, "result.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "seed", "e0", "e1", "e_lo", "e_hi", "e_sa", "evaluations", "mode"]
-        )
-        writer.writerow(
-            [method, seed, repr(run.state_energies[0]), repr(run.state_energies[1]),
-             repr(sorted_energies[0]), repr(sorted_energies[1]),
-             repr(run.e_sa), run.evaluations, mode]
-        )
-    return path
+    e_lo, e_hi = sorted(run.state_energies)
+    return _write_csv(
+        os.path.join(out_dir, "result.csv"),
+        ["method", "seed", "e0", "e1", "e_lo", "e_hi", "e_sa", "evaluations", "mode"],
+        [[method, seed, repr(run.state_energies[0]), repr(run.state_energies[1]),
+          repr(e_lo), repr(e_hi), repr(run.e_sa), run.evaluations, mode]],
+    )

@@ -2,7 +2,11 @@
 
 Subcommands: optimize, vqe, saoo, compare, scan.  Configuration comes from a
 flat key=value file (--config); --seeds and --mode override the file.  Exit
-codes: 0 success, 1 runtime failure, 2 usage error.
+codes: 0 success; 1 runtime failure (a run's numerical failure, the macro
+loop's MacroLoopError, a compare or scan in which every run failed, or an
+OSError such as an --out that names a file); 2 usage error (a bad config or
+option, a missing file, a malformed FCIDUMP or an unsupported molecule).  A
+programming error is not caught: it ends the command with its traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import sys
 
 from . import bench
 from .bench import UsageError
+from .integrals import FcidumpError
+from .orbitals import RUN_FAILURES, is_run_failure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,13 +64,12 @@ def main(argv=None) -> int:
             path = bench.cmd_compare(config, args.out)
         else:
             path = bench.cmd_scan(config, args.out, getattr(args, "mode", None))
-    except UsageError as exc:
+    except (UsageError, FcidumpError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
+    except (*RUN_FAILURES, bench.AllRunsFailed, OSError) as exc:
+        if isinstance(exc, RUN_FAILURES) and not is_run_failure(exc):
+            raise  # a programming error that DE wrapped in its ObjectiveError
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

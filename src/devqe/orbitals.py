@@ -47,6 +47,25 @@ INNER_FAILURES = (
 )
 
 
+class MacroLoopError(RuntimeError):
+    """The macro loop ended without a result: two consecutive inner failures,
+    or no macro iteration completed."""
+
+
+# what a run may raise when it fails numerically; is_run_failure tells these
+# from the programming errors that DE wraps in ObjectiveError too
+RUN_FAILURES = (MacroLoopError, ObjectiveError, *INNER_FAILURES)
+
+
+def is_run_failure(exc: BaseException) -> bool:
+    """Whether exc is a run's numerical failure, which the macro loop retries
+    and the harness records: a MacroLoopError, or an INNER_FAILURES error raised
+    directly or as the cause of DE's ObjectiveError.  Anything else is a
+    programming error."""
+    cause = exc.__cause__ if isinstance(exc, ObjectiveError) else exc
+    return isinstance(exc, MacroLoopError) or isinstance(cause, INNER_FAILURES)
+
+
 def default_pairs(n_orb: int):
     return [(p, q) for p in range(n_orb) for q in range(p)]
 
@@ -218,7 +237,8 @@ def run_sa_oo_vqe(
     by the evaluations so far and stamped with the macro index, and its
     evaluations charged before the orbital stage runs; a stage that raises
     leaves nothing and charges nothing.  A numerical failure of either stage
-    is retried once in place.  RuntimeError when no macro iteration completes.
+    is retried once in place.  MacroLoopError when the retry fails too, or
+    when no macro iteration completes.
     """
     inner_optimizer = inner_optimizer or OptimizerChoice("bfgs")
     oo_config = oo_config or OOConfig()
@@ -253,13 +273,13 @@ def run_sa_oo_vqe(
             theta_star, e_vqe = vqe.theta, vqe.e_sa
             oo = minimize_orbitals(current, vqe.rdms, weights, oo_config)
         except (*INNER_FAILURES, ObjectiveError) as exc:
-            if isinstance(exc, ObjectiveError) and not isinstance(exc.__cause__, INNER_FAILURES):
+            if not is_run_failure(exc):
                 raise exc.__cause__ from None  # a programming error in a DE objective
             consecutive_failures += 1
             last_failure = exc
             inner_failures.append((macro_index, str(exc)))
             if consecutive_failures >= 2:
-                raise RuntimeError(
+                raise MacroLoopError(
                     "two consecutive inner failures; aborting macro loop"
                 ) from exc
             continue
@@ -295,7 +315,7 @@ def run_sa_oo_vqe(
             sector = sector.with_integrals(current)
 
     if not macro_trace:  # the only attempt failed
-        raise RuntimeError("no macro iteration completed") from last_failure
+        raise MacroLoopError("no macro iteration completed") from last_failure
     return SAOOVQEResult(
         e_sa=macro_trace[-1].e_sa_oo,
         state_energies=final_energies,

@@ -24,7 +24,7 @@ from devqe import bench as bench_mod
 from devqe.cli import main
 from devqe.de import DEConfig, ObjectiveError
 from devqe.local import GradientError
-from devqe.orbitals import MacroConfig
+from devqe.orbitals import MacroConfig, MacroLoopError
 from devqe.savqe import EnsembleSpec
 from devqe.statevector import ExpectationError
 from tests.conftest import fixture_path
@@ -52,7 +52,7 @@ def wrapped(cause):
 # exceptions a run may raise that a harness records as a failed run, and
 # programming errors that must end the command instead
 RUN_FAILURES = [
-    RuntimeError("no macro iteration completed"),
+    MacroLoopError("no macro iteration completed"),
     GradientError("non-finite stencil value at coordinate 0", 0),
     ExpectationError("imaginary residue 1e-3 in expectation"),
     wrapped(ExpectationError("imaginary residue 1e-3 in expectation")),
@@ -61,6 +61,8 @@ PROGRAMMING_ERRORS = [
     TypeError("unsupported operand"),
     AttributeError("no attribute 'rdms'"),
     wrapped(TypeError("unsupported operand")),
+    NotImplementedError("stage not written"),  # RuntimeError subclasses
+    RecursionError("maximum recursion depth exceeded"),
 ]
 
 # H2 headers the closed-shell sector cannot represent, with the reason given
@@ -257,7 +259,7 @@ class TestCompare:
 
         def failing_de(integrals, method, seed, config, mode):
             if method == "de_rand2_bin":
-                raise RuntimeError("numerical failure")
+                raise MacroLoopError("numerical failure")
             return real_run(integrals, method, seed, config, mode)
 
         monkeypatch.setattr(bench_mod, "run_molecule", failing_de)
@@ -309,7 +311,8 @@ class TestCompare:
             cmd_compare(bench_mod.parse_config(config), str(out))
         assert len(calls) == 1
         assert not (out / "failures.csv").exists()
-        assert main(["compare", "--config", config, "--out", str(out)]) == 1
+        with pytest.raises(type(error)):
+            main(["compare", "--config", config, "--out", str(out)])
 
 
 class TestScan:
@@ -383,11 +386,12 @@ class TestScan:
         assert len(calls) == 1
         assert not (out / "failures.csv").exists()
         config = write_config(tmp_path, molecule=h2_scan_dir, optimizer="bfgs")
-        assert main(["scan", "--config", config, "--out", str(out)]) == 1
+        with pytest.raises(type(error)):
+            main(["scan", "--config", config, "--out", str(out)])
 
     def test_every_point_failing_raises(self, tmp_path, h2_scan_dir, monkeypatch):
         def failing(*args):
-            raise RuntimeError("no macro iteration completed")
+            raise MacroLoopError("no macro iteration completed")
 
         monkeypatch.setattr(bench_mod, "run_molecule", failing)
         out = tmp_path / "out"
@@ -594,7 +598,7 @@ class TestCliExitCodes:
     def test_norb_below_one_is_reported_as_a_header_error(self, tmp_path, norb, capsys):
         molecule = write_norb(tmp_path / "mol.fcidump", norb)
         config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
-        assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f"NORB must be at least 1, got {norb}" in capsys.readouterr().err
 
     def test_missing_config_file_exit_two(self, tmp_path):

@@ -289,7 +289,7 @@ def rhf(atoms, max_cycles=200, conv=1e-12):
 
     density = np.zeros_like(h_core)
     energy = 0.0
-    for cycle in range(max_cycles):
+    for _ in range(max_cycles):
         fock = fock_matrix(density)
         fock_ortho = s_inv_half @ fock @ s_inv_half
         _, c_ortho = np.linalg.eigh(fock_ortho)
@@ -297,11 +297,13 @@ def rhf(atoms, max_cycles=200, conv=1e-12):
         occ = coeffs[:, :n_occ]
         new_density = 2.0 * occ @ occ.T
         new_energy = 0.5 * np.sum(new_density * (h_core + fock_matrix(new_density)))
-        if abs(new_energy - energy) < conv and np.max(np.abs(new_density - density)) < 1e-10:
-            density = new_density
-            energy = new_energy
-            break
+        converged = (abs(new_energy - energy) < conv
+                     and np.max(np.abs(new_density - density)) < 1e-10)
         density, energy = new_density, new_energy
+        if converged:
+            break
+    else:  # the last iterate is not an SCF solution: its orbitals must not be written
+        raise RuntimeError(f"RHF did not converge in {max_cycles} cycles")
     e_nuc = nuclear_repulsion(atoms)
     return {
         "coeffs": coeffs,
