@@ -50,9 +50,6 @@ from .statevector import (
     RDMPair,
     SectorHamiltonian,
     StateVector,
-    apply_excitation,
-    apply_pauli_rotation,
-    basis_state,
     expectation,
     measure_rdms,
     rdm_energy,

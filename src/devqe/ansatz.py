@@ -4,10 +4,11 @@ An Excitation is its anti-Hermitian generator G = sum_b (tau_b -
 tau_b^dagger), given by the ladder strings tau_b of its branches.  On a
 determinant basis each branch pairs determinants one to one with +-1 signs,
 so exp(theta G) is a set of real Givens rotations per branch (GivensAnsatz).
-That is the one ansatz kernel: the SA-VQE objective runs it on its sector,
-and apply_ansatz on an AnsatzSpec builds it on the full basis of 2^n
-determinants.  The Pauli form of G and its chain of Pauli rotations
-(jw.generator_words, statevector.apply_excitation) are the test reference.
+That is the one ansatz kernel, and apply_ansatz runs it on blocks of
+sector rows.  The dense references it is tested against live in
+tests/dense_oracle.py: the Pauli form of G and its chain of Pauli rotations
+(generator_words, apply_excitation), and an AnsatzSpec run as the Givens
+sets of the full basis of 2^n determinants (dense_apply_ansatz).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import ShapeError, StateVector, ladder_on_basis
+from .statevector import ShapeError, ladder_on_basis
 
 
 @dataclass(frozen=True)
@@ -157,37 +158,25 @@ class GivensAnsatz:
         return out.transpose(1, 2, 0).copy()
 
 
-def apply_ansatz(state, ansatz, theta):
-    """U(theta)|psi> for an AnsatzSpec or a GivensAnsatz.
+def apply_ansatz(state: np.ndarray, ansatz: GivensAnsatz, theta) -> np.ndarray:
+    """U(theta) on a block of states on a GivensAnsatz's basis, of size S.
 
     `state` is one of
-    - a StateVector, with a theta vector (returns a StateVector);
     - an (R, S) amplitude block with an (R, P) theta block, one state and one
       theta per row (returns the evolved (R, S) block);
     - an (R, n, S) block of R groups of n states with an (R, P) theta block,
       one theta per group, or a (1, n, S) block of n states that every theta
       row evolves (returns the evolved (R, n, S) block).
-    A block is on a GivensAnsatz's basis, of size S; an AnsatzSpec runs as
-    the Givens sets of the full basis of 2^n determinants, so S = 2^n.
     """
-    if isinstance(ansatz, GivensAnsatz):
-        kernel = ansatz
-    else:
-        kernel = GivensAnsatz.on_basis(ansatz, np.arange(2**ansatz.n_qubits))
-    single = isinstance(state, StateVector)
-    grouped = not single and np.ndim(state) == 3
-    amplitudes = state.amplitudes[None] if single else state
+    grouped = np.ndim(state) == 3
     thetas = np.asarray(theta, dtype=float)
-    thetas = thetas[None] if single else thetas
-    if thetas.ndim != 2 or thetas.shape[1] != kernel.parameter_count:
+    if thetas.ndim != 2 or thetas.shape[1] != ansatz.parameter_count:
         raise ValueError("theta length must equal the ansatz parameter count")
-    if amplitudes.shape[-1] != kernel.width:
+    if state.shape[-1] != ansatz.width:
         raise ShapeError("ansatz and state widths differ")
-    if grouped and len(amplitudes) not in (1, len(thetas)):
+    if grouped and len(state) not in (1, len(thetas)):
         raise ShapeError("a grouped block needs one theta row per group, or one group")
-    if not grouped and len(thetas) != len(amplitudes):
+    if not grouped and len(thetas) != len(state):
         raise ShapeError("a block needs one theta row per state")
-    out = kernel.apply(amplitudes if grouped else amplitudes[:, None], thetas)
-    if grouped:
-        return out
-    return StateVector(state.n_qubits, out[0, 0]) if single else out[:, 0]
+    out = ansatz.apply(state if grouped else state[:, None], thetas)
+    return out if grouped else out[:, 0]

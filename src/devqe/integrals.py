@@ -8,6 +8,7 @@ all symmetry-equivalent slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,6 +128,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:
             raise FcidumpError("could not parse numeric fields", line_no)
+        if not math.isfinite(value):
+            raise FcidumpError(f"value {parts[0]} is not finite", line_no)
         for idx in (i, j, k, l):
             if idx < 0 or idx > n_orb:
                 raise OrbitalIndexError(f"orbital index {idx} outside [0, {n_orb}]", line_no)
@@ -148,8 +151,13 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
 
 
 def load_fcidump(path) -> MolecularIntegrals:
-    with open(path) as fh:
-        return parse_fcidump(fh.read())
+    """Read and parse an FCIDUMP file; FcidumpError when it is not UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FcidumpError(f"not UTF-8 text: {exc}") from exc
+    return parse_fcidump(text)
 
 
 def freeze_core(integrals: MolecularIntegrals, n_frozen: int) -> MolecularIntegrals:

@@ -3,14 +3,14 @@
 Spin-orbital ordering is interleaved: mode 2p is orbital p spin-up, mode 2p+1
 is orbital p spin-down, so a closed-shell reference occupies a contiguous
 prefix of modes.  Occupation convention: qubit |0> is an empty mode, so the
-number operator reads n_j = (I - Z_j) / 2.  The same words give the Pauli
-form of an ansatz generator (generator_words), which the dense excitation
-chain of the tests applies.
+number operator reads n_j = (I - Z_j) / 2.  The letter form is the edge
+of the package (demos 02 and 05, the benchmark's set-up probe) and the
+test oracles' Hamiltonian; no run path maps a Hamiltonian.  The Pauli form
+of an ansatz generator, built from the same ladder words, is
+generator_words in tests/dense_oracle.py.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .integrals import MolecularIntegrals
 from .pauli import (
@@ -18,14 +18,9 @@ from .pauli import (
     PauliTerm,
     QubitHamiltonian,
     add_into,
-    masks_to_string,
     multiply_sums,
-    strings_commute,
     word_sum_to_terms,
 )
-
-DECOMPOSITION_CUTOFF = 1e-14
-REAL_RESIDUE_TOL = 1e-12
 
 
 def jw_ladder(mode: int, dagger: bool) -> dict:
@@ -39,36 +34,6 @@ def jw_ladder(mode: int, dagger: bool) -> dict:
         (x, string_mask): 0.5,
         (x, string_mask | x): 0.5 * sign,
     }
-
-
-def generator_words(excitation, n_qubits: int) -> tuple:
-    """The Pauli form of an excitation's anti-Hermitian generator
-    G = sum_b (tau_b - tau_b^dagger) over its ladder strings tau_b: the
-    (string, c) pairs of G = sum_k i c_k P_k with real c_k, sorted by string.
-
-    The words of one generator mutually commute, so exp(theta G) is exactly
-    a product of Pauli rotations.  ValueError when a coefficient keeps a real
-    part (G is not anti-Hermitian) or two words anticommute.
-    """
-    words: dict = {}
-    for specs in excitation.ladder_specs:
-        adjoint = tuple((mode, not dagger) for mode, dagger in reversed(specs))
-        for string, scale in ((specs, 1.0), (adjoint, -1.0)):
-            product = functools.reduce(multiply_sums, [jw_ladder(*op) for op in string])
-            add_into(words, product, scale)
-    terms = []
-    for (x, z), coeff in words.items():
-        letter_coeff = coeff * (-1j) ** (x & z).bit_count()
-        if abs(letter_coeff) < DECOMPOSITION_CUTOFF:
-            continue
-        if abs(letter_coeff.real) > REAL_RESIDUE_TOL:
-            raise ValueError("generator decomposition is not anti-Hermitian")
-        terms.append((masks_to_string(x, z, n_qubits), float(letter_coeff.imag)))
-    terms.sort(key=lambda t: t[0])
-    for i, (string, _) in enumerate(terms):
-        if not all(strings_commute(string, other) for other, _ in terms[i + 1:]):
-            raise ValueError("generator words must mutually commute")
-    return tuple(terms)
 
 
 def spin_orbital_mode(orbital: int, spin: int) -> int:

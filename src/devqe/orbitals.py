@@ -30,7 +30,7 @@ from . import local as local_mod
 from .de import ObjectiveError
 from .integrals import MolecularIntegrals
 from .savqe import OptimizerChoice, Sector, run_sa_vqe
-from .statevector import ExpectationError, rdm_energy
+from .statevector import rdm_energy
 from .trace import SCOPE_MACRO, OptimizationTrace, TraceEvent
 
 DEFAULT_MACRO_TOL = 1e-4
@@ -42,7 +42,6 @@ NO_WORSE_SLACK = 1e-12
 # wrapped exception decides.
 INNER_FAILURES = (
     local_mod.GradientError,
-    ExpectationError,
     np.linalg.LinAlgError,
 )
 

@@ -60,22 +60,6 @@ class QubitHamiltonian:
         return len(self.terms)
 
 
-def string_to_masks(string: str):
-    """(x_mask, z_mask) for a letter string; bit j <-> character j."""
-    x = z = 0
-    for j, ch in enumerate(string):
-        if ch == "X":
-            x |= 1 << j
-        elif ch == "Y":
-            x |= 1 << j
-            z |= 1 << j
-        elif ch == "Z":
-            z |= 1 << j
-        elif ch != "I":
-            raise ValueError(f"invalid Pauli letter {ch!r}")
-    return x, z
-
-
 def masks_to_string(x: int, z: int, n_qubits: int) -> str:
     # xb + 2*zb: (0,0)->I, (1,0)->X, (0,1)->Z, (1,1)->Y
     lookup = "IXZY"
@@ -145,10 +129,3 @@ def hamiltonian_matrix(ham: QubitHamiltonian) -> np.ndarray:
     for term in ham.terms:
         mat += term.coefficient * pauli_matrix(term.string)
     return mat
-
-
-def strings_commute(s1: str, s2: str) -> bool:
-    x1, z1 = string_to_masks(s1)
-    x2, z2 = string_to_masks(s2)
-    anti = ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1
-    return anti == 0

@@ -125,7 +125,9 @@ def _scatter(n_orb: int, basis: np.ndarray, block: np.ndarray) -> tuple:
 
 def build_initial_states(n_orb: int, n_elec: int):
     """The two references of Sector.build (Hartree-Fock determinant plus the
-    normalized singlet HOMO->LUMO single) as 2^n StateVectors."""
+    normalized singlet HOMO->LUMO single) as 2^n StateVectors.  No run
+    calls it; the benchmark's set-up probe (perfbench/probe.py) and the
+    tests do."""
     lists, references = _closed_shell_sector(n_orb, n_elec)
     return _scatter(n_orb, lists.basis, references)
 
@@ -172,10 +174,6 @@ class Sector:
         if (integrals.n_orb, integrals.n_elec) != (self.lists.n_orb, n_elec):
             raise ShapeError("integrals of another orbital or electron count")
         return replace(self, hamiltonian=SectorHamiltonian.from_integrals(integrals, self.lists))
-
-    def scatter(self, block: np.ndarray) -> tuple:
-        """The rows of an (R, S) block as 2^n StateVectors."""
-        return _scatter(self.lists.n_orb, self.basis, block)
 
 
 def sa_energy(theta, sector: Sector, weights):

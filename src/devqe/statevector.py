@@ -1,9 +1,7 @@
-"""Determinant-basis kernels of the SA-VQE stage, and the dense statevector
-simulator (up to ~12 qubits) they are tested against.
+"""Determinant-basis kernels of the SA-VQE stage.
 
 Basis-state index bit j is the occupation of mode/qubit j (bit 0 least
-significant).  All operations return new StateVector instances; amplitudes
-are never mutated in place.
+significant).
 
 The SA-VQE stage works on a sorted basis of determinants: ladder_on_basis
 applies a ladder string to it as one-to-one replacement lists, and the
@@ -11,24 +9,23 @@ ReplacementLists of the spin-free excitation operators E_pr are the stage's
 one kernel.  SectorHamiltonian.from_integrals contracts them with the
 integrals into the real (S, S) block that expectation takes with an (R, S)
 block, and ReplacementLists.rdms gives a real state's 1- and 2-RDMs.  The
-dense side is the reference they are tested against: the expectation of a
-letter-form QubitHamiltonian on a StateVector or an (R, 2^n) block,
-apply_excitation and measure_rdms.  The ansatz kernel is in ansatz.py.
+ansatz kernel is in ansatz.py.
+
+No run path allocates a 2^n vector.  The dense 2^n StateVector and the
+Gram-matrix measure_rdms on it stay here because the benchmark's set-up
+probe and layer tracer (perfbench/probe.py, perfbench/spans.py) name them;
+the other dense oracles the kernels are tested against (basis_state,
+apply_pauli, apply_excitation and the letter-form expectation) live in
+tests/dense_oracle.py.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .jw import generator_words
-from .pauli import string_to_masks
-
-IMAG_TOLERANCE = 1e-10
 
 
 @functools.lru_cache(maxsize=8)
@@ -40,10 +37,6 @@ def _index_array(n_qubits: int) -> np.ndarray:
 
 class ShapeError(ValueError):
     """Qubit counts or vector lengths disagree."""
-
-
-class ExpectationError(ValueError):
-    """Expectation value kept an imaginary residue above tolerance."""
 
 
 @dataclass
@@ -65,58 +58,8 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def basis_state(n_qubits: int, occupied_modes) -> StateVector:
-    occupied = list(occupied_modes)
-    if len(set(occupied)) != len(occupied):
-        raise IndexError("occupied modes must be distinct")
-    index = 0
-    for mode in occupied:
-        if not 0 <= mode < n_qubits:
-            raise IndexError(f"mode {mode} outside [0, {n_qubits})")
-        index |= 1 << mode
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _parity(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values).astype(np.int64) & 1
-
-
-def apply_pauli(state: StateVector, string: str) -> StateVector:
-    """P|psi> for a letter string: one permute-and-phase pass."""
-    if len(string) != state.n_qubits:
-        raise ShapeError("Pauli string length must equal the qubit count")
-    x_mask, z_mask = string_to_masks(string)
-    n = state.amplitudes.size
-    idx = _index_array(state.n_qubits)
-    phase = (1j) ** ((x_mask & z_mask).bit_count() % 4)
-    signs = 1.0 - 2.0 * _parity(idx & np.uint64(z_mask))
-    out = np.empty(n, dtype=complex)
-    out[idx ^ np.uint64(x_mask)] = phase * signs * state.amplitudes
-    return StateVector(state.n_qubits, out)
-
-
-def apply_pauli_rotation(state: StateVector, string: str, theta: float) -> StateVector:
-    """exp(-i theta/2 P) |psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
-    rotated = apply_pauli(state, string)
-    amps = (
-        math.cos(theta / 2.0) * state.amplitudes
-        - 1j * math.sin(theta / 2.0) * rotated.amplitudes
-    )
-    return StateVector(state.n_qubits, amps)
-
-
-def apply_excitation(state: StateVector, excitation, theta: float) -> StateVector:
-    """exp(theta (tau - tau^+)) |psi>, exact because the generator's Pauli
-    words (jw.generator_words) mutually commute: one rotation per word."""
-    if any(mode >= state.n_qubits for specs in excitation.ladder_specs for mode, _ in specs):
-        raise ShapeError("excitation acts on a mode outside the state")
-    out = state
-    for string, coeff in generator_words(excitation, state.n_qubits):
-        # generator contributes i*coeff*P, so exp(theta*i*coeff*P) = R_P(-2 theta coeff)
-        out = apply_pauli_rotation(out, string, -2.0 * theta * coeff)
-    return out
 
 
 def ladder_on_basis(specs, basis: np.ndarray):
@@ -236,36 +179,16 @@ class SectorHamiltonian:
         return cls(entries + integrals.core_energy * np.eye(size))
 
 
-def expectation(state, hamiltonian):
-    """<psi|H|psi> for a letter-form QubitHamiltonian or a
-    SectorHamiltonian.
-
-    With a QubitHamiltonian, `state` is a StateVector (returns a float) or an
-    (R, 2^n) amplitude block (returns the R values), and the terms add up as
-    sum_k c_k <psi|P_k psi>, one row at a time; ExpectationError when a value
-    keeps an imaginary residue above IMAG_TOLERANCE.  With a
-    SectorHamiltonian, `state` is a real (R, S) block on its basis, and each
-    row is reduced with the same arithmetic as a single state.
-    """
-    if isinstance(hamiltonian, SectorHamiltonian):
-        if np.ndim(state) != 2 or state.shape[1] != len(hamiltonian.matrix):
-            raise ShapeError("Hamiltonian block and state widths differ")
-        # stacked (1, S) @ (S, S) products: a 2-D block @ matrix may round a
-        # row differently depending on the rows around it
-        h_psi = state[:, None, :] @ hamiltonian.matrix
-        return (h_psi @ state[:, :, None])[:, 0, 0]
-    block = state.amplitudes[None] if isinstance(state, StateVector) else state
-    if block.shape[-1] != 2**hamiltonian.n_qubits:
-        raise ShapeError("Hamiltonian and state qubit counts differ")
-    values = np.empty(len(block))
-    for row, psi in enumerate(block):
-        ket = StateVector(hamiltonian.n_qubits, psi)
-        total = sum(term.coefficient * ket.inner(apply_pauli(ket, term.string))
-                    for term in hamiltonian.terms)
-        if abs(total.imag) > IMAG_TOLERANCE:
-            raise ExpectationError(f"imaginary residue {total.imag:.3e} in expectation")
-        values[row] = total.real
-    return float(values[0]) if isinstance(state, StateVector) else values
+def expectation(state: np.ndarray, hamiltonian: SectorHamiltonian) -> np.ndarray:
+    """<psi|H|psi> for every row of a real (R, S) block on the basis of a
+    SectorHamiltonian; each row is reduced with the same arithmetic as a
+    single state."""
+    if np.ndim(state) != 2 or state.shape[1] != len(hamiltonian.matrix):
+        raise ShapeError("Hamiltonian block and state widths differ")
+    # stacked (1, S) @ (S, S) products: a 2-D block @ matrix may round a
+    # row differently depending on the rows around it
+    h_psi = state[:, None, :] @ hamiltonian.matrix
+    return (h_psi @ state[:, :, None])[:, 0, 0]
 
 
 def _annihilate(amplitudes: np.ndarray, mode: int) -> np.ndarray:
@@ -295,8 +218,8 @@ def measure_rdms(state: StateVector, n_orb: int) -> RDMPair:
 
     Every inner product comes from one Gram matrix: <c_p psi|c_q psi> for the
     1-RDM, <c_A c_B psi|c_C c_D psi> over the A < B pair kets for the 2-RDM.
-    The convention is fixed so rdm_energy(integrals, rdms) reproduces
-    expectation(state, jordan_wigner(integrals)) exactly.
+    The convention is fixed so rdm_energy(integrals, rdms) reproduces the
+    expectation of jordan_wigner(integrals) on the state exactly.
     """
     if state.n_qubits != 2 * n_orb:
         raise ShapeError("state must carry 2 * n_orb modes")

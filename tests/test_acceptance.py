@@ -31,9 +31,9 @@ from devqe.jw import jordan_wigner
 from devqe.orbitals import rotate_integrals, run_sa_oo_vqe
 from devqe.pauli import hamiltonian_matrix
 from devqe.savqe import OptimizerChoice, Sector, run_sa_vqe
-from devqe.statevector import basis_state, expectation, measure_rdms, rdm_energy
-from devqe.ansatz import apply_ansatz
+from devqe.statevector import measure_rdms, rdm_energy
 from tests.conftest import fixture_path
+from tests.dense_oracle import basis_state, dense_apply_ansatz, dense_expectation
 
 
 def criterion(number, text):
@@ -93,8 +93,8 @@ def test_04_energy_path_consistency(h2_integrals):
     rng = np.random.default_rng(7)
     for _ in range(50):
         theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-        state = apply_ansatz(hf, ansatz, theta)
-        direct = expectation(state, ham)
+        state = dense_apply_ansatz(hf, ansatz, theta)
+        direct = dense_expectation(state, ham)
         contracted = rdm_energy(h2_integrals, measure_rdms(state, 2))
         assert abs(direct - contracted) < 1e-10
 

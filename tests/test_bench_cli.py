@@ -26,7 +26,6 @@ from devqe.de import DEConfig, ObjectiveError
 from devqe.local import GradientError
 from devqe.orbitals import MacroConfig, MacroLoopError
 from devqe.savqe import EnsembleSpec
-from devqe.statevector import ExpectationError
 from tests.conftest import fixture_path
 
 
@@ -54,8 +53,8 @@ def wrapped(cause):
 RUN_FAILURES = [
     MacroLoopError("no macro iteration completed"),
     GradientError("non-finite stencil value at coordinate 0", 0),
-    ExpectationError("imaginary residue 1e-3 in expectation"),
-    wrapped(ExpectationError("imaginary residue 1e-3 in expectation")),
+    np.linalg.LinAlgError("Singular matrix"),
+    wrapped(np.linalg.LinAlgError("Singular matrix")),
 ]
 PROGRAMMING_ERRORS = [
     TypeError("unsupported operand"),
@@ -85,6 +84,15 @@ def write_norb(path, norb):
     """The H2 fixture with NORB = norb in its header."""
     text = open(fixture_path("h2_sto3g.fcidump")).read()
     path.write_text(text.replace("NORB=2", f"NORB={norb}", 1))
+    return str(path)
+
+
+def write_random_bytes(path):
+    """200 seeded random bytes that are not UTF-8 text."""
+    data = np.random.default_rng(0).bytes(200)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path.write_bytes(data)
     return str(path)
 
 
@@ -352,6 +360,21 @@ class TestScan:
             ["h2_r9.99", "no &END terminator found in header"],
         ]
 
+    def test_non_utf8_point_recorded(self, tmp_path, h2_scan_dir):
+        import shutil
+
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        write_random_bytes(scan / "h2_r9.99.fcidump")
+        out = tmp_path / "out"
+        rows = read_rows(cmd_scan({"molecule": str(scan), "optimizer": "bfgs"}, str(out), "savqe"))
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("h2_r1.10", "ok"), ("h2_r1.40", "ok"), ("h2_r2.00", "ok"), ("h2_r9.99", "failed"),
+        ]
+        failures = read_rows(os.path.join(str(out), "failures.csv"))
+        assert [r[0] for r in failures[1:]] == ["h2_r9.99"]
+        assert failures[1][1].startswith("not UTF-8 text")
+
     @pytest.mark.parametrize("error", RUN_FAILURES, ids=lambda e: type(e).__name__)
     def test_run_failure_recorded(self, tmp_path, h2_scan_dir, monkeypatch, error):
         real_run = bench_mod.run_molecule
@@ -600,6 +623,24 @@ class TestCliExitCodes:
         config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
         assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f"NORB must be at least 1, got {norb}" in capsys.readouterr().err
+
+    def test_non_utf8_fcidump_exit_two(self, tmp_path, capsys):
+        molecule = write_random_bytes(tmp_path / "mol.fcidump")
+        config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
+        assert main(["vqe", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8 text") and err.count("\n") == 1
+
+    def test_nan_integral_exit_two(self, tmp_path, capsys):
+        lines = open(fixture_path("h2_sto3g.fcidump")).read().splitlines(keepends=True)
+        body = next(i for i, line in enumerate(lines) if line.strip().upper() == "&END") + 1
+        lines[body] = f"nan {lines[body].split(maxsplit=1)[1]}"
+        molecule = tmp_path / "mol.fcidump"
+        molecule.write_text("".join(lines))
+        config = write_config(tmp_path, molecule=str(molecule), optimizer="bfgs", seeds="0")
+        assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {body + 1}: value nan is not finite\n"
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["optimize", "--config", "/nonexistent.cfg"]) == 2

@@ -1,5 +1,7 @@
 """FCIDUMP parsing, symmetry handling, and frozen-core folding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from devqe.integrals import (
     OrbitalIndexError,
     freeze_core,
     hf_determinant_energy,
+    load_fcidump,
     parse_fcidump,
 )
+from tests.conftest import fixture_path
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n&END\n"
 
@@ -67,6 +71,32 @@ class TestParse:
         # "negative dimensions" error from inside numpy
         with pytest.raises(HeaderError, match=f"NORB must be at least 1, got {norb}"):
             parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1.0D+999"])
+    def test_non_finite_value_rejected_with_its_line(self, value):
+        # 1e999 overflows to inf; NaN would pass every symmetry check
+        text = HEADER + f" 0.5 1 1 0 0\n {value} 1 1 1 1\n 0.0 0 0 0 0\n"
+        with pytest.raises(FcidumpError, match=r"^line 6: value \S+ is not finite$"):
+            parse_fcidump(text)
+
+
+# sha256 of core_energy (float64 bytes), h and g of every shipped FCIDUMP,
+# taken from the parser before it checked values for finiteness
+PARSED_FIXTURE_PINS = {
+    "h2_sto3g": "991ac96e0bff3025f40a3a79281b0f77d89395d1e8778fb5b47e2541efb48e3e",
+    "h4_sto3g": "f6a8955272f1368925e31a61a8ab087dc03fabe9795586a4374b07f877b208ff",
+    "lih_sto3g": "44bdf94d6d04a41e1fac4c0ff17dce2cf95a21fb93ec348e6a94de935e7511a4",
+    "h2_scan/h2_r1.10": "90346b64c42625ff0a78c0f4d6f4273778032a5619614534ae62f413443cab01",
+    "h2_scan/h2_r1.40": "991ac96e0bff3025f40a3a79281b0f77d89395d1e8778fb5b47e2541efb48e3e",
+    "h2_scan/h2_r2.00": "87e74464b8dc9452195272f1eef834568d41ac496ce5b3bbfe4c17fc9cec8449",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_FIXTURE_PINS))
+def test_shipped_fixtures_parse_to_pinned_arrays(name):
+    ints = load_fcidump(fixture_path(f"{name}.fcidump"))
+    data = np.float64(ints.core_energy).tobytes() + ints.h.tobytes() + ints.g.tobytes()
+    assert hashlib.sha256(data).hexdigest() == PARSED_FIXTURE_PINS[name]
 
 
 class TestFixtures:

@@ -14,10 +14,9 @@ from devqe.pauli import (
     masks_to_string,
     multiply_sums,
     pauli_matrix,
-    string_to_masks,
-    strings_commute,
     word_product,
 )
+from tests.dense_oracle import string_to_masks, strings_commute
 
 
 def words_to_matrix(words, n_qubits):
@@ -188,11 +187,11 @@ class TestJordanWigner:
 class TestFrozenCoreConsistency:
     def test_freeze_then_map_matches_hf_energy(self, lih_integrals):
         from devqe.integrals import freeze_core, hf_determinant_energy
-        from devqe.statevector import basis_state, expectation
+        from tests.dense_oracle import basis_state, dense_expectation
 
         frozen = freeze_core(lih_integrals, 1)
         ham = jordan_wigner(frozen)
         hf_active = basis_state(2 * frozen.n_orb, range(frozen.n_elec))
-        e_mapped = expectation(hf_active, ham)
+        e_mapped = dense_expectation(hf_active, ham)
         e_full = hf_determinant_energy(lih_integrals)
         assert abs(e_mapped - e_full) < 1e-10

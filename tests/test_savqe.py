@@ -6,7 +6,7 @@ import pytest
 from devqe import fock
 from devqe.ansatz import default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
-from devqe.jw import generator_words, jordan_wigner, number_operator
+from devqe.jw import jordan_wigner, number_operator
 from devqe.local import LocalOptConfig, fd_gradient
 from devqe.pauli import hamiltonian_matrix
 from devqe.savqe import (
@@ -18,6 +18,7 @@ from devqe.savqe import (
     sa_energy,
 )
 from devqe.statevector import expectation
+from tests.dense_oracle import apply_excitation, dense_expectation, generator_words, scatter
 
 
 class TestEnsembleSpec:
@@ -57,8 +58,8 @@ class TestInitialStates:
     def test_number_eigenstates(self):
         a, b = build_initial_states(2, 2)
         num = number_operator(4)
-        assert expectation(a, num) == pytest.approx(2.0)
-        assert expectation(b, num) == pytest.approx(2.0)
+        assert dense_expectation(a, num) == pytest.approx(2.0)
+        assert dense_expectation(b, num) == pytest.approx(2.0)
         # eigenstate, not just expectation: variance must vanish
         num_mat = hamiltonian_matrix(num)
         for state in (a, b):
@@ -115,8 +116,8 @@ class TestSaEnergy:
         _, energies, _ = sa_energy(
             np.zeros(ansatz.parameter_count), Sector.build(h2_integrals, ansatz), (0.5, 0.5)
         )
-        assert energies[0] == pytest.approx(expectation(states[0], ham))
-        assert energies[1] == pytest.approx(expectation(states[1], ham))
+        assert energies[0] == pytest.approx(dense_expectation(states[0], ham))
+        assert energies[1] == pytest.approx(dense_expectation(states[1], ham))
 
     def test_weighting_arithmetic(self, h2_integrals):
         # unequal weights on H2: at theta = 0 the states are the references,
@@ -128,7 +129,7 @@ class TestSaEnergy:
         sector = Sector.build(h2_integrals, default_ansatz(2, 2))
         e_sa, energies, _ = sa_energy(np.zeros(2), sector, (0.25, 0.75))
         assert abs(energies[0] - hf_determinant_energy(h2_integrals)) < 1e-12
-        assert abs(energies[1] - expectation(excited, ham)) < 1e-12
+        assert abs(energies[1] - dense_expectation(excited, ham)) < 1e-12
         assert energies[1] - energies[0] > 0.5
         assert e_sa == 0.25 * energies[0] + 0.75 * energies[1]
 
@@ -137,7 +138,6 @@ class TestSaEnergy:
     def test_block_equals_one_point_calls(self, molecule, rows_per_block, request):
         from devqe.ansatz import apply_ansatz
         from devqe.integrals import freeze_core
-        from devqe.statevector import apply_excitation
 
         if molecule == "lih_frozen_core":
             integrals = freeze_core(request.getfixturevalue("lih_integrals"), 1)
@@ -171,7 +171,7 @@ class TestSaEnergy:
         for i, theta in enumerate(thetas):
             # a sector built again gives the same point
             one_e_sa, one_energies, rows = sa_energy(theta, rebuilt, weights)
-            evolved = rebuilt.scatter(rows)
+            evolved = scatter(rebuilt, rows)
             assert e_sa[i] == one_e_sa
             assert tuple(energies[i].tolist()) == one_energies
             for reference, state, energy in zip(states, evolved, one_energies):
@@ -181,7 +181,7 @@ class TestSaEnergy:
                 # the Givens sets and the Pauli-word chain are different exact
                 # factorisations of U(theta): equal to rounding, not bitwise
                 assert np.max(np.abs(state.amplitudes - chain.amplitudes)) < 1e-12
-                assert abs(energy - expectation(chain, ham)) < 1e-12
+                assert abs(energy - dense_expectation(chain, ham)) < 1e-12
             assert one_e_sa == weights[0] * one_energies[0] + weights[1] * one_energies[1]
 
 
@@ -195,7 +195,7 @@ class TestRunSaVqe:
     def test_final_states_stay_orthogonal(self, h2_integrals):
         ansatz = default_ansatz(2, 2)
         result = run_sa_vqe(Sector.build(h2_integrals, ansatz), optimizer=OptimizerChoice("bfgs"))
-        a, b = Sector.build(h2_integrals, ansatz).scatter(result.final_rows)
+        a, b = scatter(Sector.build(h2_integrals, ansatz), result.final_rows)
         assert abs(a.inner(b)) < 1e-10
         assert abs(a.norm() - 1.0) < 1e-12
 
@@ -205,7 +205,7 @@ class TestRunSaVqe:
         rng = np.random.default_rng(0)
         for _ in range(25):
             theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-            evolved = sector.scatter(sa_energy(theta, sector, (0.5, 0.5))[2])
+            evolved = scatter(sector, sa_energy(theta, sector, (0.5, 0.5))[2])
             assert abs(evolved[0].inner(evolved[1])) < 1e-10
             assert abs(evolved[0].norm() - 1.0) < 1e-12
             assert abs(evolved[1].norm() - 1.0) < 1e-12
@@ -339,7 +339,7 @@ Sector.build(h2_integrals, ansatz), optimizer=choice)
         # ground state gains correlation energy below the determinant reference
         assert result.state_energies[0] < hf_determinant_energy(lih_integrals) - 1e-4
         assert result.e_sa >= fock.ensemble_floor(frozen) - 1e-10
-        final_states = Sector.build(frozen, ansatz).scatter(result.final_rows)
+        final_states = scatter(Sector.build(frozen, ansatz), result.final_rows)
         assert abs(final_states[0].inner(final_states[1])) < 1e-10
 
     def test_gd_records_every_step(self, h2_integrals):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from devqe import ansatz as ansatz_mod
-from devqe import fock, statevector
+from devqe import fock, savqe, statevector
 from devqe.ansatz import GivensAnsatz, apply_ansatz, default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
 from devqe.integrals import MolecularIntegrals, freeze_core
@@ -20,8 +20,8 @@ from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig
 from devqe.orbitals import MacroConfig, OOConfig, rotate_integrals, run_sa_oo_vqe
 from devqe.savqe import OptimizerChoice, Sector, build_initial_states, run_sa_vqe, sa_energy
-from devqe.statevector import (ShapeError, apply_excitation, expectation, ladder_on_basis,
-                               measure_rdms)
+from devqe.statevector import ShapeError, expectation, ladder_on_basis, measure_rdms
+from tests.dense_oracle import apply_excitation, dense_expectation, scatter
 
 SYSTEMS = ("h2", "h4", "lih_frozen_core", "lih")
 
@@ -153,18 +153,18 @@ def test_scattered_states_match_excitation_chain(system):
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
         _, energies, rows = sa_energy(theta, sector, (0.5, 0.5))
-        evolved = sector.scatter(rows)
+        evolved = scatter(sector, rows)
         for reference, state, energy in zip(states, evolved, energies):
             chain = excitation_chain(reference, ansatz, theta)
             assert np.max(np.abs(state.amplitudes - chain.amplitudes)) < 1e-12
             # the sector energy against the letter form, on the scattered state
-            assert abs(energy - expectation(state, ham)) < 1e-12
-            assert abs(energy - expectation(chain, ham)) < 1e-12
+            assert abs(energy - dense_expectation(state, ham)) < 1e-12
+            assert abs(energy - dense_expectation(chain, ham)) < 1e-12
 
 
 def assert_rdms_match_dense_oracle(sector, rows):
     n_orb = sector.lists.n_orb
-    for row, state in zip(rows, sector.scatter(rows)):
+    for row, state in zip(rows, scatter(sector, rows)):
         got, ref = sector.lists.rdms(row), measure_rdms(state, n_orb)
         assert np.max(np.abs(got.one_rdm - ref.one_rdm)) < 1e-12
         assert np.max(np.abs(got.two_rdm - ref.two_rdm)) < 1e-12
@@ -229,7 +229,7 @@ def test_saoo_run_path_builds_no_dense_state(h4_integrals, monkeypatch):
 
     monkeypatch.setattr(statevector.StateVector, "__post_init__", dense)
     monkeypatch.setattr(statevector, "_index_array", dense)
-    monkeypatch.setattr(Sector, "scatter", dense)
+    monkeypatch.setattr(savqe, "_scatter", dense)
     result = run_sa_oo_vqe(h4_integrals, default_ansatz(h4_integrals.n_orb, h4_integrals.n_elec))
     # the counts of the h4_saoo benchmark goldens
     assert (result.evaluations, result.macro_iterations) == (415, 2)

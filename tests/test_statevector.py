@@ -1,4 +1,5 @@
-"""Statevector operations against dense-matrix oracles."""
+"""The dense oracles of tests/dense_oracle.py against dense matrices, and the
+2^n Givens kernel against the Pauli-word chain."""
 
 import numpy as np
 import pytest
@@ -8,33 +9,36 @@ from devqe import fock
 from devqe.ansatz import (
     AnsatzSpec,
     Excitation,
-    apply_ansatz,
     default_ansatz,
     double_excitation,
     paired_double,
     paired_single,
     single_excitation,
 )
-from devqe.jw import generator_words, jordan_wigner
+from devqe.jw import jordan_wigner
 from devqe.pauli import PauliTerm, QubitHamiltonian, hamiltonian_matrix, pauli_matrix
 from devqe.savqe import build_initial_states
 from devqe.statevector import (
-    ExpectationError,
     RDMPair,
     ReplacementLists,
+    SectorHamiltonian,
     ShapeError,
     StateVector,
     _annihilate,
     _index_array,
     _parity,
+    measure_rdms,
+    rdm_energy,
+)
+from tests.dense_oracle import (
+    ExpectationError,
     apply_excitation,
     apply_pauli,
     apply_pauli_rotation,
-    SectorHamiltonian,
     basis_state,
-    expectation,
-    measure_rdms,
-    rdm_energy,
+    dense_apply_ansatz,
+    dense_expectation,
+    generator_words,
 )
 
 MOLECULES = ("h2_integrals", "h4_integrals", "lih_integrals")
@@ -218,31 +222,31 @@ def pauli_sum_expectation(state, ham):
 class TestExpectation:
     def test_z_on_zero_state(self):
         ham = QubitHamiltonian(2, [PauliTerm("ZI", 1.0)])
-        assert expectation(basis_state(2, []), ham) == pytest.approx(1.0)
+        assert dense_expectation(basis_state(2, []), ham) == pytest.approx(1.0)
 
     def test_identity_hamiltonian(self):
         ham = QubitHamiltonian(3, [PauliTerm("III", -2.5)])
-        assert expectation(random_state(3, 12), ham) == pytest.approx(-2.5)
+        assert dense_expectation(random_state(3, 12), ham) == pytest.approx(-2.5)
 
     def test_ground_eigenvector_reproduces_eigenvalue(self, h2_integrals):
         ham = jordan_wigner(h2_integrals)
         mat = hamiltonian_matrix(ham)
         evals, evecs = np.linalg.eigh(mat)
         ground = StateVector(4, evecs[:, 0])
-        assert abs(expectation(ground, ham) - evals[0]) < 1e-10
+        assert abs(dense_expectation(ground, ham) - evals[0]) < 1e-10
 
     def test_global_phase_invariance(self, h2_integrals):
         ham = jordan_wigner(h2_integrals)
         state = random_state(4, 13)
         shifted = StateVector(4, np.exp(0.7j) * state.amplitudes)
-        assert expectation(state, ham) == pytest.approx(
-            expectation(shifted, ham), abs=1e-12
+        assert dense_expectation(state, ham) == pytest.approx(
+            dense_expectation(shifted, ham), abs=1e-12
         )
 
     def test_qubit_count_mismatch(self, h2_integrals):
         ham = jordan_wigner(h2_integrals)
         with pytest.raises(ShapeError):
-            expectation(random_state(3, 17), ham)
+            dense_expectation(random_state(3, 17), ham)
 
     def test_matches_term_by_term_sum(self, h2_integrals):
         # the row reduction must agree with the naive sum
@@ -250,7 +254,7 @@ class TestExpectation:
         for seed in range(10):
             state = random_state(4, 100 + seed)
             naive = pauli_sum_expectation(state, ham)
-            assert expectation(state, ham) == pytest.approx(naive, abs=1e-12)
+            assert dense_expectation(state, ham) == pytest.approx(naive, abs=1e-12)
 
 
 def sector_sum_expectation(state, integrals):
@@ -288,23 +292,23 @@ class TestCompiledHamiltonian:
                 ref = np.vdot(state.amplitudes, dense @ state.amplitudes).real
             else:
                 ref = sector_sum_expectation(state, integrals)
-            assert abs(expectation(state, ham) - ref) < 1e-12
+            assert abs(dense_expectation(state, ham) - ref) < 1e-12
 
     def test_wrong_width_rejected(self, h2_integrals):
         ham = jordan_wigner(h2_integrals)
         with pytest.raises(ShapeError):
-            expectation(random_state(3, 22), ham)
+            dense_expectation(random_state(3, 22), ham)
         with pytest.raises(ShapeError):
-            expectation(random_state(5, 23), ham)
+            dense_expectation(random_state(5, 23), ham)
 
     def test_imaginary_residue_rejected(self):
         # iX is anti-Hermitian: <+|iX|+> = i
         ham = QubitHamiltonian(1, [PauliTerm("X", 1j)])
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(ExpectationError):
-            expectation(plus, ham)
+            dense_expectation(plus, ham)
         with pytest.raises(ExpectationError):
-            expectation(np.array([[1.0, 0.0], plus.amplitudes]), ham)
+            dense_expectation(np.array([[1.0, 0.0], plus.amplitudes]), ham)
 
     @pytest.mark.parametrize("molecule", MOLECULES)
     def test_block_rows_equal_single_states(self, molecule, request):
@@ -312,16 +316,16 @@ class TestCompiledHamiltonian:
         ham = jordan_wigner(integrals)
         n_qubits = 2 * integrals.n_orb
         states = [random_state(n_qubits, 300 + seed) for seed in range(4)]
-        values = expectation(np.array([s.amplitudes for s in states]), ham)
+        values = dense_expectation(np.array([s.amplitudes for s in states]), ham)
         assert values.shape == (4,)
-        assert values.tolist() == [expectation(s, ham) for s in states]
+        assert values.tolist() == [dense_expectation(s, ham) for s in states]
 
 
 def givens_excitation_chain(reference, ansatz, theta):
-    """apply_ansatz one excitation at a time, in circuit order."""
+    """dense_apply_ansatz one excitation at a time, in circuit order."""
     out = reference
     for excitation, angle in zip(ansatz.excitations, theta):
-        out = apply_ansatz(out, AnsatzSpec(ansatz.n_qubits, [excitation]), [angle])
+        out = dense_apply_ansatz(out, AnsatzSpec(ansatz.n_qubits, [excitation]), [angle])
     return out
 
 
@@ -333,7 +337,7 @@ def pauli_excitation_chain(reference, ansatz, theta):
 
 
 class TestCompiledAnsatz:
-    """apply_ansatz on an AnsatzSpec, compiled to Givens sets on all 2^n
+    """dense_apply_ansatz: an AnsatzSpec compiled to Givens sets on all 2^n
     determinants, against the Pauli-word chain of apply_excitation.  The
     two are different exact factorisations of U(theta), so they agree to
     rounding; excitation by excitation, the Givens sets compose bitwise."""
@@ -349,7 +353,7 @@ class TestCompiledAnsatz:
         for state in states:
             for _ in range(2):
                 theta = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
-                out = apply_ansatz(state, ansatz, theta).amplitudes
+                out = dense_apply_ansatz(state, ansatz, theta).amplitudes
                 assert np.array_equal(
                     out, givens_excitation_chain(state, ansatz, theta).amplitudes
                 )
@@ -366,7 +370,7 @@ class TestCompiledAnsatz:
         n_rows = 5
         thetas = rng.uniform(-np.pi, np.pi, (n_rows, ansatz.parameter_count))
         chosen = [references[r % 2] for r in range(n_rows)]
-        block = apply_ansatz(np.array([ref.amplitudes for ref in chosen]), ansatz, thetas)
+        block = dense_apply_ansatz(np.array([ref.amplitudes for ref in chosen]), ansatz, thetas)
         assert block.shape == (n_rows, 2**ansatz.n_qubits)
         for row, (reference, theta) in enumerate(zip(chosen, thetas)):
             alone = givens_excitation_chain(reference, ansatz, theta).amplitudes
@@ -377,18 +381,18 @@ class TestCompiledAnsatz:
     def test_block_rejects_mismatched_rows(self):
         ansatz = default_ansatz(2, 2)
         block = np.array([basis_state(4, [0, 1]).amplitudes] * 3)
-        assert apply_ansatz(block, ansatz, np.zeros((3, 2))).shape == (3, 16)
+        assert dense_apply_ansatz(block, ansatz, np.zeros((3, 2))).shape == (3, 16)
         with pytest.raises(ShapeError):
-            apply_ansatz(block, ansatz, np.zeros((2, 2)))
+            dense_apply_ansatz(block, ansatz, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            apply_ansatz(block, ansatz, np.zeros((3, 1)))
+            dense_apply_ansatz(block, ansatz, np.zeros((3, 1)))
 
     def test_rejects_bad_theta_and_width(self):
         ansatz = default_ansatz(2, 2)
         with pytest.raises(ValueError):
-            apply_ansatz(basis_state(4, [0, 1]), ansatz, [0.1])
+            dense_apply_ansatz(basis_state(4, [0, 1]), ansatz, [0.1])
         with pytest.raises(ShapeError):
-            apply_ansatz(basis_state(6, [0, 1]), ansatz, [0.1, 0.2])
+            dense_apply_ansatz(basis_state(6, [0, 1]), ansatz, [0.1, 0.2])
 
 
 def apply_annihilation(state: StateVector, mode: int) -> StateVector:
@@ -462,7 +466,7 @@ class TestRdms:
         hf = basis_state(4, [0, 1])
         for _ in range(50):
             theta = rng.uniform(-2.0, 2.0, ansatz.parameter_count)
-            state = apply_ansatz(hf, ansatz, theta)
+            state = dense_apply_ansatz(hf, ansatz, theta)
             rdms = measure_rdms(state, 2)
             assert abs(np.trace(rdms.one_rdm) - 2.0) < 1e-10
             assert np.max(np.abs(rdms.one_rdm - rdms.one_rdm.T)) < 1e-10
@@ -474,8 +478,8 @@ class TestRdms:
         hf = basis_state(4, [0, 1])
         for _ in range(20):
             theta = rng.uniform(-2.0, 2.0, ansatz.parameter_count)
-            state = apply_ansatz(hf, ansatz, theta)
-            direct = expectation(state, ham)
+            state = dense_apply_ansatz(hf, ansatz, theta)
+            direct = dense_expectation(state, ham)
             contracted = rdm_energy(h2_integrals, measure_rdms(state, 2))
             assert abs(direct - contracted) < 1e-10
 
@@ -491,8 +495,8 @@ class TestRdms:
         hf, excited = build_initial_states(n_orb, integrals.n_elec)
         theta = np.random.default_rng(25).uniform(-1.0, 1.0, ansatz.parameter_count)
         states = [
-            apply_ansatz(hf, ansatz, theta),
-            apply_ansatz(excited, ansatz, theta),
+            dense_apply_ansatz(hf, ansatz, theta),
+            dense_apply_ansatz(excited, ansatz, theta),
             random_state(2 * n_orb, 26),
         ]
         for state in states:

@@ -27,9 +27,7 @@ of its Sector.  Cases:
            (with the number of rotate_integrals calls it makes), and
            rotate_integrals; and the
            RDMs of one such state, in ms per state, from the sector's
-           replacement lists (the run path) and from the dense oracle
-           measure_rdms on the scattered 2^n state, their repeats
-           interleaved;
+           replacement lists (the run path);
 - de_driver: microseconds per evaluation of whole de_minimize runs of
            DE_DRIVER_EVALS evaluations on bench.sphere, whose batch form makes
            the objective nearly free: the de_sphere benchmark's three variants
@@ -67,7 +65,6 @@ import numpy as np  # noqa: E402
 from devqe import bench, de, orbitals, savqe  # noqa: E402
 from devqe.ansatz import default_ansatz  # noqa: E402
 from devqe.integrals import freeze_core, load_fcidump  # noqa: E402
-from devqe.statevector import measure_rdms  # noqa: E402
 
 CASES = ("point", "stencil", "de_gen", "macro", "de_driver", "startup")
 DE_DRIVER_EVALS = 6000
@@ -191,12 +188,7 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
     theta = np.full(ansatz.parameter_count, MACRO_THETA)
     _, _, rows = savqe.sa_energy(theta, sector, WEIGHTS)
     rdms = tuple(sector.lists.rdms(row) for row in rows)
-    states = sector.scatter(rows)
-    list_samples, dense_samples = repeated_samples(
-        [lambda: [sector.lists.rdms(row) for row in rows],
-         lambda: [measure_rdms(state, integrals.n_orb) for state in states]], repeats)
-    list_ms, dense_ms = (statistics.median(samples) / len(rows) * 1e3
-                         for samples in (list_samples, dense_samples))
+    list_ms = ms_per_eval(lambda: [sector.lists.rdms(row) for row in rows], len(rows), repeats)
 
     rotations = 0
     rotate = orbitals.rotate_integrals
@@ -217,8 +209,7 @@ def time_macro_layers(name, integrals, ansatz, sector, repeats):
     print(f"{name:7s} {'macro':8s} Sector.build {build_ms:.3f} (once per run), "
           f"with_integrals {derive_ms:.3f}, minimize_orbitals {oo_ms:.3f} ({rotations} "
           f"rotate_integrals calls), rotate_integrals {rotate_ms:.4f} ms per call", flush=True)
-    print(f"{name:7s} {'rdms':8s} lists {list_ms:.4f}, dense measure_rdms "
-          f"{dense_ms:.4f} ms per state ({dense_ms / list_ms:.1f}x)", flush=True)
+    print(f"{name:7s} {'rdms':8s} lists {list_ms:.4f} ms per state", flush=True)
 
 
 def main(argv=None) -> int:
