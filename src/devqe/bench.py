@@ -18,7 +18,6 @@ from .integrals import FcidumpError, MolecularIntegrals, load_fcidump
 from .orbitals import RUN_FAILURES, MacroConfig, is_run_failure, run_sa_oo_vqe
 from .savqe import EnsembleSpec, OptimizerChoice, Sector, closed_shell_problem, run_sa_vqe
 
-SUMMARY_HEADER = "method,evals_min,evals_max,evals_mean,E_min,E_max,E_mean"
 N_REFERENCES = 2  # the Hartree-Fock and singlet-excited references of every run
 
 
@@ -91,26 +90,24 @@ def method_error(name) -> UsageError:
     return UsageError(message)
 
 
+# config key -> (constructor keyword, parser) for settings a config may override;
+# the method name alone fixes a DE variant's strategy and crossover (DE_METHODS)
+DE_SETTINGS = {
+    "np": ("np_size", int),
+    "f": ("f", float),
+    "cr": ("cr", float),
+    "boundary": ("boundary", str),
+}
+MACRO_SETTINGS = {"macro_tol": ("macro_tol", float), "max_macro_iters": ("max_macro_iters", int)}
+
+# the harness's DE stop rule for the keys a config leaves unset
+DE_TERMINATION_DEFAULTS = {"max_evals": 3000, "max_generations": None, "abs_tol": 1e-8,
+                           "n_tol": 10}
+
+# the settings tables' keys and the keys the commands read themselves
 CONFIG_KEYS = {
-    "molecule",
-    "optimizer",
-    "strategy",
-    "crossover",
-    "boundary",
-    "np",
-    "f",
-    "cr",
-    "seeds",
-    "weights",
-    "macro_tol",
-    "max_macro_iters",
-    "mode",
-    "function",
-    "dimension",
-    "max_evals",
-    "max_generations",
-    "abs_tol",
-    "n_tol",
+    "molecule", "optimizer", "seeds", "weights", "function", "dimension",
+    *DE_SETTINGS, *MACRO_SETTINGS, *DE_TERMINATION_DEFAULTS,
 }
 
 
@@ -170,8 +167,8 @@ def _is_set(config: dict, key) -> bool:
 def parse_weights(text) -> EnsembleSpec:
     """Ensemble weights from a config value; unset means the EnsembleSpec default.
 
-    Every run builds the two SA-VQE references (build_initial_states), so a
-    weights entry needs exactly two.
+    Every run builds the two SA-VQE references (Sector.build), so a weights
+    entry needs exactly two.
     """
     if text is None or str(text).strip() == "":
         return EnsembleSpec()
@@ -187,21 +184,6 @@ def parse_weights(text) -> EnsembleSpec:
     return spec
 
 
-# config key -> (constructor keyword, parser) for settings a config may override
-DE_SETTINGS = {
-    "np": ("np_size", int),
-    "f": ("f", float),
-    "cr": ("cr", float),
-    "strategy": ("strategy", str),
-    "crossover": ("crossover", str),
-    "boundary": ("boundary", str),
-}
-MACRO_SETTINGS = {"macro_tol": ("macro_tol", float), "max_macro_iters": ("max_macro_iters", int)}
-
-# the harness's DE stop rule for the keys a config leaves unset
-DE_TERMINATION_DEFAULTS = {"max_evals": 3000, "abs_tol": 1e-8, "n_tol": 10}
-
-
 def _overrides(config: dict, settings: dict) -> dict:
     """Constructor keywords for the keys the config sets; defaults apply otherwise."""
     return {
@@ -213,7 +195,7 @@ def _overrides(config: dict, settings: dict) -> dict:
 
 def _de_termination(config: dict) -> de_mod.TerminationCriteria:
     def get(key):
-        return config[key] if _is_set(config, key) else DE_TERMINATION_DEFAULTS.get(key)
+        return config[key] if _is_set(config, key) else DE_TERMINATION_DEFAULTS[key]
 
     max_generations = get("max_generations")
     return de_mod.TerminationCriteria(
@@ -230,8 +212,9 @@ def build_optimizer(method: str, config: dict, seed: int) -> OptimizerChoice:
         strategy, crossover = DE_METHODS[method]
         try:
             de_config = de_mod.DEConfig(
-                **{"strategy": strategy, "crossover": crossover,
-                   **_overrides(config, DE_SETTINGS)},
+                strategy=strategy,
+                crossover=crossover,
+                **_overrides(config, DE_SETTINGS),
                 seed=seed,
                 termination=_de_termination(config),
             )
@@ -324,8 +307,6 @@ def load_molecule(path) -> MolecularIntegrals:
 def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
     """One full run on a molecule: mode "saoo" (macro loop, an SAOOVQEResult) or
     "savqe" (fixed orbitals, a single VQE stage, an SAVQEResult)."""
-    if mode not in ("savqe", "saoo"):
-        raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     optimizer = build_optimizer(method, config, seed)
     weights = parse_weights(config.get("weights")).weights
     ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
@@ -429,16 +410,17 @@ def cmd_compare(config: dict, out_dir) -> str:
         _write_csv(os.path.join(out_dir, "failures.csv"), ["method", "seed", "error"], failures)
     _write_csv(os.path.join(out_dir, "runs.csv"),
                ["method", "seed", "e0", "e1", "e_sa", "evaluations"], run_rows)
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        csv.writer(fh).writerows(summary_rows)
+    summary_path = _write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["method", "evals_min", "evals_max", "evals_mean", "E_min", "E_max", "E_mean"],
+        summary_rows,
+    )
     if not summary_rows:
         raise AllRunsFailed("every run failed; see failures.csv")
     return summary_path
 
 
-def cmd_scan(config: dict, out_dir, mode=None) -> str:
+def cmd_scan(config: dict, out_dir, mode: str) -> str:
     scan_dir = config.get("molecule")
     if not scan_dir or not os.path.isdir(scan_dir):
         raise UsageError("scan requires molecule=<directory of FCIDUMP files>")
@@ -448,7 +430,6 @@ def cmd_scan(config: dict, out_dir, mode=None) -> str:
     )
     if not files:
         raise UsageError(f"no FCIDUMP files found in {scan_dir}")
-    mode = mode or config.get("mode", "savqe")
     if mode not in ("savqe", "saoo"):
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
     method = config.get("optimizer", "bfgs")

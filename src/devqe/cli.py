@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: optimize, vqe, saoo, compare, scan.  Configuration comes from a
-flat key=value file (--config); --seeds and --mode override the file.  Exit
-codes: 0 success; 1 runtime failure (a run's numerical failure, the macro
-loop's MacroLoopError, a compare or scan in which every run failed, or an
-OSError such as an --out that names a file); 2 usage error (a bad config or
-option, a missing file, a malformed FCIDUMP or an unsupported molecule).  A
-programming error is not caught: it ends the command with its traceback.
+flat key=value file (--config); --seeds overrides the file's seeds.  A DE
+method's name fixes its strategy and crossover, and --mode (default savqe)
+alone picks scan's mode.  Exit codes: 0 success; 1 runtime failure (a run's
+numerical failure, the macro loop's MacroLoopError, a compare or scan in
+which every run failed, or an OSError such as an --out that names a file);
+2 usage error (a bad config or option, a missing file, a malformed FCIDUMP
+or an unsupported molecule).  A programming error is not caught: it ends
+the command with its traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         seeds_help = "one seed" if name in ("vqe", "saoo", "scan") else "comma-separated seed list"
         cmd.add_argument("--seeds", default=None, help=seeds_help)
         if name == "scan":
-            cmd.add_argument("--mode", choices=("savqe", "saoo"), default=None)
+            cmd.add_argument("--mode", choices=("savqe", "saoo"), default="savqe",
+                             help="fixed orbitals (savqe, the default) or the SA-OO macro loop")
     return parser
 
 
@@ -63,7 +66,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             path = bench.cmd_compare(config, args.out)
         else:
-            path = bench.cmd_scan(config, args.out, getattr(args, "mode", None))
+            path = bench.cmd_scan(config, args.out, args.mode)
     except (UsageError, FcidumpError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 from .integrals import MolecularIntegrals
 from .pauli import (
     COEFF_CUTOFF,
-    PauliTerm,
     QubitHamiltonian,
     add_into,
     multiply_sums,
@@ -91,12 +90,3 @@ def jordan_wigner(integrals: MolecularIntegrals) -> QubitHamiltonian:
 
     terms = word_sum_to_terms(words, n_modes)
     return QubitHamiltonian(n_qubits=n_modes, terms=terms)
-
-
-def number_operator(n_qubits: int) -> QubitHamiltonian:
-    """Total particle number sum_j (I - Z_j)/2 as a Pauli sum."""
-    terms = [PauliTerm("I" * n_qubits, 0.5 * n_qubits)]
-    for j in range(n_qubits):
-        string = "".join("Z" if k == j else "I" for k in range(n_qubits))
-        terms.append(PauliTerm(string, -0.5))
-    return QubitHamiltonian(n_qubits=n_qubits, terms=sorted(terms, key=lambda t: t.string))

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_CHARS = "IXYZ"
-
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -290,23 +290,17 @@ def run_sa_vqe(
         )
         theta_star = result.best_vector
         stop_reason = result.stop_reason
-    elif optimizer.kind in ("gd", "bfgs"):
+    else:
         def callback(x, _fx, _evals, *_extra):
             record(x)
             objective.retain()  # the next step records a freshly evaluated point
 
-        if optimizer.kind == "gd":
-            result = local_mod.gradient_descent(
-                objective, theta0, optimizer.local_config, callback=callback
-            )
-        else:
-            result = local_mod.bfgs_minimize(
-                objective, theta0, optimizer.local_config, callback=callback
-            )
+        runner = (
+            local_mod.gradient_descent if optimizer.kind == "gd" else local_mod.bfgs_minimize
+        )
+        result = runner(objective, theta0, optimizer.local_config, callback=callback)
         theta_star = result.x
         stop_reason = result.stop_reason
-    else:  # pragma: no cover - guarded by OptimizerChoice
-        raise ValueError(optimizer.kind)
 
     # final state reconstruction is one more genuine sa_energy invocation,
     # and so is the incumbent's

@@ -15,6 +15,7 @@ tested against, moved out of the package:
   on a `StateVector` or an (R, 2^n) block, with `ExpectationError`;
 - `dense_apply_ansatz`, an `AnsatzSpec` run as the Givens sets of the full
   basis of 2^n determinants;
+- `number_operator`, the total particle number as a Pauli sum;
 - `scatter`, a Sector's rows as 2^n StateVectors.
 
 `StateVector`, `build_initial_states` and `measure_rdms` stay in the package,
@@ -28,7 +29,7 @@ import numpy as np
 
 from devqe.ansatz import GivensAnsatz, apply_ansatz
 from devqe.jw import jw_ladder
-from devqe.pauli import add_into, masks_to_string, multiply_sums
+from devqe.pauli import PauliTerm, QubitHamiltonian, add_into, masks_to_string, multiply_sums
 from devqe.savqe import _scatter
 from devqe.statevector import ShapeError, StateVector, _index_array, _parity
 
@@ -174,6 +175,15 @@ def dense_apply_ansatz(state, ansatz, theta):
         return apply_ansatz(state, kernel, theta)
     out = apply_ansatz(state.amplitudes[None], kernel, np.asarray(theta, dtype=float)[None])
     return StateVector(state.n_qubits, out[0])
+
+
+def number_operator(n_qubits: int) -> QubitHamiltonian:
+    """Total particle number sum_j (I - Z_j)/2 as a Pauli sum."""
+    terms = [PauliTerm("I" * n_qubits, 0.5 * n_qubits)]
+    for j in range(n_qubits):
+        string = "".join("Z" if k == j else "I" for k in range(n_qubits))
+        terms.append(PauliTerm(string, -0.5))
+    return QubitHamiltonian(n_qubits=n_qubits, terms=sorted(terms, key=lambda t: t.string))
 
 
 def scatter(sector, block: np.ndarray) -> tuple:

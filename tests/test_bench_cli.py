@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from devqe.bench import (
-    SUMMARY_HEADER,
     UsageError,
     cmd_compare,
     cmd_optimize,
@@ -64,6 +63,18 @@ PROGRAMMING_ERRORS = [
     RecursionError("maximum recursion depth exceeded"),
 ]
 
+def fail_seed_one(monkeypatch, error):
+    """Make every molecule run of seed 1 raise `error`; the rest run as they are."""
+    real_run = bench_mod.run_molecule
+
+    def failing_seed_one(integrals, method, seed, config, mode):
+        if seed == 1:
+            raise error
+        return real_run(integrals, method, seed, config, mode)
+
+    monkeypatch.setattr(bench_mod, "run_molecule", failing_seed_one)
+
+
 # H2 headers the closed-shell sector cannot represent, with the reason given
 UNSUPPORTED_HEADERS = {
     "odd_nelec": ("NORB=2,NELEC=1,MS2=0", "NELEC = 1 is odd"),
@@ -101,6 +112,14 @@ class TestConfig:
         path = write_config(tmp_path, optimizer="bfgs", warp_factor="9")
         with pytest.raises(UsageError):
             parse_config(path)
+
+    def test_config_keys(self):
+        # strategy and crossover come from the method name, scan's mode from --mode
+        assert bench_mod.CONFIG_KEYS == {
+            "molecule", "optimizer", "seeds", "weights", "function", "dimension",
+            "np", "f", "cr", "boundary", "macro_tol", "max_macro_iters",
+            "max_evals", "max_generations", "abs_tol", "n_tol",
+        }
 
     def test_seeds_default_to_ten(self):
         assert parse_seeds(None) == list(range(10))
@@ -174,10 +193,9 @@ class TestCompare:
             "seeds": "0,1,2",
         }
         summary = cmd_compare(config, str(tmp_path))
-        with open(summary) as fh:
-            header = fh.readline().strip()
-        assert header == SUMMARY_HEADER
-        rows = read_rows(summary)[1:]
+        header, *rows = read_rows(summary)
+        assert header == ["method", "evals_min", "evals_max", "evals_mean", "E_min", "E_max",
+                          "E_mean"]
         assert len(rows) == 1
         method, evals_min, evals_max, evals_mean = rows[0][:4]
         assert method == "bfgs"
@@ -225,6 +243,21 @@ class TestCompare:
             assert float(row[4]) == pytest.approx(min(energies))
             assert float(row[5]) == pytest.approx(max(energies))
             assert float(row[6]) == pytest.approx(np.mean(energies))
+
+    def test_every_csv_line_ends_in_crlf(self, tmp_path, monkeypatch):
+        fail_seed_one(monkeypatch, GradientError("non-finite stencil value at coordinate 0", 0))
+        config = {
+            "molecule": fixture_path("h2_sto3g.fcidump"),
+            "optimizer": "bfgs,de_rand1_bin",
+            "seeds": "0,1",
+            "max_evals": "150",
+        }
+        cmd_compare(config, str(tmp_path))
+        names = sorted(os.listdir(tmp_path))
+        assert {"failures.csv", "manifest.csv", "runs.csv", "summary.csv"} <= set(names)
+        for name in names:
+            lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+            assert lines and all(line.endswith(b"\r\n") for line in lines), name
 
     def test_manifest_written(self, tmp_path):
         config = {
@@ -289,14 +322,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("error", RUN_FAILURES, ids=lambda e: type(e).__name__)
     def test_run_failure_recorded(self, tmp_path, monkeypatch, error):
-        real_run = bench_mod.run_molecule
-
-        def failing_seed_one(integrals, method, seed, config, mode):
-            if seed == 1:
-                raise error
-            return real_run(integrals, method, seed, config, mode)
-
-        monkeypatch.setattr(bench_mod, "run_molecule", failing_seed_one)
+        fail_seed_one(monkeypatch, error)
         config = {"molecule": fixture_path("h2_sto3g.fcidump"), "optimizer": "bfgs",
                   "seeds": "0,1"}
         cmd_compare(config, str(tmp_path))
@@ -521,6 +547,20 @@ class TestCliExitCodes:
         config = write_config(tmp_path, function="sphere", bogus="1")
         assert main(["optimize", "--config", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
+    @pytest.mark.parametrize("key, value", [("strategy", "rand2"), ("crossover", "exponential"),
+                                            ("mode", "saoo")])
+    def test_second_source_of_a_setting_exit_two_before_any_run(self, tmp_path, h2_scan_dir,
+                                                                 command, key, value, capsys):
+        # a DE method's name fixes its strategy and crossover; --mode picks scan's mode
+        molecule = h2_scan_dir if command == "scan" else fixture_path("h2_sto3g.fcidump")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=molecule, function="sphere",
+                              optimizer="de_rand1_bin", seeds="0", **{key: value})
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:5: unknown key {key!r}\n"
+        assert not out.exists()
+
     def test_three_weights_exit_two_before_any_run(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
@@ -691,7 +731,9 @@ class TestCliExitCodes:
 
 
 # Every output file of one command set, pinned by sha256 from the harness as it
-# stood before its run-and-record code was merged into one path.  Molecule
+# stood before its run-and-record code was merged into one path, except the
+# summary.csv files, pinned since summary.csv's header line ends in "\r\n"
+# like its rows and every other table's lines.  Molecule
 # paths are relative to the repository root, so manifest.csv does not depend
 # on where the repository lives; SCAN is the H2 scan plus one malformed file.
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -702,6 +744,7 @@ PINNED_COMMANDS = {
     "compare_failure": ("compare", {"molecule": "fixtures/h2_sto3g.fcidump",
                                     "optimizer": "bfgs", "seeds": "0,1"}, []),
     "scan_savqe": ("scan", {"molecule": "SCAN", "optimizer": "bfgs"}, ["--mode", "savqe"]),
+    "scan_default_mode": ("scan", {"molecule": "SCAN", "optimizer": "bfgs"}, []),
     "scan_saoo_de": ("scan", {"molecule": "SCAN", "optimizer": "de_rand1_bin",
                               "max_evals": "400"}, ["--mode", "saoo"]),
     "saoo_h4": ("saoo", {"molecule": "fixtures/h4_sto3g.fcidump", "optimizer": "bfgs"}, []),
@@ -715,13 +758,15 @@ PINNED_COMMANDS = {
         for method in ("bfgs", "gd", "de_rand1_bin")
     },
 }
+# a case that writes the files of another case, and is pinned by that case's digests
+PINNED_AS = {"scan_default_mode": "scan_savqe"}  # scan runs savqe without --mode
 OUTPUT_PINS = {
     "compare/manifest.csv":
         "4f2832f0bedf1ba84ca486a78925344ea00e864213c9a7d51dc5cdd07b5ca9c7",
     "compare/runs.csv":
         "cf445ae029187558bdb9f2168d0385fec590b1c945cdf87e520c2ba2b3fa4add",
     "compare/summary.csv":
-        "26d6de0a9da912e3f7c37b122a772c7c32eda385a91cf0f16ce780606ce3d8a6",
+        "7bd701225f4b8bf7f5c6c4d31423f5967065afb4a2999062bf798a7529743b8b",
     "compare/trace_bfgs_0.csv":
         "9fcca9ba7e5e422cf2448c76c15fab4c18cf618838a6091bd94fc439fe3e36ec",
     "compare/trace_bfgs_1.csv":
@@ -745,7 +790,7 @@ OUTPUT_PINS = {
     "compare_failure/runs.csv":
         "0c5edd2894b7454ae3934ab582c0640b355fce7c45e6e15dc37de240c0b5c380",
     "compare_failure/summary.csv":
-        "df1c1be59bd7add345ce5d59a75a58c4a78182c15fdeec56ed80a5099607749b",
+        "91df042242301ba69686ec63b89eb465e8f6663638662e282ed8879692b902bd",
     "compare_failure/trace_bfgs_0.csv":
         "9fcca9ba7e5e422cf2448c76c15fab4c18cf618838a6091bd94fc439fe3e36ec",
     "optimize_rosenbrock_bfgs/optimize.csv":
@@ -790,21 +835,15 @@ class TestOutputPins:
         shutil.copytree(h2_scan_dir, scan)
         (scan / "h2_r9.99.fcidump").write_text("not an fcidump\n")
         if case == "compare_failure":  # seed 1 fails with a numerical failure
-            real_run = bench_mod.run_molecule
-
-            def failing_seed_one(integrals, method, seed, config, mode):
-                if seed == 1:
-                    raise GradientError("non-finite stencil value at coordinate 0", 0)
-                return real_run(integrals, method, seed, config, mode)
-
-            monkeypatch.setattr(bench_mod, "run_molecule", failing_seed_one)
+            fail_seed_one(monkeypatch, GradientError("non-finite stencil value at coordinate 0", 0))
         monkeypatch.chdir(REPO_ROOT)
         settings = {k: str(scan) if v == "SCAN" else v for k, v in settings.items()}
         config = write_config(tmp_path, **settings)
         out = tmp_path / "out"
         assert main([command, "--config", config, "--out", str(out), *extra]) == 0
+        pinned = PINNED_AS.get(case, case)
         digests = {
-            f"{case}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+            f"{pinned}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(out))
         }
-        assert digests == {k: v for k, v in OUTPUT_PINS.items() if k.startswith(f"{case}/")}
+        assert digests == {k: v for k, v in OUTPUT_PINS.items() if k.startswith(f"{pinned}/")}

@@ -6,7 +6,7 @@ import pytest
 
 from devqe import fock
 from devqe.integrals import MolecularIntegrals
-from devqe.jw import jordan_wigner, jw_ladder, number_operator
+from devqe.jw import jordan_wigner, jw_ladder
 from devqe.pauli import (
     PauliTerm,
     QubitHamiltonian,
@@ -16,7 +16,7 @@ from devqe.pauli import (
     pauli_matrix,
     word_product,
 )
-from tests.dense_oracle import string_to_masks, strings_commute
+from tests.dense_oracle import number_operator, string_to_masks, strings_commute
 
 
 def words_to_matrix(words, n_qubits):

@@ -6,7 +6,7 @@ import pytest
 from devqe import fock
 from devqe.ansatz import default_ansatz
 from devqe.de import DEConfig, TerminationCriteria
-from devqe.jw import jordan_wigner, number_operator
+from devqe.jw import jordan_wigner
 from devqe.local import LocalOptConfig, fd_gradient
 from devqe.pauli import hamiltonian_matrix
 from devqe.savqe import (
@@ -18,7 +18,13 @@ from devqe.savqe import (
     sa_energy,
 )
 from devqe.statevector import expectation
-from tests.dense_oracle import apply_excitation, dense_expectation, generator_words, scatter
+from tests.dense_oracle import (
+    apply_excitation,
+    dense_expectation,
+    generator_words,
+    number_operator,
+    scatter,
+)
 
 
 class TestEnsembleSpec:
