@@ -7,7 +7,9 @@ All output is plain CSV ('.' decimal, no locale); plotting is external.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
+from functools import partial
 
 import numpy as np
 
@@ -112,20 +114,27 @@ CONFIG_KEYS = {
 
 
 def parse_config(path) -> dict:
-    """Flat key=value file; unknown keys are errors, not warnings."""
-    config = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            config[key] = value.strip()
+    """Flat key=value UTF-8 file; unknown or repeated keys are errors, not warnings."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+    config, key_lines = {}, {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in key_lines:
+            raise UsageError(f"{path}:{line_no}: key {key!r} repeats line {key_lines[key]}")
+        config[key] = value.strip()
+        key_lines[key] = line_no
     return config
 
 
@@ -313,29 +322,11 @@ def run_molecule(integrals, method: str, seed: int, config: dict, mode: str):
 
     if mode == "savqe":
         return run_sa_vqe(Sector.build(integrals, ansatz), weights, optimizer)
-    return run_sa_oo_vqe(
-        integrals,
-        ansatz,
-        weights=weights,
-        inner_optimizer=optimizer,
-        macro_config=parse_macro_config(config),
-    )
+    return run_sa_oo_vqe(integrals, ansatz, weights=weights, inner_optimizer=optimizer,
+                         macro_config=parse_macro_config(config))
 
 
-def _run_or_record(failures: list, key: tuple, run, recorded=()):
-    """The result of run(); or, when it raises a run failure (is_run_failure)
-    or one of the `recorded` errors, None after appending (*key, message) to
-    failures.  Any other exception propagates."""
-    try:
-        return run()
-    except (*RUN_FAILURES, *recorded) as exc:
-        if not (is_run_failure(exc) or isinstance(exc, recorded)):
-            raise
-        failures.append((*key, str(exc)))
-        return None
-
-
-def _effective_settings(config, optimizers, n_params) -> dict:
+def _effective_settings(config, methods, n_params) -> dict:
     """The settings the runs use, read back from the objects they are built from."""
     macro = parse_macro_config(config)
     settings = {
@@ -343,9 +334,9 @@ def _effective_settings(config, optimizers, n_params) -> dict:
         "max_macro_iters": macro.max_macro_iters,
         "weights": " ".join(str(w) for w in parse_weights(config.get("weights")).weights),
     }
-    de_configs = [o.de_config for o in optimizers if o.kind == "de"]
-    if de_configs:
-        de_config = de_configs[0]
+    de_methods = [method for method in methods if method in DE_METHODS]
+    if de_methods:  # the seed sets no setting shown here
+        de_config = build_optimizer(de_methods[0], config, 0).de_config
         stop = de_config.termination
         settings.update(
             np=de_config.population_size(n_params),
@@ -361,6 +352,35 @@ def _effective_settings(config, optimizers, n_params) -> dict:
     return settings
 
 
+def _run_grid(config: dict, out_dir, mode: str, points, methods, seeds, recorded=()):
+    """Every (point, method, seed) cell under one mode, points outermost.
+
+    A point is (label, load), load() giving its integrals.  The shared settings
+    are checked before out_dir is made.  Returns the cells (label, method, seed,
+    run) and the failures (label, method, seed, exc): run is None for a run
+    failure (is_run_failure) or a `recorded` error; any other error propagates.
+    """
+    if mode not in ("savqe", "saoo"):
+        raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
+    for method in methods:
+        build_optimizer(method, config, seeds[0])
+    parse_weights(config.get("weights"))
+    parse_macro_config(config)
+
+    os.makedirs(out_dir, exist_ok=True)
+    cells, failures = [], []
+    for (label, load), method, seed in itertools.product(points, methods, seeds):
+        try:
+            run = run_molecule(load(), method, seed, config, mode)
+        except (*RUN_FAILURES, *recorded) as exc:
+            if not (is_run_failure(exc) or isinstance(exc, recorded)):
+                raise
+            failures.append((label, method, seed, exc))
+            run = None
+        cells.append((label, method, seed, run))
+    return cells, failures
+
+
 def cmd_compare(config: dict, out_dir) -> str:
     fcidump_path = config.get("molecule")
     if not fcidump_path:
@@ -370,33 +390,27 @@ def cmd_compare(config: dict, out_dir) -> str:
     if not methods:
         raise UsageError(f"optimizer list {config.get('optimizer')!r} names no optimizer")
     seeds = parse_seeds(config.get("seeds"))
-    # an unknown method or a bad DE setting fails before any output
-    optimizers = [build_optimizer(method, config, seeds[0]) for method in methods]
+    cells, failures = _run_grid(config, out_dir, "saoo", [(fcidump_path, lambda: integrals)],
+                                methods, seeds)
 
-    os.makedirs(out_dir, exist_ok=True)
     # one key,value row per setting: the config as given, with every setting
     # the runs use replaced by its effective value
     n_params = default_ansatz(integrals.n_orb, integrals.n_elec).parameter_count
     manifest = {"mode": "saoo", "methods": " ".join(methods),
                 "seeds": " ".join(str(s) for s in seeds)}
     manifest.update((key, config[key]) for key in sorted(config) if key not in manifest)
-    manifest.update(_effective_settings(config, optimizers, n_params))
+    manifest.update(_effective_settings(config, methods, n_params))
     _write_csv(os.path.join(out_dir, "manifest.csv"), ["key", "value"], manifest.items())
 
-    failures = []
-    run_rows = []
-    summary_rows = []
-    for method in methods:
+    run_rows, summary_rows = [], []
+    for index, method in enumerate(methods):  # the cells come method by method
         runs = []
-        for seed in seeds:
-            run = _run_or_record(failures, (method, seed),
-                                 lambda: run_molecule(integrals, method, seed, config, "saoo"))
-            if run is None:
-                continue
-            run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
-            runs.append(run)
-            run_rows.append([method, seed, repr(run.state_energies[0]),
-                             repr(run.state_energies[1]), repr(run.e_sa), run.evaluations])
+        for _, _, seed, run in cells[index * len(seeds):(index + 1) * len(seeds)]:
+            if run is not None:
+                run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
+                run_rows.append([method, seed, repr(run.state_energies[0]),
+                                 repr(run.state_energies[1]), repr(run.e_sa), run.evaluations])
+                runs.append(run)
         if runs:
             evals = [r.evaluations for r in runs]
             energies = [r.e_sa for r in runs]
@@ -407,7 +421,8 @@ def cmd_compare(config: dict, out_dir) -> str:
             )
 
     if failures:
-        _write_csv(os.path.join(out_dir, "failures.csv"), ["method", "seed", "error"], failures)
+        _write_csv(os.path.join(out_dir, "failures.csv"), ["method", "seed", "error"],
+                   [(method, seed, str(exc)) for _, method, seed, exc in failures])
     _write_csv(os.path.join(out_dir, "runs.csv"),
                ["method", "seed", "e0", "e1", "e_sa", "evaluations"], run_rows)
     summary_path = _write_csv(
@@ -430,51 +445,40 @@ def cmd_scan(config: dict, out_dir, mode: str) -> str:
     )
     if not files:
         raise UsageError(f"no FCIDUMP files found in {scan_dir}")
-    if mode not in ("savqe", "saoo"):
-        raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
-    method = config.get("optimizer", "bfgs")
-    seed = parse_seed(config.get("seeds"))
-    # settings every point shares: a bad one fails the scan before its first point
-    build_optimizer(method, config, seed)
-    parse_weights(config.get("weights"))
-    parse_macro_config(config)
-
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    failures = []
-    for name in files:
-        label = os.path.splitext(name)[0]
-        fcidump_path = os.path.join(scan_dir, name)
-        run = _run_or_record(
-            failures, (label,),
-            lambda: run_molecule(load_molecule(fcidump_path), method, seed, config, mode),
-            recorded=(FcidumpError, UnsupportedMolecule),
-        )
-        if run is None:
-            rows.append([label, "", "", "", mode, "failed"])
-        else:
-            rows.append([label, repr(run.state_energies[0]), repr(run.state_energies[1]),
-                         repr(run.e_sa), mode, "ok"])
+    # a malformed or unsupported file fails its own point, not the scan
+    points = [(os.path.splitext(name)[0], partial(load_molecule, os.path.join(scan_dir, name)))
+              for name in files]
+    cells, failures = _run_grid(config, out_dir, mode, points, [config.get("optimizer", "bfgs")],
+                                [parse_seed(config.get("seeds"))],
+                                recorded=(FcidumpError, UnsupportedMolecule))
+    rows = [[label, "", "", "", mode, "failed"] if run is None else
+            [label, repr(run.state_energies[0]), repr(run.state_energies[1]), repr(run.e_sa),
+             mode, "ok"] for label, _, _, run in cells]
     path = _write_csv(os.path.join(out_dir, f"scan_{mode}.csv"),
                       ["coordinate_label", "e0", "e1", "e_sa", "mode", "status"], rows)
     if failures:
-        _write_csv(os.path.join(out_dir, "failures.csv"), ["coordinate_label", "error"], failures)
-    if len(failures) == len(files):
+        _write_csv(os.path.join(out_dir, "failures.csv"), ["coordinate_label", "error"],
+                   [(label, str(exc)) for label, _, _, exc in failures])
+    if len(failures) == len(cells):
         raise AllRunsFailed("every point failed; see failures.csv")
     return path
 
 
 def cmd_single(config: dict, out_dir, mode: str) -> str:
-    """One molecule run (the `vqe` and `saoo` subcommands)."""
+    """One molecule run (the `vqe` and `saoo` subcommands); a run failure ends
+    the command."""
     fcidump_path = config.get("molecule")
     if not fcidump_path:
         raise UsageError(f"{mode} requires molecule=<fcidump path> in the config")
     integrals = load_molecule(fcidump_path)
     method = config.get("optimizer", "bfgs")
     seed = parse_seed(config.get("seeds"))
-    os.makedirs(out_dir, exist_ok=True)
+    cells, failures = _run_grid(config, out_dir, mode, [(fcidump_path, lambda: integrals)],
+                                [method], [seed])
+    if failures:
+        raise failures[0][3]
 
-    run = run_molecule(integrals, method, seed, config, mode)
+    run = cells[0][3]
     run.trace.write_csv(os.path.join(out_dir, f"trace_{method}_{seed}.csv"))
     e_lo, e_hi = sorted(run.state_energies)
     return _write_csv(

@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 Subcommands: optimize, vqe, saoo, compare, scan.  Configuration comes from a
-flat key=value file (--config); --seeds overrides the file's seeds.  A DE
-method's name fixes its strategy and crossover, and --mode (default savqe)
-alone picks scan's mode.  Exit codes: 0 success; 1 runtime failure (a run's
-numerical failure, the macro loop's MacroLoopError, a compare or scan in
-which every run failed, or an OSError such as an --out that names a file);
-2 usage error (a bad config or option, a missing file, a malformed FCIDUMP
-or an unsupported molecule).  A programming error is not caught: it ends
-the command with its traceback.
+flat key=value UTF-8 file (--config) that names each key once; --seeds
+overrides the file's seeds.  A DE method's name fixes its strategy and
+crossover, and --mode (default savqe) alone picks scan's mode.  The molecule
+commands check every setting their runs share before they create --out.
+Exit codes: 0 success; 1 runtime failure (a run's numerical failure, the
+macro loop's MacroLoopError, a compare or scan in which every run failed, or
+an OSError such as an --out that names a file); 2 usage error (a bad config
+or option, a missing file, a malformed FCIDUMP, NORB above
+integrals.MAX_NORB included, or an unsupported molecule).  A programming
+error is not caught: it ends the command with its traceback.
 """
 
 from __future__ import annotations

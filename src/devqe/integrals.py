@@ -14,6 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+# the largest NORB a header may give: parsing allocates the dense (NORB,)*4
+# g tensor before it reads the body, and at 64 orbitals that is already 128 MiB
+MAX_NORB = 64
 
 
 class FcidumpError(ValueError):
@@ -27,7 +30,7 @@ class FcidumpError(ValueError):
 
 
 class HeaderError(FcidumpError):
-    """Required header fields (NORB, NELEC) are missing."""
+    """Required header fields (NORB, NELEC) are missing or out of range."""
 
 
 class OrbitalIndexError(FcidumpError):
@@ -108,6 +111,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     n_orb = fields["NORB"]
     if n_orb < 1:
         raise HeaderError(f"NORB must be at least 1, got {n_orb}")
+    if n_orb > MAX_NORB:
+        raise HeaderError(f"NORB must be at most {MAX_NORB}, got {n_orb}")
     n_elec = fields["NELEC"]
     ms2 = fields.get("MS2", 0)
 

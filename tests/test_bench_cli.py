@@ -22,6 +22,7 @@ from devqe.bench import (
 from devqe import bench as bench_mod
 from devqe.cli import main
 from devqe.de import DEConfig, ObjectiveError
+from devqe.integrals import MAX_NORB
 from devqe.local import GradientError
 from devqe.orbitals import MacroConfig, MacroLoopError
 from devqe.savqe import EnsembleSpec
@@ -112,6 +113,20 @@ class TestConfig:
         path = write_config(tmp_path, optimizer="bfgs", warp_factor="9")
         with pytest.raises(UsageError):
             parse_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # one file, one source per setting: the later value no longer wins silently
+        path = tmp_path / "run.cfg"
+        path.write_text("optimizer=bfgs\n# the second value\n optimizer = gd\n")
+        with pytest.raises(UsageError) as excinfo:
+            parse_config(str(path))
+        assert str(excinfo.value) == f"{path}:3: key 'optimizer' repeats line 1"
+
+    def test_non_utf8_config_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"optimizer=bfgs\nseeds=\xff\n")
+        with pytest.raises(UsageError, match="not UTF-8 text"):
+            parse_config(str(path))
 
     def test_config_keys(self):
         # strategy and crossover come from the method name, scan's mode from --mode
@@ -504,6 +519,20 @@ class TestScan:
         failures = read_rows(os.path.join(str(out), "failures.csv"))
         assert failures[1] == ["h2_r0.50", f"NORB must be at least 1, got {norb}"]
 
+    def test_norb_above_max_recorded_and_rest_continue(self, tmp_path, h2_scan_dir):
+        import shutil
+
+        scan = tmp_path / "scan"
+        shutil.copytree(h2_scan_dir, scan)
+        write_norb(scan / "h2_r0.50.fcidump", MAX_NORB + 1)
+        out = tmp_path / "out"
+        rows = read_rows(cmd_scan({"molecule": str(scan), "optimizer": "bfgs"}, str(out), "savqe"))
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("h2_r0.50", "failed"), ("h2_r1.10", "ok"), ("h2_r1.40", "ok"), ("h2_r2.00", "ok"),
+        ]
+        failures = read_rows(os.path.join(str(out), "failures.csv"))
+        assert failures[1] == ["h2_r0.50", f"NORB must be at most {MAX_NORB}, got {MAX_NORB + 1}"]
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -526,6 +555,35 @@ class TestSingleCommands:
         assert rows[1][8] == "savqe"
         # lineage and sorted energies coincide here: no root flip on H2
         assert rows[1][2] == rows[1][4]
+
+    @pytest.mark.parametrize("error", RUN_FAILURES, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("command", ["vqe", "saoo"])
+    def test_run_failure_ends_the_command(self, tmp_path, monkeypatch, capsys, command, error):
+        # the one run's own message, exit 1, and no failures.csv
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(bench_mod, "run_molecule", failing)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer="bfgs", seeds="0")
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"runtime failure: {error}\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("error", PROGRAMMING_ERRORS, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("command", ["vqe", "saoo"])
+    def test_programming_error_ends_the_command(self, tmp_path, monkeypatch, command, error):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(bench_mod, "run_molecule", broken)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
+                              optimizer="bfgs", seeds="0")
+        with pytest.raises(type(error)):
+            main([command, "--config", config, "--out", str(out)])
+        assert os.listdir(out) == []
 
 
 class TestCliExitCodes:
@@ -566,7 +624,7 @@ class TestCliExitCodes:
         config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
                               optimizer="bfgs", seeds="0", weights="0.3,0.3,0.4")
         assert main(["compare", "--config", config, "--out", str(out)]) == 2
-        assert not (out / "manifest.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "setting",
@@ -583,7 +641,52 @@ class TestCliExitCodes:
         config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"),
                               optimizer="bfgs", seeds="0", **setting)
         assert main(["saoo", "--config", config, "--out", str(out)]) == 2
-        assert not (out / "result.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"weights": "nan nan"}, {"macro_tol": "nan"}, {"max_macro_iters": "0"},
+         {"max_macro_iters": "-2"}, {"optimizer": "de_rand1_bin", "f": "nan"}],
+        ids=["nan_weights", "nan_macro_tol", "zero_macro_iters", "negative_macro_iters",
+             "de_f"],
+    )
+    @pytest.mark.parametrize("command", ["vqe", "compare"])
+    def test_bad_shared_setting_exit_two_before_any_output(self, tmp_path, command, setting,
+                                                           monkeypatch, capsys):
+        # saoo and scan have their own cases; vqe runs no macro loop, but a bad
+        # macro setting is still an error before --out exists
+        def no_run(*args, **kwargs):
+            raise AssertionError("a molecule ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, **{"molecule": fixture_path("h2_sto3g.fcidump"),
+                                           "optimizer": "bfgs", "seeds": "0", **setting})
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
+    def test_repeated_config_key_exit_two_before_any_run(self, tmp_path, h2_scan_dir, command,
+                                                         capsys):
+        molecule = h2_scan_dir if command == "scan" else fixture_path("h2_sto3g.fcidump")
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"molecule={molecule}\nfunction=sphere\noptimizer=bfgs\n"
+                          "seeds=0\noptimizer=gd\n")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:5: key 'optimizer' repeats line 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
+    def test_non_utf8_config_exit_two(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"function=sphere\noptimizer=bfgs \xff\n")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
     def test_empty_seed_list_exit_two_before_any_run(self, tmp_path, h2_scan_dir, command):
@@ -663,6 +766,15 @@ class TestCliExitCodes:
         config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
         assert main(["saoo", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f"NORB must be at least 1, got {norb}" in capsys.readouterr().err
+
+    def test_norb_above_max_is_reported_as_a_header_error(self, tmp_path, capsys):
+        molecule = write_norb(tmp_path / "mol.fcidump", MAX_NORB + 1)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=molecule, optimizer="bfgs", seeds="0")
+        assert main(["vqe", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: NORB must be at most {MAX_NORB}, got {MAX_NORB + 1}\n")
+        assert not out.exists()
 
     def test_non_utf8_fcidump_exit_two(self, tmp_path, capsys):
         molecule = write_random_bytes(tmp_path / "mol.fcidump")

@@ -1,11 +1,13 @@
 """FCIDUMP parsing, symmetry handling, and frozen-core folding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from devqe.integrals import (
+    MAX_NORB,
     FcidumpError,
     HeaderError,
     OrbitalIndexError,
@@ -71,6 +73,19 @@ class TestParse:
         # "negative dimensions" error from inside numpy
         with pytest.raises(HeaderError, match=f"NORB must be at least 1, got {norb}"):
             parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n")
+
+    @pytest.mark.parametrize("norb", [MAX_NORB + 1, 999, 10**9])
+    def test_norb_above_max_rejected_before_allocating(self, norb):
+        # the header sizes the dense g tensor: 65 orbitals would be 136 MiB
+        text = f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(HeaderError, match=f"NORB must be at most {MAX_NORB}, got {norb}"):
+                parse_fcidump(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1.0D+999"])
     def test_non_finite_value_rejected_with_its_line(self, value):
