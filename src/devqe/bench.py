@@ -356,12 +356,19 @@ def _run_grid(config: dict, out_dir, mode: str, points, methods, seeds, recorded
     """Every (point, method, seed) cell under one mode, points outermost.
 
     A point is (label, load), load() giving its integrals.  The shared settings
-    are checked before out_dir is made.  Returns the cells (label, method, seed,
-    run) and the failures (label, method, seed, exc): run is None for a run
-    failure (is_run_failure) or a `recorded` error; any other error propagates.
+    are checked before out_dir is made, and so is each list: a point label,
+    method or seed named twice would run twice and write its files over.
+    Returns the cells (label, method, seed, run) and the failures (label,
+    method, seed, exc): run is None for a run failure (is_run_failure) or a
+    `recorded` error; any other error propagates.
     """
     if mode not in ("savqe", "saoo"):
         raise UsageError(f"unknown mode {mode!r}; valid: savqe, saoo")
+    for kind, entries in (("point", [label for label, _ in points]), ("method", methods),
+                          ("seed", seeds)):
+        repeated = [entry for entry in entries if entries.count(entry) > 1]
+        if repeated:
+            raise UsageError(f"{kind} {repeated[0]!r} is named more than once")
     for method in methods:
         build_optimizer(method, config, seeds[0])
     parse_weights(config.get("weights"))

@@ -19,14 +19,17 @@ initial population, `_PhiloxDraws` reads the raw Philox words and replays
 numpy's algorithms on them: `Generator.random()` is `(word >> 11) * 2**-53`,
 and `Generator.integers(n)` is Lemire's bounded method on 32-bit halves (low
 half first, the high half kept for the next 32-bit draw) with numpy's
-rejection threshold `(2**32 - n) % n`.  One serial pass makes the draws whose
-count depends on the data, inline on the read-ahead words with a local
-position and pending half: the distinct picks, the p-best pick, j_rand, the
-binomial random(D) (a position bump) and the exponential window length.  Only
-rare paths go back to `_PhiloxDraws`' scalar code: a Lemire product in the
-rejection zone is redone by `integers`, and a member that runs past the
-read-ahead is refilled and redone.  Donors, masks and all three repairs are
-row-block operations.  Reinit redraws depend on the trial rows, so under
+rejection threshold `(2**32 - n) % n`.  With each read-ahead it also tabulates
+`integers(n)` and `integers(D)` on every half, -1 where the product falls in
+Lemire's rejection zone.  One serial pass makes the draws whose count depends
+on the data, on the read-ahead with a local position and pending half: the
+distinct picks and j_rand (table reads), the p-best pick, the binomial
+random(D) (a position bump) and the exponential window length.  Each member
+leaves one index row: its donor's rows, j_rand and its crossing.  Only rare
+paths go back to `_PhiloxDraws`' scalar code: a draw in the rejection zone is
+redone by `integers`, and a member that runs past the read-ahead is refilled
+and redone.  Donors, masks and all three repairs are row-block operations on
+the rows of the index block.  Reinit redraws depend on the trial rows, so under
 reinit the pass keeps each member's draw state: the first member whose trial
 leaves the box rewinds to it, draws its redraws, and the pass is redone from
 the next member.  Every run is bitwise the classic per-member run (donor,
@@ -34,14 +37,16 @@ crossover, repair, one member at a time on a `Generator`), which
 tests/de_oracle.py keeps as the oracle.  Tests in tests/test_de_minimize.py
 guard this: the draw oracle compares the scalar replay with the Generator
 over interleaved draws, the run oracle compares whole runs with the
-per-member loop (also with read-aheads of 3 words), and scripted words force
-each rare path of the pass inside one generation.
+per-member loop (also with read-aheads of 3 words, and as a property over
+strategies, crossovers, repairs, population sizes and dimensions), and
+scripted words force each rare path of the pass inside one generation.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -361,6 +366,25 @@ _DOUBLE_SCALE = 2.0**-53
 _RAW_CHUNK = 1024  # Philox words read ahead at a time (8 KB)
 
 
+def _lemire(u, bound: int) -> int:
+    """`integers(bound)` on one 32-bit value u: u * bound >> 32, or -1 when
+    u * bound falls in Lemire's rejection zone and the draw must be redone."""
+    m = u * bound
+    return -1 if m & _U32_MASK < bound else m >> 32
+
+
+def _lemire_halves(words: np.ndarray, bound: int) -> tuple:
+    """`_lemire` on the low and on the high half of every word, as the bytes
+    of two int64 arrays."""
+    tables = []
+    for u in (words & _U32_MASK, words >> 32):
+        m = u * np.uint64(bound)
+        draw = (m >> 32).astype(np.int64)
+        draw[(m & _U32_MASK) < bound] = -1
+        tables.append(draw.tobytes())
+    return tables
+
+
 class _PhiloxDraws:
     """`Generator.integers(n)` and `Generator.random(count)` replayed from the
     raw Philox words of the same stream.
@@ -374,8 +398,10 @@ class _PhiloxDraws:
     and uniforms leave it waiting.  `integers(1)` consumes nothing.  Words are
     read ahead in chunks, so the Generator itself must not be drawn from again.
 
-    `_generation_trials` reads the words of `_values` itself, from `_pos` with
-    the pending half `_half`, and calls back in here only on its rare paths.
+    `_generation_trials` reads the words of `_values` itself, from `_pos`,
+    and the draws of their halves from `tables(bound)`; it calls back in here
+    only on its rare paths.  A read-ahead extends the words and the tables in
+    place, so a position stays valid until the next `mark`.
     """
 
     def __init__(self, rng, chunk=_RAW_CHUNK):
@@ -384,30 +410,56 @@ class _PhiloxDraws:
         self._raw = bit_generator.random_raw
         self._chunk = chunk
         self._half = state["uinteger"] if state["has_uint32"] else None
-        self._values = []  # the words, as Python ints
+        self._values = array("Q")  # the words
         self._uniforms = np.empty(0)  # the uniform of each word
+        self._tables = {}  # bound: (low, high), the _lemire draws of the halves
         self._pos = 0  # next unread word
-        self._mark = 0  # words from here on are kept; positions count from here
+        self._mark = 0  # positions count from here
 
     def mark(self):
-        """Start a block: positions count from the next word."""
+        """Start a block: positions count from the next word.  The words
+        before it are dropped once a read-ahead's worth of them is used."""
+        if self._pos >= self._chunk:
+            start = self._pos
+            self._values = self._values[start:]
+            self._uniforms = self._uniforms[start:]
+            self._tables = {bound: (low[start:], high[start:])
+                            for bound, (low, high) in self._tables.items()}
+            self._pos = 0
         self._mark = self._pos
 
     def restore(self, state):
         """Go to `state` = (position from the mark, pending 32-bit half), as
-        it stood at some point since the last `mark`.  A refill re-bases the
-        words on the mark, so positions from the mark stay valid."""
+        it stood at some point since the last `mark`."""
         offset, self._half = state
         self._pos = self._mark + offset
+
+    def tables(self, bound: int) -> tuple:
+        """The draws of `integers(bound)` (1 < bound < 2**32) on the low and
+        on the high half of each word, -1 in Lemire's rejection zone, as two
+        int64 arrays.  The high one has one slot more, after the words, that
+        a caller may fill with the draw of a half pending from before them."""
+        if bound not in self._tables:
+            low, high = array("q"), array("q")
+            words = np.array(self._values, dtype=np.uint64)  # a copy: the words grow in place
+            for table, draws in zip((low, high), _lemire_halves(words, bound)):
+                table.frombytes(draws)
+            high.append(-1)
+            self._tables[bound] = low, high
+        return self._tables[bound]
 
     def _refill(self, count):
         """Read ahead so that `count` words follow the current position."""
         fresh = self._raw(max(self._chunk, self._pos + count - len(self._values)))
-        self._values = self._values[self._mark :] + fresh.tolist()
+        self._values.frombytes(fresh.tobytes())
         fresh_uniforms = (fresh >> 11) * _DOUBLE_SCALE
-        self._uniforms = np.concatenate((self._uniforms[self._mark :], fresh_uniforms))
-        self._pos -= self._mark
-        self._mark = 0
+        self._uniforms = np.concatenate((self._uniforms, fresh_uniforms))
+        for bound, (low, high) in self._tables.items():
+            fresh_low, fresh_high = _lemire_halves(fresh, bound)
+            low.frombytes(fresh_low)
+            carried = high.pop()  # the slot after the words stays last
+            high.frombytes(fresh_high)
+            high.append(carried)
 
     def _uint32(self):
         half = self._half
@@ -528,6 +580,17 @@ def _toroidal_block(v, bounds: Bounds) -> np.ndarray:
     return v
 
 
+def _redo(draws, pos, u, pending, bound):
+    """`integers(bound)` on the scalar code, for the pass of
+    `_generation_trials`: the 32-bit value u it just drew (the pending half
+    if `pending`, else the low half of the word before pos) fell in Lemire's
+    rejection zone.  Returns the draw, the position and the pending half as
+    the pass holds it: None, or the index of the word whose high half waits,
+    which after `integers` is always the word before the position."""
+    r, pos, half = draws.redo_integers(pos, None if pending else 0, u * bound, bound)
+    return r, pos, (None if half is None else pos - 1)
+
+
 def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws) -> np.ndarray:
     """One generation's (np, D) trial block, bit for bit what the per-member
     oracle chain (donor, crossover, repair) gives on the Generator that
@@ -536,10 +599,12 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     A serial pass makes only the draws whose count depends on the data:
     distinct indices with rejection, the p-best pick, j_rand and the
     exponential window length.  It reads the Philox words itself, with a
-    local position and pending half, and computes every draw inline; only a
-    Lemire rejection calls back into `draws.integers`, and a read-ahead that
-    runs out inside a member is refilled and the member redone.  Donors,
-    crossover masks and the repair are row-block operations.
+    local position and pending half, and reads each distinct pick and j_rand
+    from the draw tables of n and D; only a Lemire rejection calls back into
+    `draws.integers`, and a read-ahead that runs out inside a member is
+    refilled and the member redone.  Each member leaves one index row (its
+    donor's rows, j_rand, the crossing); donors, crossover masks and the
+    repair are row-block operations on them.
 
     A member's reinit redraws come between its crossover draws and the next
     member's picks, so under reinit the pass keeps each member's draw state.
@@ -563,22 +628,36 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
     window_goes_on = (math.floor(cr * 2.0**53) + 1) << 11
     mask = _U32_MASK
     draws.mark()
+    # a read-ahead extends these arrays in place, so they hold for the generation
+    values, mark, pos = draws._values, draws._mark, draws._pos
+    low_n, high_n = draws.tables(n)
+    low_d, high_d = draws.tables(dim) if dim > 1 else (None, None)
+    # the pending half h: None, the index of the word whose high half waits,
+    # or -1 for the half `carried` from before the pass, whose draws go in
+    # the high tables' last slot
+    carried, h = draws._half, None
+    if carried is not None:
+        h = -1
+        high_n[-1] = _lemire(carried, n)
+        if dim > 1:
+            high_d[-1] = _lemire(carried, dim)
 
-    # per member: the rows its donor reads (_donors' order, `need` of them),
-    # its crossover draws and, under reinit, the draw state after them
-    flat, firsts, crossing, states = [], [0] * n, [0] * n, [None] * n
-    trials = x.copy()
+    # per member, one index row: the rows its donor reads (_donors' order,
+    # `need` of them), then j_rand and the binomial uniforms' position or the
+    # exponential window length; under reinit also the draw state after them
+    width = need + 2
+    flat, states = [], [None] * n
+    trials = x.copy() if reinit else None
     begin = 0  # the pass and the block start at this member
     while True:
-        values, mark, pos, half = draws._values, draws._mark, draws._pos, draws._half
         i = begin
         while i < n:
-            member_offset, member_half = pos - mark, half
+            member_state = pos, h
             try:
-                # each bounded draw below is `integers(bound)` inline: a
-                # 32-bit value u (the pending half, else the low half of the
-                # next word), r = u * bound >> 32 unless u * bound falls in
-                # Lemire's rejection zone
+                # each bounded draw below is `integers(bound)` inline on a
+                # 32-bit value u, the pending half, else the low half of the
+                # next word; a draw of -1 (u * bound in Lemire's rejection
+                # zone) is redone on the scalar code
                 taken = [i] * need  # slots past k repeat the target, never a pick
                 k = 1
                 if p_best:
@@ -588,58 +667,57 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
                     bound = len(candidates)
                     r = 0
                     if bound > 1:
-                        if half is None:
-                            word = values[pos]
+                        if h is None:
+                            u = values[pos] & mask
+                            h = pos
                             pos += 1
-                            half = word >> 32
-                            m = (word & mask) * bound
                         else:
-                            m = half * bound
-                            half = None
+                            u = carried if h < 0 else values[h] >> 32
+                            h = None
+                        m = u * bound
                         if m & mask < bound:
-                            r, pos, half = draws.redo_integers(pos, half, m, bound)
-                            values, mark = draws._values, draws._mark
+                            r, pos, h = _redo(draws, pos, u, h is None, bound)
                         else:
                             r = m >> 32
                     taken[1] = candidates[r]
                     k = 2
                 while k < need:
-                    if half is None:
-                        word = values[pos]
+                    if h is None:
+                        r = low_n[pos]
+                        h = pos
                         pos += 1
-                        half = word >> 32
-                        m = (word & mask) * n
+                        if r < 0:
+                            r, pos, h = _redo(draws, pos, values[pos - 1] & mask, False, n)
                     else:
-                        m = half * n
-                        half = None
-                    if m & mask < n:
-                        r, pos, half = draws.redo_integers(pos, half, m, n)
-                        values, mark = draws._values, draws._mark
-                    else:
-                        r = m >> 32
+                        r = high_n[h]
+                        if r < 0:
+                            u = carried if h < 0 else values[h] >> 32
+                            r, pos, h = _redo(draws, pos, u, True, n)
+                        else:
+                            h = None
                     if r not in taken:
                         taken[k] = r
                         k += 1
                 if binomial:  # random(dim): only its position is kept
-                    crossing[i] = pos - mark
+                    crossing = pos - mark
                     pos += dim
                     if pos > len(values):
                         raise IndexError("read-ahead ran out")
                 j_rand = 0
                 if dim > 1:
-                    if half is None:
-                        word = values[pos]
+                    if h is None:
+                        j_rand = low_d[pos]
+                        h = pos
                         pos += 1
-                        half = word >> 32
-                        m = (word & mask) * dim
+                        if j_rand < 0:
+                            j_rand, pos, h = _redo(draws, pos, values[pos - 1] & mask, False, dim)
                     else:
-                        m = half * dim
-                        half = None
-                    if m & mask < dim:
-                        j_rand, pos, half = draws.redo_integers(pos, half, m, dim)
-                        values, mark = draws._values, draws._mark
-                    else:
-                        j_rand = m >> 32
+                        j_rand = high_d[h]
+                        if j_rand < 0:
+                            u = carried if h < 0 else values[h] >> 32
+                            j_rand, pos, h = _redo(draws, pos, u, True, dim)
+                        else:
+                            h = None
                 if not binomial:  # the window grows while random() <= cr
                     length = 1
                     while length < dim:
@@ -648,46 +726,49 @@ def _generation_trials(pop: Population, bounds: Bounds, config: DEConfig, draws)
                         if word >= window_goes_on:
                             break
                         length += 1
-                    crossing[i] = length
+                    crossing = length
             except IndexError:  # the read-ahead ran out inside this member
-                draws.restore((member_offset, member_half))
+                pos, h = member_state
+                draws._pos = pos
                 draws._refill(1)
-                values, mark, pos, half = draws._values, draws._mark, draws._pos, draws._half
                 continue
             flat += taken
-            firsts[i] = j_rand
+            flat += j_rand, crossing
             if reinit:
-                states[i] = pos - mark, half
+                states[i] = pos, h
             i += 1
-        draws._pos, draws._half = pos, half
+        draws._pos = pos
+        draws._half = None if h is None else carried if h < 0 else values[h] >> 32
 
-        count = n - begin
-        j_rand = np.array(firsts[begin:])
-        crossed = np.array(crossing[begin:])
+        index = np.fromiter(flat[begin * width :], dtype=np.intp).reshape(-1, width)
+        j_rand, crossed = index[:, need], index[:, need + 1]
         if binomial:
             from_donor = draws.uniforms(crossed, dim) <= cr
-            from_donor[np.arange(count), j_rand] = True
+            from_donor[np.arange(len(index)), j_rand] = True
         else:
             from_donor = (np.arange(dim) - j_rand[:, None]) % dim < crossed[:, None]
-        rows = x.take(flat[begin * need :], axis=0).reshape(count, need, dim)
-        np.copyto(trials[begin:], _donors(strategy, rows.swapaxes(0, 1), best, f),
-                  where=from_donor)
+        donors = _donors(strategy, x.take(index[:, :need].T, axis=0), best, f)
         if not reinit:
+            trials = np.where(from_donor, donors, x)
             break
+        np.copyto(trials[begin:], donors, where=from_donor)
         outside = (trials[begin:] < lo) | (trials[begin:] > hi)
         leaving = np.flatnonzero(outside.any(axis=1))
         if not len(leaving):
             return trials
         member, out = begin + int(leaving[0]), outside[leaving[0]]
-        draws.restore(states[member])
+        pos, h = states[member]
+        draws._pos = pos
+        draws._half = None if h is None else carried if h < 0 else values[h] >> 32
         redraws = int(np.count_nonzero(out))
         uniforms = draws.uniforms(draws.take(redraws), redraws)
+        pos = draws._pos
         trials[member, out] = uniforms * (hi - lo)[out] + lo[out]
         begin = member + 1
         if begin == n:
             return trials
         trials[begin:] = x[begin:]
-        del flat[begin * need :]
+        del flat[begin * width :]
 
     if config.boundary == "clamp":
         np.maximum(trials, lo, out=trials)

@@ -234,6 +234,50 @@ class _CountedObjective:
         self._components = {k: v for k, v in self._components.items() if k in keep}
 
 
+class _PopulationEnergies:
+    """The DE stage's objective: sa_energy on blocks of points, counted one
+    evaluation per row, that holds the components of the population.
+
+    `e_sa` (np,) and `energies` (np, n_states) line up with the members.
+    `components(pop)` takes into them every member that is bitwise (as 64-bit
+    words, so -0.0 is not 0.0) the row at its index of the points evaluated
+    since the last call: all of them after the initial population, the kept
+    trials after a generation.  Any other member is the point its row held
+    before, with the components held for it."""
+
+    def __init__(self, sector, weights):
+        self.sector = sector
+        self.weights = weights
+        self.calls = 0
+        self.e_sa = self.energies = None
+        self._blocks = []  # (points, e_sa, energies) of each call since the last components
+
+    def __call__(self, theta):
+        return float(self.batch(np.asarray(theta, dtype=float)[None])[0])
+
+    def batch(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        self.calls += len(thetas)
+        e_sa, energies, _ = sa_energy(thetas, self.sector, self.weights)
+        self._blocks.append((thetas, e_sa, energies))
+        return e_sa
+
+    def components(self, pop):
+        """(e_sa, energies) of the best member of `pop`, the population made
+        from the points evaluated since the last call."""
+        blocks, self._blocks = self._blocks, []
+        if len(blocks) > 1:  # the rows came one call at a time
+            blocks = [tuple(np.concatenate(parts) for parts in zip(*blocks))]
+        thetas, e_sa, energies = blocks[0]
+        if self.e_sa is None:
+            self.e_sa, self.energies = np.empty_like(e_sa), np.empty_like(energies)
+        same = (pop.members.view(np.uint64) == thetas.view(np.uint64)).all(axis=1)
+        np.copyto(self.e_sa, e_sa, where=same)
+        np.copyto(self.energies, energies, where=same[:, None])
+        best = pop.best_index()
+        return float(self.e_sa[best]), tuple(self.energies[best].tolist())
+
+
 def run_sa_vqe(
     sector: Sector,
     weights=(0.5, 0.5),
@@ -280,10 +324,10 @@ def run_sa_vqe(
 
     if optimizer.kind == "de":
         bounds = de_mod.Bounds.box(-DEFAULT_THETA_BOUND, DEFAULT_THETA_BOUND, dim)
+        objective = _PopulationEnergies(sector, weights)  # components by population
 
         def on_generation(pop, _cum_evals):
-            record(pop.members[pop.best_index()])
-            objective.retain(pop.members)  # later generations read only members
+            record(pop)  # _PopulationEnergies.components reads the best member
 
         result = de_mod.de_minimize(
             objective, bounds, optimizer.de_config, callback=on_generation

@@ -666,6 +666,41 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: bad ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"optimizer": "bfgs,gd,bfgs", "seeds": "0"}, "method 'bfgs'"),
+        ({"optimizer": "de_rand1_bin gd", "seeds": "0 1 2 1"}, "seed 1"),
+    ], ids=["method", "seed"])
+    def test_compare_repeated_entry_exit_two_before_any_output(self, tmp_path, monkeypatch,
+                                                               setting, message, capsys):
+        # each (method, seed) cell writes trace_<method>_<seed>.csv, so a
+        # repeated entry would run twice and write the same files over
+        def no_run(*args, **kwargs):
+            raise AssertionError("a molecule ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=fixture_path("h2_sto3g.fcidump"), **setting)
+        assert main(["compare", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message} is named more than once\n"
+        assert not out.exists()
+
+    def test_scan_repeated_point_exit_two_before_any_output(self, tmp_path, monkeypatch, capsys):
+        # a point's label is its file name without the extension, one row of scan_<mode>.csv
+        def no_run(*args, **kwargs):
+            raise AssertionError("a molecule ran")
+
+        monkeypatch.setattr(bench_mod, "run_molecule", no_run)
+        scan_dir = tmp_path / "scan"
+        scan_dir.mkdir()
+        text = open(fixture_path("h2_sto3g.fcidump")).read()
+        for name in ("h2_r1.10.fcidump", "h2_r1.10.txt", "h2_r1.40.fcidump"):
+            (scan_dir / name).write_text(text)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, molecule=str(scan_dir), optimizer="bfgs", seeds="0")
+        assert main(["scan", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: point 'h2_r1.10' is named more than once\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["optimize", "vqe", "saoo", "compare", "scan"])
     def test_repeated_config_key_exit_two_before_any_run(self, tmp_path, h2_scan_dir, command,
                                                          capsys):

@@ -5,11 +5,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from devqe import de
 from devqe.bench import sphere
 from devqe.de import (
     _RAW_CHUNK,
+    BOUNDARY_MODES,
+    CROSSOVERS,
+    STRATEGIES,
     Bounds,
     ConfigurationError,
     DEConfig,
@@ -19,6 +24,7 @@ from devqe.de import (
     TerminationCriteria,
     _generation_trials,
     _PhiloxDraws,
+    _smallest_population,
     de_minimize,
     initialize_population,
     make_rng,
@@ -493,6 +499,37 @@ def test_short_read_ahead_matches_the_per_member_loop(crossover, boundary, monke
             assert_matches_reference(Batched(shifted_sphere), Bounds.box(-1.0, 1.0, dim), config)
             runs += 1
     assert landings == {"inside", "between"}
+
+
+@st.composite
+def de_runs(draw):
+    """A DE configuration, a dimension and a read-ahead (None: the default)."""
+    strategy = draw(st.sampled_from(STRATEGIES))
+    config = DEConfig(
+        np_size=draw(st.integers(_smallest_population(strategy), 25)),
+        f=draw(st.sampled_from([0.5, 0.9])),
+        cr=draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+        p_best_fraction=draw(st.sampled_from([0.11, 0.4])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        strategy=strategy,
+        crossover=draw(st.sampled_from(CROSSOVERS)),
+        boundary=draw(st.sampled_from(BOUNDARY_MODES)),
+        termination=TerminationCriteria(max_generations=draw(st.integers(1, 5))),
+    )
+    return config, draw(st.integers(1, 6)), draw(st.sampled_from([None, 3]))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=de_runs())
+def test_any_run_is_the_per_member_run(run, monkeypatch):
+    # the block run against the per-member oracle over the whole space of
+    # settings, population sizes from each strategy's smallest, D from 1 to 6
+    config, dim, chunk = run
+    with monkeypatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(de, "_PhiloxDraws", partial(_PhiloxDraws, chunk=chunk))
+        assert_matches_reference(Batched(shifted_sphere), Bounds.box(-1.0, 1.0, dim), config)
 
 
 @pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, 0.0])

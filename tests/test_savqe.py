@@ -276,16 +276,16 @@ Sector.build(h2_integrals, ansatz), optimizer=choice)
                 Sector.build(h2_integrals, default_ansatz(2, 2)), weights=(0.2, 0.3, 0.5)
             )
 
-    def test_component_cache_bounded_by_population(self, h2_integrals, monkeypatch):
+    def test_de_stage_arrays_keep_population_shapes(self, h2_integrals, monkeypatch):
         import devqe.de as de_mod
 
         de_minimize = de_mod.de_minimize
-        sizes = []  # (cached points, population size) after every generation
+        shapes = set()  # of the held arrays, after every generation
 
         def watched_de(objective, bounds, config, callback):
             def on_generation(pop, cum_evals):
                 callback(pop, cum_evals)
-                sizes.append((len(objective._components), pop.size))
+                shapes.add((objective.e_sa.shape, objective.energies.shape))
 
             return de_minimize(objective, bounds, config, callback=on_generation)
 
@@ -298,10 +298,96 @@ Sector.build(h2_integrals, ansatz), optimizer=choice)
             Sector.build(h2_integrals, default_ansatz(2, 2)),
             optimizer=choice
         )
-        # 3000 DE evaluations plus the final reconstruction: no cache miss was charged
+        # 3000 DE evaluations plus the final reconstruction: no lookup was charged
         assert result.evaluations == 3001
-        assert len(sizes) == len(result.trace.events) > 100
-        assert all(cached <= population for cached, population in sizes)
+        assert len(result.trace.events) > 100
+        assert shapes == {((15,), (15, 2))}
+
+    @pytest.mark.parametrize("method", ["de_rand1_bin", "de_best2_bin", "de_current_to_pbest1_exp"])
+    @pytest.mark.parametrize("molecule", ["h2", "h4"])
+    def test_de_stage_trace_is_the_per_row_recorder(self, h2_integrals, h4_integrals, molecule,
+                                                    method, monkeypatch):
+        # the population-aligned arrays give every generation's event bitwise
+        # what looking each best member up among the evaluated rows gives
+        import devqe.savqe as savqe_mod
+        from devqe.bench import build_optimizer
+        from devqe.orbitals import MacroConfig, run_sa_oo_vqe
+
+        integrals = h2_integrals if molecule == "h2" else h4_integrals
+        ansatz = default_ansatz(integrals.n_orb, integrals.n_elec)
+
+        def events():
+            result = run_sa_oo_vqe(integrals, ansatz,
+                                   inner_optimizer=build_optimizer(method, {"max_evals": "600"}, 4),
+                                   macro_config=MacroConfig(max_macro_iters=2))
+            assert result.macro_iterations == 2
+            trace = result.trace.events
+            return ([(e.scope, e.macro_index, e.cum_evals) for e in trace],
+                    np.array([(e.e_sa, *e.e_states) for e in trace]).tobytes())
+
+        shipped = events()
+        monkeypatch.setattr(savqe_mod, "_PopulationEnergies", PerRowRecorder)
+        PerRowRecorder.lookups = 0
+        recorded = events()
+        # every DE generation of both stages is one step event, and one lookup
+        assert PerRowRecorder.lookups == sum(e[0] == "optimizer_step" for e in recorded[0]) > 20
+        assert shipped == recorded
+
+    def test_de_stage_rows_one_call_at_a_time_give_the_batch_trace(self, h2_integrals,
+                                                                    monkeypatch):
+        import devqe.de as de_mod
+
+        de_minimize = de_mod.de_minimize
+        sector = Sector.build(h2_integrals, default_ansatz(2, 2))
+        choice = OptimizerChoice("de", de_config=DEConfig(
+            strategy="current_to_pbest1", crossover="exponential", seed=6,
+            termination=TerminationCriteria(max_evals=600)))
+
+        def trace():
+            events = run_sa_vqe(sector, optimizer=choice).trace.events
+            return ([e.cum_evals for e in events],
+                    np.array([(e.e_sa, *e.e_states) for e in events]).tobytes())
+
+        batched = trace()
+        monkeypatch.setattr(de_mod, "de_minimize", lambda objective, *args, **kwargs: de_minimize(
+            lambda x: objective(x), *args, **kwargs))  # hides `batch`
+        assert trace() == batched and len(batched[0]) > 30
+
+    def test_signed_zero_row_is_not_the_member(self, h2_integrals, monkeypatch):
+        # -0.0 == 0.0, but a trial row that differs from the member at its
+        # index only in the sign of a zero is another point: the member keeps
+        # the components held for it
+        import devqe.savqe as savqe_mod
+        from devqe.de import Population
+
+        blocks = []
+
+        def numbered(thetas, sector, weights):  # every row of block b has energies b
+            blocks.append(len(thetas))
+            value = float(len(blocks))
+            return np.full(len(thetas), value), np.full((len(thetas), 2), value), None
+
+        monkeypatch.setattr(savqe_mod, "sa_energy", numbered)
+        objective = savqe_mod._PopulationEnergies(
+            Sector.build(h2_integrals, default_ansatz(2, 2)), (0.5, 0.5))
+        members = np.array([[0.0, 0.5], [0.25, -0.5], [0.75, 0.0], [1.0, 1.0]])
+        objective.batch(members)
+        assert objective.components(Population(0, members, np.zeros(4))) == (1.0, (1.0, 1.0))
+
+        trials = members.copy()
+        trials[0, 0] = -0.0  # the member's 0.0 with its sign flipped
+        trials[2, 1] = -0.0
+        trials[3] = [0.5, 0.5]
+        objective.batch(trials)
+        assert objective.calls == 8 and blocks == [4, 4]
+        # the population after selection: rows 0 and 2 hold the members,
+        # row 1 the (bitwise equal) trial, row 3 the new trial
+        kept = np.array([members[0], trials[1], members[2], trials[3]])
+        assert kept[0, 0] == trials[0, 0] and kept[2, 1] == trials[2, 1]
+        best = objective.components(Population(1, kept, np.array([0.0, 1.0, 1.0, 1.0])))
+        assert best == (1.0, (1.0, 1.0))
+        assert objective.e_sa.tolist() == [1.0, 2.0, 1.0, 2.0]
+        assert objective.energies.tolist() == [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, 2.0]]
 
     def test_single_evaluation_per_sa_energy_row(self, h2_integrals, monkeypatch):
         # the audit: reported evaluations equal the points sa_energy evaluated,
@@ -358,3 +444,33 @@ Sector.build(h2_integrals, ansatz), optimizer=choice)
         assert len(events) >= 2
         cums = [e.cum_evals for e in events]
         assert cums == sorted(cums)
+
+
+class PerRowRecorder:
+    """The DE stage's objective as a per-row lookup: the components of every
+    evaluated row under its bytes, pruned to the population's members each
+    generation.  The oracle of `savqe._PopulationEnergies`."""
+
+    lookups = 0
+
+    def __init__(self, sector, weights):
+        self.sector = sector
+        self.weights = weights
+        self.calls = 0
+        self._rows = {}
+
+    def batch(self, thetas):
+        import devqe.savqe as savqe_mod
+
+        thetas = np.asarray(thetas, dtype=float)
+        self.calls += len(thetas)
+        e_sa, energies, _ = savqe_mod.sa_energy(thetas, self.sector, self.weights)
+        for theta, value, row in zip(thetas, e_sa.tolist(), energies.tolist()):
+            self._rows[theta.tobytes()] = (value, tuple(row))
+        return e_sa
+
+    def components(self, pop):
+        PerRowRecorder.lookups += 1
+        best = self._rows[pop.members[pop.best_index()].tobytes()]
+        self._rows = {key: self._rows[key] for key in map(bytes, pop.members)}
+        return best
