@@ -460,11 +460,9 @@ class PerRowRecorder:
         self._rows = {}
 
     def batch(self, thetas):
-        import devqe.savqe as savqe_mod
-
         thetas = np.asarray(thetas, dtype=float)
         self.calls += len(thetas)
-        e_sa, energies, _ = savqe_mod.sa_energy(thetas, self.sector, self.weights)
+        e_sa, energies, _ = sa_energy(thetas, self.sector, self.weights)
         for theta, value, row in zip(thetas, e_sa.tolist(), energies.tolist()):
             self._rows[theta.tobytes()] = (value, tuple(row))
         return e_sa
